@@ -6,7 +6,7 @@ nondeterminism quietly -- scheduling-order dependence, hash-salted dict
 iteration leaking into shard placement, worker-local RNG state.  This
 script runs a fixed, seeded workload through the full stack (columnar
 generation, sharded process-parallel enumeration, process-executor
-Monte-Carlo estimates, adaptive refinement) and folds everything
+Monte-Carlo estimates, fused batches, adaptive refinement) and folds everything
 observable -- answer values, witness order, lineage digests, certainty
 floats at full precision -- into one SHA-256 digest.
 
@@ -75,9 +75,13 @@ def run_workload() -> dict[str, str]:
     adaptive_service = AnnotationService(database, ServiceOptions(
         epsilon=0.25, seed=97, shards=4, jobs=2, executor="process",
         adaptive=True))
+    fused_service = AnnotationService(database, ServiceOptions(
+        epsilon=0.25, seed=97, shards=4, jobs=2, executor="process",
+        fusion=8))
     digests: dict[str, str] = {}
     for name, sql in QUERIES:
-        for mode, server in (("single", service), ("adaptive", adaptive_service)):
+        for mode, server in (("single", service), ("adaptive", adaptive_service),
+                             ("fused", fused_service)):
             feed = hashlib.sha256()
             for answer in server.annotate(sql):
                 feed.update(repr(answer.values).encode())

@@ -2,11 +2,11 @@
 
 Two pools live here, for the two shapes of parallelism the service uses:
 
-* **threads** (:func:`run_tasks`) -- the PR 2 executor.  The scheduler's
-  task groups are closures over shared caches; NumPy kernels release the
-  GIL, so threads overlap the Monte-Carlo phase without any pickling.
+* **threads** (:func:`run_tasks`) -- the PR 2 executor.  The service's
+  Monte-Carlo work units run as closures over its shared caches; NumPy
+  kernels release the GIL, so threads overlap them without any pickling.
 * **processes** (:func:`process_map`) -- the PR 4 executor.  Candidate
-  enumeration over shards, and the certainty estimates when the service is
+  enumeration over shards, and the same work units when the service is
   configured with ``executor="process"``, are CPU-bound Python+NumPy mixes
   whose Python share the GIL serialises; a ``ProcessPoolExecutor`` spans
   cores instead.  Process tasks must be module-level functions over

@@ -31,8 +31,8 @@ batch re-fuses over the survivors.
 
 Only groups whose resolved method is AFPRAS sampling in dimension >= 1 are
 eligible (:func:`fusable_method`); everything else -- exact folds, FPRAS
-fallbacks, zero-dimensional constants -- keeps today's per-group path, which
-tries those backends in exactly the historical order.
+fallbacks, zero-dimensional constants -- runs as a solo unit down the
+per-group ladder, which tries those backends in exactly the historical order.
 """
 
 from __future__ import annotations
@@ -164,32 +164,27 @@ def decide_fused_batch(tasks: Sequence[FusedTask],
     return results, accounting
 
 
-def run_fused_payload(payload) -> tuple[list[CertaintyResult], int, list]:
-    """Process-pool twin of :func:`decide_fused_batch` (module-level, picklable).
-
-    The payload carries only content -- translations, digests, replica
-    tokens, request parameters, and the root seed's identity -- and the
-    worker re-derives every stream exactly as the in-process path does.
-    """
-    (items, epsilon, delta, adaptive, entropy, spawn_key, coarse,
-     factor) = payload
-    root = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
-    tasks = [FusedTask(translation=translation, digest=digest, replica=replica)
-             for translation, digest, replica in items]
-    results, accounting = decide_fused_batch(
-        tasks, epsilon=epsilon, delta=delta, adaptive=adaptive, root=root,
-        coarse=coarse, factor=factor, on_update=None)
-    return results, accounting.kernels_launched, accounting.batch_sizes
-
-
 def fused_payload(tasks: Sequence[FusedTask], epsilon: float, delta: float,
                   adaptive: bool, root: np.random.SeedSequence,
                   coarse: float, factor: float) -> tuple:
     """Build the picklable payload :func:`run_fused_payload` consumes."""
-    return (tuple((task.translation, task.digest, task.replica)
-                  for task in tasks),
-            epsilon, delta, adaptive, root.entropy, tuple(root.spawn_key),
-            coarse, factor)
+    return (tuple(tasks), epsilon, delta, adaptive, root, coarse, factor)
+
+
+def run_fused_payload(payload: tuple,
+                      on_update: Optional[PositionUpdateCallback] = None
+                      ) -> tuple[list[CertaintyResult], int, list]:
+    """:func:`decide_fused_batch` over a content payload (module-level, so
+    it pickles): ``(results, kernels launched, batch sizes)``.
+
+    The payload carries only content -- tasks, request parameters and the
+    root seed -- so every stream is derived the same in any process.
+    """
+    tasks, epsilon, delta, adaptive, root, coarse, factor = payload
+    results, accounting = decide_fused_batch(
+        tasks, epsilon=epsilon, delta=delta, adaptive=adaptive, root=root,
+        coarse=coarse, factor=factor, on_update=on_update)
+    return results, accounting.kernels_launched, accounting.batch_sizes
 
 
 # -- internals ---------------------------------------------------------------

@@ -11,15 +11,18 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
 3. **schedule** -- candidates are grouped by the null-renaming-invariant
    canonical form of their lineage (:mod:`repro.service.scheduler`), so one
    compiled-kernel estimate decides a whole group;
-4. **execute** -- groups run across ``jobs`` worker threads, each drawing
-   from a stream spawned off the request's ``SeedSequence`` under a spawn
-   key derived from the lineage digest (:mod:`repro.service.rng`), which
-   makes parallel runs bit-identical to serial ones;
+4. **execute** -- one pipeline under every configuration: each group is
+   probed once in the certainty cache, keyed by
+   ``(canonical lineage, ε, δ, method, adaptive, seed)``, so structurally
+   repeated requests skip the Monte-Carlo phase entirely; the misses
+   become work units (solo groups, or fused batches of ``fusion`` groups)
+   run by one executor call over ``jobs`` threads or processes.  Every
+   unit draws from streams spawned off the request's ``SeedSequence``
+   under a key derived from the lineage digest (:mod:`repro.service.rng`),
+   which makes parallel runs bit-identical to serial ones;
 5. **estimate** -- either single-shot at the requested ε, or adaptively
    (coarse first, streamed refinement; :mod:`repro.service.adaptive`);
-   results land in the certainty cache keyed by
-   ``(canonical lineage, ε, δ, method, adaptive, seed)`` so structurally
-   repeated requests skip the Monte-Carlo phase entirely.
+   fresh results land in the certainty cache.
 
 The compiled-kernel memo of :mod:`repro.compile` sits underneath all of
 this; its hit/miss counters are surfaced in :meth:`AnnotationService.stats`
@@ -32,6 +35,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -48,11 +52,9 @@ from repro.service.adaptive import (
     adaptive_certainty,
 )
 from repro.service.answers import AnnotatedAnswer
-from repro.service.canonical import CanonicalLineage
 from repro.service.executor import EXECUTORS, process_map, run_tasks
 from repro.service.fused import (
     FusedTask,
-    decide_fused_batch,
     fusable_method,
     fused_payload,
     run_fused_payload,
@@ -111,10 +113,11 @@ class ServiceOptions:
     #: and fusion batch size per request.  Explicit per-request arguments
     #: always win over the planner.  Answers are identical either way.
     planner: str = "manual"
-    #: Fusion batch size for the Monte-Carlo phase: group estimates are
-    #: decided ``fusion`` lineages at a time through one block-diagonal
-    #: fused kernel (:mod:`repro.compile.fusion`).  ``0``/``1`` keeps the
-    #: per-group path.  Results are bit-identical at any batch size.
+    #: Fusion batch size for the Monte-Carlo phase: cache-missing groups
+    #: that sample AFPRAS are decided ``fusion`` lineages at a time through
+    #: one block-diagonal fused kernel (:mod:`repro.compile.fusion`); other
+    #: groups run as solo units.  ``0``/``1`` makes every group a solo
+    #: unit.  Results are bit-identical at any batch size.
     fusion: int = 0
     parse_cache_size: int = 256
     plan_cache_size: int = 128
@@ -359,8 +362,21 @@ def normalise_sql(sql: str) -> str:
     return "\x00".join(parts)
 
 
-#: Backwards-compatible private alias (pre-PR 5 internal name).
-_normalise_sql = normalise_sql
+def _validate(method: str, executor: str, planner: str, fusion: int) -> None:
+    """Reject unknown options, as service defaults or per-request overrides."""
+    if method not in SERVICE_METHODS:
+        raise ValueError(
+            f"unknown method {method!r}; expected one of {SERVICE_METHODS}")
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    if planner not in PLANNER_MODES:
+        raise ValueError(
+            f"unknown planner mode {planner!r}; "
+            f"expected one of {PLANNER_MODES}")
+    if fusion < 0:
+        raise ValueError(
+            f"fusion batch size must be non-negative, got {fusion}")
 
 
 def _seed_token(root: np.random.SeedSequence) -> tuple:
@@ -399,19 +415,8 @@ class AnnotationService:
             options = ServiceOptions()
         if overrides:
             options = replace(options, **overrides)
-        if options.method not in SERVICE_METHODS:
-            raise ValueError(
-                f"unknown method {options.method!r}; expected one of {SERVICE_METHODS}")
-        if options.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {options.executor!r}; expected one of {EXECUTORS}")
-        if options.planner not in PLANNER_MODES:
-            raise ValueError(
-                f"unknown planner mode {options.planner!r}; "
-                f"expected one of {PLANNER_MODES}")
-        if options.fusion < 0:
-            raise ValueError(
-                f"fusion batch size must be non-negative, got {options.fusion}")
+        _validate(options.method, options.executor, options.planner,
+                  options.fusion)
         if options.backend is not None:
             # One conversion at construction; the snapshot then serves every
             # request under the requested layout.
@@ -546,19 +551,7 @@ class AnnotationService:
         reuse = options.reuse_results if reuse_results is None else reuse_results
         planner = options.planner if planner is None else planner
         fusion = options.fusion if fusion is None else fusion
-        if method not in SERVICE_METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {SERVICE_METHODS}")
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-        if planner not in PLANNER_MODES:
-            raise ValueError(
-                f"unknown planner mode {planner!r}; "
-                f"expected one of {PLANNER_MODES}")
-        if fusion < 0:
-            raise ValueError(
-                f"fusion batch size must be non-negative, got {fusion}")
+        _validate(method, executor, planner, fusion)
         root = self._default_root if seed is None else root_sequence(seed)
         seed_token = _seed_token(root)
 
@@ -646,113 +639,104 @@ class AnnotationService:
                 for knob, choice in planned.items():
                     plan_span.set(knob, choice)
 
-        def cache_key(group: TaskGroup) -> tuple:
-            return (group.canonical.key, epsilon, delta, method, adaptive,
-                    seed_token)
-
+        keys: list[Optional[tuple]] = [None] * len(schedule)
         if reuse:
+            keys = [(group.canonical.key, epsilon, delta, method, adaptive,
+                     seed_token) for group in schedule]
             # Record which marked nulls each group's lineages touch, so a
             # later mutation can evict exactly the affected cache entries.
-            self._record_provenance(schedule, candidates, cache_key)
+            self._record_provenance(schedule, candidates, keys)
 
-        def _estimate_group(group: TaskGroup,
-                            span=None) -> tuple[CertaintyResult, bool]:
-            result = self._estimate(group, epsilon, delta, method,
-                                    adaptive, root, (group.members[0],),
-                                    on_update, trace=tr, parent=span)
-            return result, False
+        # The Monte-Carlo phase is one pipeline under every configuration.
+        # 1. Probe: one counted certainty-cache get per group; hits are
+        #    resolved here and never become work.
+        outcomes: list = [None] * len(schedule)
+        misses: list[int] = []
+        for position, key in enumerate(keys):
+            cached = None if key is None else self._result_cache.get(key)
+            if cached is None:
+                misses.append(position)
+            else:
+                outcomes[position] = (self._patch_dimension(cached), True)
 
-        def _decide_cold(group: TaskGroup, key,
-                         span=None) -> tuple[CertaintyResult, bool]:
-            """The estimate after a counted certainty-cache miss."""
+        # 2. Work units: with fusion, misses that sample AFPRAS pack into
+        #    batches of ``fusion`` groups (schedule order); every other miss
+        #    is a solo unit.
+        def task(position: int) -> FusedTask:
+            group = schedule[position]
+            return FusedTask(translation=group.canonical.translation(),
+                             digest=group.canonical.digest,
+                             replica=() if reuse else (group.members[0],))
 
-            def compute() -> tuple[CertaintyResult, bool]:
-                # Re-probe under flight leadership: a racing request may
-                # have filled the cache between our miss above and winning
-                # this flight (its fill happens before its flight is
-                # vacated, so missing both is impossible).  This makes
-                # "exactly one computation per lineage" an invariant, not
-                # a fast path.
-                landed = self._result_cache.peek(key)
-                if landed is not None:
-                    return self._patch_dimension(landed), False
-                result = self._estimate(group, epsilon, delta, method,
-                                        adaptive, root, (), on_update,
-                                        trace=tr, parent=span)
-                self._result_cache.put(key, result)
-                return result, True
+        coarse, factor = options.adaptive_coarse, options.adaptive_factor
+        fuse = fusion > 1 and len(schedule) > 1
+        units: list[_WorkUnit] = []
+        fusable: list[int] = []
+        for position in misses:
+            if fuse and fusable_method(
+                    method, schedule[position].canonical.translation()):
+                fusable.append(position)
+            else:
+                units.append(_WorkUnit((position,), False, (
+                    task(position), epsilon, delta, method, adaptive, root,
+                    coarse, factor)))
+        units.extend(
+            _WorkUnit(tuple(batch), True, fused_payload(
+                [task(position) for position in batch], epsilon, delta,
+                adaptive, root, coarse, factor))
+            for batch in partition_batches(fusable, fusion))
 
-            # Single-flight on the canonical lineage digest: a concurrent
-            # request racing on the same cold lineage joins this estimate
-            # rather than recomputing it.  Joined results are accounted as
-            # reuse -- exactly one computation and one cache fill happen.
-            (result, computed), leader = self._estimate_flights.run(
-                (group.canonical.digest, epsilon, delta, method, adaptive,
-                 seed_token), compute)
-            return result, not (leader and computed)
+        def land(unit: _WorkUnit, results: Sequence) -> list:
+            return [self._land(schedule[position], keys[position], result)
+                    for position, result in zip(unit.positions, results)]
 
-        def _decide(group: TaskGroup, span=None) -> tuple[CertaintyResult, bool]:
-            if not reuse:
-                return _estimate_group(group, span)
-            key = cache_key(group)
-            cached = self._result_cache.get(key)
-            if cached is not None:
-                return self._patch_dimension(cached), True
-            return _decide_cold(group, key, span)
+        def run_here(unit: _WorkUnit) -> tuple:
+            group = schedule[unit.positions[0]]
+            attributes = ({"fused": len(unit.positions)} if unit.fused else
+                          {"lineage": group.canonical.digest.hex()[:12],
+                           "tuples": group.size})
+            # Spans from executor worker threads attach via the explicit
+            # parent handle, so the tree survives thread fan-out.
+            with tr.span("estimate", **attributes) as span:
+                callback = _rung_callback(
+                    tr, span, on_update,
+                    [schedule[position] for position in unit.positions])
+                if unit.fused:
+                    results, launches, sizes = unit.run(callback)
+                    return land(unit, results), False, launches, sizes
+                result, reused = self._decide_solo(
+                    group, keys[unit.positions[0]], unit.payload, callback)
+                span.set("reused", reused)
+                return [result], reused, 0, []
 
-        if tr is NULL_TRACE:
-            # The uninstrumented closure, byte for byte: the disabled path
-            # pays nothing per group.
-            decide = _decide
-        else:
-            def decide(group: TaskGroup) -> tuple[CertaintyResult, bool]:
-                # A certainty-cache hit costs microseconds; opening a span
-                # for it would make warm traces (and the warm hot path --
-                # the bench_obs overhead gate) pay dozens of empty
-                # per-group spans per request.  The counted get happens
-                # here instead of inside `_decide`, once, with exactly the
-                # bare path's hit/miss and recency semantics -- the span
-                # only exists when an estimate actually runs.
-                if reuse:
-                    key = cache_key(group)
-                    cached = self._result_cache.get(key)
-                    if cached is not None:
-                        return self._patch_dimension(cached), True
-                    # Spans from executor worker threads attach via the
-                    # explicit parent handle, so the tree survives thread
-                    # fan-out.
-                    with tr.span("estimate",
-                                 lineage=group.canonical.digest.hex()[:12],
-                                 tuples=len(group.members)) as span:
-                        result, reused = _decide_cold(group, key, span)
-                        span.set("reused", reused)
-                        return result, reused
-                with tr.span("estimate",
-                             lineage=group.canonical.digest.hex()[:12],
-                             tuples=len(group.members)) as span:
-                    result, reused = _estimate_group(group, span)
-                    span.set("reused", reused)
-                    return result, reused
-
-        # Adaptive streaming callbacks need to run in this process, so the
-        # process executor only takes over callback-free requests; results
-        # are bit-identical either way (streams are content-keyed).
-        fusion_counters: Optional[dict] = None
-        if fusion > 1 and len(schedule) > 1:
-            outcomes, fusion_counters = self._decide_with_fusion(
-                schedule, decide, cache_key, reuse, epsilon, delta, method,
-                adaptive, root, jobs, executor, fusion, on_update, trace=tr)
-        elif executor == "process" and jobs > 1 and on_update is None:
+        # 3. Execute: one executor call.  Streaming callbacks must run in
+        #    this process, so the process executor only takes callback-free
+        #    requests; answers are bit-identical either way (streams are
+        #    content-keyed).
+        if executor == "process" and jobs > 1 and on_update is None:
             # Worker processes cannot carry the trace; one umbrella span
-            # stands in for the per-group breakdown.
-            with tr.span("estimate", mode="process", groups=len(schedule)):
-                outcomes = self._decide_in_processes(
-                    schedule, cache_key, reuse, epsilon, delta, method,
-                    adaptive, root, jobs)
+            # stands in for the per-unit breakdown.
+            with tr.span("estimate", mode="process", groups=len(misses)):
+                shipped = process_map(_WorkUnit.run, units, jobs=jobs)
+            decided = [(land(unit, results), False, launches, sizes)
+                       for unit, (results, launches, sizes)
+                       in zip(units, shipped)]
         else:
-            outcomes = run_tasks(
-                [lambda group=group: decide(group) for group in schedule],
-                jobs=jobs)
+            decided = run_tasks([partial(run_here, unit) for unit in units],
+                                jobs=jobs)
+
+        # 4. Collect: every result has landed (dimension patched, cache
+        #    filled); fused units also report their kernel accounting.
+        kernels_launched = tuples_fused = 0
+        batch_sizes: list[int] = []
+        for unit, (results, reused, launches, sizes) in zip(units, decided):
+            for position, result in zip(unit.positions, results):
+                outcomes[position] = (result, reused)
+            if unit.fused:
+                kernels_launched += launches
+                batch_sizes.extend(sizes)
+                tuples_fused += sum(schedule[position].size
+                                    for position in unit.positions)
 
         with tr.span("serialize") as serialize_span:
             by_candidate: dict[int, CertaintyResult] = {}
@@ -776,11 +760,6 @@ class AnnotationService:
 
         computed = len(schedule) - from_cache
         batched = len(candidates) - len(schedule)
-        kernels_launched = tuples_fused = fusion_batches = 0
-        if fusion_counters is not None:
-            kernels_launched = fusion_counters["kernels_launched"]
-            tuples_fused = fusion_counters["tuples_fused"]
-            fusion_batches = fusion_counters["batches"]
         with self._counters_lock:
             self._requests += 1
             self._answers_served += len(answers)
@@ -789,11 +768,9 @@ class AnnotationService:
             self._tuples_batched += batched
             self._kernels_launched += kernels_launched
             self._tuples_fused += tuples_fused
-            self._fusion_batches += fusion_batches
-            if fusion_counters is not None:
-                self._fusion_batch_sizes.extend(
-                    fusion_counters["batch_sizes"])
-                del self._fusion_batch_sizes[:-32]
+            self._fusion_batches += len(batch_sizes)
+            self._fusion_batch_sizes.extend(batch_sizes)
+            del self._fusion_batch_sizes[:-32]
             backend_name = getattr(database, "backend", "rows")
             self._backend_requests[backend_name] = (
                 self._backend_requests.get(backend_name, 0) + 1)
@@ -807,7 +784,7 @@ class AnnotationService:
             seed_entropy=seed_token[0] if isinstance(seed_token[0], int) else 0,
             kernels_launched=kernels_launched,
             tuples_fused=tuples_fused,
-            fusion_batches=fusion_batches,
+            fusion_batches=len(batch_sizes),
             planned=planned,
         )
         if self._recorder.enabled:
@@ -957,7 +934,7 @@ class AnnotationService:
                     evicted += 1
         return evicted
 
-    def _record_provenance(self, schedule, candidates, cache_key) -> None:
+    def _record_provenance(self, schedule, candidates, keys) -> None:
         """Remember which marked nulls each group's result depends on.
 
         Only numerical nulls can occur in lineage formulas (base-null
@@ -968,14 +945,14 @@ class AnnotationService:
         all of them.
         """
         updates: dict[tuple, frozenset[str]] = {}
-        for group in schedule:
+        for group, key in zip(schedule, keys):
             names: set[str] = set()
             for member in group.members:
                 lineage = candidates[member].lineage
                 for variable in lineage.relevant_variables:
                     names.add(lineage.null_by_variable[variable].name)
             if names:
-                updates[cache_key(group)] = frozenset(names)
+                updates[key] = frozenset(names)
         if not updates:
             return
         with self._provenance_lock:
@@ -1024,7 +1001,7 @@ class AnnotationService:
         if not isinstance(query, str):
             return query
         from repro.engine.sql.parser import parse_sql
-        key = _normalise_sql(query)
+        key = normalise_sql(query)
         return self._parse_cache.get_or_compute(key, lambda: parse_sql(query))
 
     def _plan(self, query, select, limit: Optional[int],
@@ -1073,7 +1050,7 @@ class AnnotationService:
                  for reference in select.tables}))
         else:
             versions = ()
-        key = (_normalise_sql(query), limit, group_witnesses,
+        key = (normalise_sql(query), limit, group_witnesses,
                getattr(database, "backend", "rows"),
                getattr(database, "shards", 1),
                versions)
@@ -1137,235 +1114,122 @@ class AnnotationService:
         plan_engine.observe_enumeration(getattr(database, "backend", "rows"),
                                         rows, elapsed)
 
-    def _decide_with_fusion(self, schedule: Sequence[TaskGroup], decide,
-                            cache_key, reuse: bool, epsilon: float,
-                            delta: float, method: str, adaptive: bool,
-                            root: np.random.SeedSequence, jobs: int,
-                            executor: str, batch_size: int,
-                            on_update: Optional[GroupUpdateCallback],
-                            trace=NULL_TRACE) -> tuple[list, dict]:
-        """The Monte-Carlo phase with block-diagonal kernel fusion.
+    def _decide_solo(self, group: TaskGroup, key: Optional[tuple],
+                     payload: tuple, on_update=None
+                     ) -> tuple[CertaintyResult, bool]:
+        """One cold group estimated in this process; ``(result, reused)``.
 
-        Cache-missing groups whose resolved method is AFPRAS sampling are
-        batched ``batch_size`` at a time (schedule order) and decided
-        through fused kernels (:mod:`repro.service.fused`); every other
-        group keeps the standard per-group ``decide`` path, so exact folds
-        and FPRAS fallbacks run through exactly the historical ladder.
-        Results are bit-identical to the unfused path throughout.
-
-        Like :meth:`_decide_in_processes`, fused batches fill the result
-        cache but do not join the cross-request estimate flights:
-        concurrent requests may duplicate a fused group's work, never its
-        answer.
+        With result reuse on (``key`` set), the estimate runs under
+        single-flight on the canonical lineage digest: a concurrent request
+        racing on the same cold lineage joins this estimate rather than
+        recomputing it, and joined results are accounted as reuse --
+        exactly one computation and one cache fill happen.
         """
-        outcomes: list = [None] * len(schedule)
-        solo_positions: list[int] = []
-        fusable_positions: list[int] = []
-        for position, group in enumerate(schedule):
-            if reuse:
-                cached = self._result_cache.get(cache_key(group))
-                if cached is not None:
-                    outcomes[position] = (self._patch_dimension(cached), True)
-                    continue
-            if fusable_method(method, group.canonical.translation()):
-                fusable_positions.append(position)
-            else:
-                solo_positions.append(position)
-        batches = partition_batches(fusable_positions, batch_size)
+        if key is None:
+            return self._land(group, None,
+                              self._estimate(payload, on_update)), False
 
-        def batch_tasks(positions: Sequence[int]) -> list[FusedTask]:
-            return [FusedTask(
-                translation=schedule[p].canonical.translation(),
-                digest=schedule[p].canonical.digest,
-                replica=() if reuse else (schedule[p].members[0],))
-                for p in positions]
+        def compute() -> tuple[CertaintyResult, bool]:
+            # Re-probe under flight leadership: a racing request may have
+            # filled the cache between our counted miss and winning this
+            # flight (its fill happens before its flight is vacated, so
+            # missing both is impossible).  This makes "exactly one
+            # computation per lineage" an invariant, not a fast path.
+            landed = self._result_cache.peek(key)
+            if landed is not None:
+                return self._patch_dimension(landed), False
+            return self._land(group, key,
+                              self._estimate(payload, on_update)), True
 
-        counters = {"kernels_launched": 0, "tuples_fused": 0, "batches": 0,
-                    "batch_sizes": []}
+        (result, computed), leader = self._estimate_flights.run(
+            (group.canonical.digest, *key[1:]), compute)
+        return result, not (leader and computed)
 
-        def account(launches: int, sizes: Sequence[int],
-                    positions: Sequence[int]) -> None:
-            counters["kernels_launched"] += launches
-            counters["batches"] += len(sizes)
-            counters["batch_sizes"].extend(sizes)
-            counters["tuples_fused"] += sum(
-                schedule[p].size for p in positions)
+    def _estimate(self, payload: tuple, on_update=None) -> CertaintyResult:
+        """The in-process call of :func:`_estimate_task` (a patchable seam)."""
+        return _estimate_task(payload, on_update)
 
-        def land(positions: Sequence[int], results: Sequence) -> None:
-            for position, result in zip(positions, results):
-                group = schedule[position]
-                result = replace(result, dimension=self._dimension,
-                                 relevant_dimension=group.canonical.dimension)
-                if reuse:
-                    self._result_cache.put(cache_key(group), result)
-                outcomes[position] = (result, False)
+    def _land(self, group: TaskGroup, key: Optional[tuple],
+              result: CertaintyResult) -> CertaintyResult:
+        """Stamp a fresh estimate with snapshot metadata and cache it.
 
-        if executor == "process" and jobs > 1 and on_update is None:
-            if solo_positions:
-                solo_outcomes = self._decide_in_processes(
-                    [schedule[p] for p in solo_positions], cache_key, reuse,
-                    epsilon, delta, method, adaptive, root, jobs)
-                for position, outcome in zip(solo_positions, solo_outcomes):
-                    outcomes[position] = outcome
-            payloads = [fused_payload(
-                batch_tasks(positions), epsilon, delta, adaptive, root,
-                self._options.adaptive_coarse, self._options.adaptive_factor)
-                for positions in batches]
-            shipped = process_map(run_fused_payload, payloads, jobs=jobs,
-                                  chunksize=1)
-            for positions, (results, launches, sizes) in zip(batches, shipped):
-                land(positions, results)
-                account(launches, sizes, positions)
-        else:
-            # One worker task per fused batch (plus one per solo group);
-            # accounting objects come back in the results, so no shared
-            # mutation races across worker threads.
-            def solo_task(position: int):
-                return ("solo", position, decide(schedule[position]))
-
-            def fused_task(positions: Sequence[int]):
-                with trace.span("estimate", fused=len(positions)) as span:
-                    callback = None
-                    if on_update is not None or trace is not NULL_TRACE:
-                        rung_clock = [time.perf_counter()]
-
-                        def callback(slot, update):
-                            # Rung spans are timed by their completion
-                            # callbacks, after the fact; callbacks never
-                            # touch random streams, so fused results stay
-                            # bit-identical under tracing.
-                            now = time.perf_counter()
-                            trace.record(
-                                "rung", rung_clock[0], now, parent=span,
-                                stage=update.stage, epsilon=update.epsilon,
-                                samples=update.samples, final=update.final)
-                            rung_clock[0] = now
-                            if on_update is not None:
-                                on_update(schedule[positions[slot]], update)
-                    results, accounting = decide_fused_batch(
-                        batch_tasks(positions), epsilon=epsilon, delta=delta,
-                        adaptive=adaptive, root=root,
-                        coarse=self._options.adaptive_coarse,
-                        factor=self._options.adaptive_factor,
-                        on_update=callback)
-                    return ("fused", positions, (results, accounting))
-
-            thunks = [lambda p=position: solo_task(p)
-                      for position in solo_positions]
-            thunks.extend(lambda ps=positions: fused_task(ps)
-                          for positions in batches)
-            for kind, where, payload in run_tasks(thunks, jobs=jobs):
-                if kind == "solo":
-                    outcomes[where] = payload
-                else:
-                    results, accounting = payload
-                    land(where, results)
-                    account(accounting.kernels_launched,
-                            accounting.batch_sizes, where)
-        return outcomes, counters
-
-    def _decide_in_processes(self, schedule: Sequence[TaskGroup], cache_key,
-                             reuse: bool, epsilon: float, delta: float,
-                             method: str, adaptive: bool,
-                             root: np.random.SeedSequence,
-                             jobs: int) -> list[tuple[CertaintyResult, bool]]:
-        """The Monte-Carlo phase across worker processes, cache-coherent.
-
-        Cache lookups stay in this process (the caches are not shared with
-        workers); only the cache-missing groups ship out.  Payloads are
-        pure data -- translation, parameters, the root seed's identity --
-        and every worker re-derives its stream from the content digest, so
-        the outcome per group equals the thread executor's bit for bit.
-
-        Unlike the thread path, this batch route does not join the
-        cross-request estimate flights: concurrent process-executor
-        requests may duplicate a group's work (never its answer).  The
-        network server therefore serves with the thread executor.
+        The canonical translation deliberately forgets the database's
+        ambient dimension; it is patched back here for faithful result
+        metadata, before the result fills the cache under ``key`` (when
+        results are reused).
         """
-        outcomes: list = [None] * len(schedule)
-        payloads = []
-        positions = []
-        for position, group in enumerate(schedule):
-            if reuse:
-                cached = self._result_cache.get(cache_key(group))
-                if cached is not None:
-                    outcomes[position] = (self._patch_dimension(cached), True)
-                    continue
-            replica = () if reuse else (group.members[0],)
-            payloads.append((
-                group.canonical.translation(), epsilon, delta, method,
-                adaptive, root.entropy, tuple(root.spawn_key),
-                group.canonical.digest, replica,
-                self._options.adaptive_coarse, self._options.adaptive_factor))
-            positions.append(position)
-        results = process_map(_estimate_task, payloads, jobs=jobs)
-        for position, result in zip(positions, results):
-            group = schedule[position]
-            result = replace(result, dimension=self._dimension,
-                             relevant_dimension=group.canonical.dimension)
-            if reuse:
-                self._result_cache.put(cache_key(group), result)
-            outcomes[position] = (result, False)
-        return outcomes
-
-    def _estimate(self, group: TaskGroup, epsilon: float, delta: float,
-                  method: str, adaptive: bool, root: np.random.SeedSequence,
-                  replica: tuple[int, ...],
-                  on_update: Optional[GroupUpdateCallback],
-                  trace=NULL_TRACE, parent=None) -> CertaintyResult:
-        canonical = group.canonical
-        translation = canonical.translation()
-        if adaptive:
-            callback = None
-            if on_update is not None or trace is not NULL_TRACE:
-                rung_clock = [time.perf_counter()]
-
-                def callback(update):
-                    # Each adaptive rung becomes one after-the-fact span
-                    # under the group's estimate span; recording never
-                    # touches random streams (bit-identity holds).
-                    now = time.perf_counter()
-                    trace.record(
-                        "rung", rung_clock[0], now, parent=parent,
-                        stage=update.stage, epsilon=update.epsilon,
-                        samples=update.samples, final=update.final)
-                    rung_clock[0] = now
-                    if on_update is not None:
-                        on_update(group, update)
-            result = adaptive_certainty(
-                translation, epsilon=epsilon, delta=delta, method=method,
-                stream_factory=lambda stage: spawn_stream(
-                    root, canonical.digest, *replica, stage),
-                on_update=callback,
-                coarse=self._options.adaptive_coarse,
-                factor=self._options.adaptive_factor)
-        else:
-            result = certainty_from_translation(
-                translation, epsilon=epsilon, delta=delta, method=method,
-                rng=spawn_stream(root, canonical.digest, *replica))
-        # The canonical translation deliberately forgets the database's
-        # ambient dimension; patch it back for faithful result metadata.
-        return replace(result, dimension=self._dimension,
-                       relevant_dimension=canonical.dimension)
+        result = replace(result, dimension=self._dimension,
+                         relevant_dimension=group.canonical.dimension)
+        if key is not None:
+            self._result_cache.put(key, result)
+        return result
 
 
-def _estimate_task(payload) -> CertaintyResult:
-    """Process-pool twin of :meth:`AnnotationService._estimate`.
+@dataclass(frozen=True)
+class _WorkUnit:
+    """Cache-missing schedule positions decided by one content payload.
 
-    Module-level so it pickles; receives only content (translation, request
-    parameters, the root seed's entropy/spawn-key identity) and re-derives
-    the group's stream exactly as the in-process path does.  Dimension
-    metadata is patched back by the parent, which knows the database.
+    A solo unit carries :func:`_estimate_task`'s payload for one group; a
+    fused unit carries :func:`~repro.service.fused.run_fused_payload`'s for
+    a batch.  Payloads are pure content (translations, request parameters,
+    the root seed), so a unit runs unchanged in this process or in a
+    worker process.
     """
-    (translation, epsilon, delta, method, adaptive, entropy, spawn_key,
-     digest, replica, coarse, factor) = payload
-    root = np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
+
+    positions: tuple[int, ...]
+    fused: bool
+    payload: tuple
+
+    def run(self, on_update=None) -> tuple[list, int, list]:
+        """``(results, fused kernel launches, fused batch sizes)``."""
+        if self.fused:
+            return run_fused_payload(self.payload, on_update)
+        return [_estimate_task(self.payload, on_update)], 0, []
+
+
+def _estimate_task(payload: tuple, on_update=None) -> CertaintyResult:
+    """One group's estimate from content alone (module-level, so it pickles).
+
+    ``payload`` is ``(task, epsilon, delta, method, adaptive, root, coarse,
+    factor)`` with ``task`` a :class:`~repro.service.fused.FusedTask`; the
+    stream is derived from the root seed and the lineage digest (plus the
+    replica token), so the result is the same in any process.
+    ``on_update`` receives ``(0, update)`` per adaptive rung.  Dimension
+    metadata is the canonical translation's; the service patches it back.
+    """
+    task, epsilon, delta, method, adaptive, root, coarse, factor = payload
     if adaptive:
         return adaptive_certainty(
-            translation, epsilon=epsilon, delta=delta, method=method,
+            task.translation, epsilon=epsilon, delta=delta, method=method,
             stream_factory=lambda stage: spawn_stream(
-                root, digest, *replica, stage),
-            on_update=None, coarse=coarse, factor=factor)
+                root, task.digest, *task.replica, stage),
+            on_update=None if on_update is None else partial(on_update, 0),
+            coarse=coarse, factor=factor)
     return certainty_from_translation(
-        translation, epsilon=epsilon, delta=delta, method=method,
-        rng=spawn_stream(root, digest, *replica))
+        task.translation, epsilon=epsilon, delta=delta, method=method,
+        rng=spawn_stream(root, task.digest, *task.replica))
+
+
+def _rung_callback(trace, span, on_update: Optional[GroupUpdateCallback],
+                   groups: Sequence[TaskGroup]):
+    """A work unit's ``(slot, update)`` rung callback, or ``None`` if unheard.
+
+    Each adaptive rung becomes one after-the-fact span under the unit's
+    estimate span, and streamed updates reach ``on_update`` with the
+    slot's group.  Recording never touches random streams, so traced
+    answers stay bit-identical.
+    """
+    if on_update is None and trace is NULL_TRACE:
+        return None
+    rung_clock = [time.perf_counter()]
+
+    def callback(slot: int, update: AdaptiveUpdate) -> None:
+        now = time.perf_counter()
+        trace.record("rung", rung_clock[0], now, parent=span,
+                     stage=update.stage, epsilon=update.epsilon,
+                     samples=update.samples, final=update.final)
+        rung_clock[0] = now
+        if on_update is not None:
+            on_update(groups[slot], update)
+
+    return callback

@@ -12,8 +12,9 @@ This harness reuses the random (schema, data, query) generator of
 tests/test_columnar_differential.py and runs every case through two
 :class:`AnnotationService` instances over the same database -- one with the
 per-group reference configuration, one with a rotating fused/planned
-configuration -- comparing answers field for field.  Set
-``REPRO_FUSED_CASES`` to scale the case count.
+configuration -- comparing answers field for field, and the request's
+work accounting (groups computed and served from cache, certainty-cache
+hits and misses).  Set ``REPRO_FUSED_CASES`` to scale the case count.
 """
 
 from __future__ import annotations
@@ -29,13 +30,16 @@ from test_columnar_differential import _random_case
 
 #: Service-level submits are heavier than bare enumeration, so the fused
 #: harness defaults lower than the columnar one; nightly scales it up.
-DEFAULT_CASES = 40
+DEFAULT_CASES = 48
 
 CASES = int(os.environ.get("REPRO_FUSED_CASES", DEFAULT_CASES))
 
-#: Rotating fused configurations.  ``process`` appears sparingly: spawning
-#: a pool per case would dominate the harness, and the executors share the
-#: payload/stream derivation the thread cases already pin down.
+#: Rotating candidate configurations, covering every dispatch combination:
+#: fused and solo units, thread and process executors, result reuse on and
+#: off, traced and untraced.  ``process`` appears sparingly: the pool is
+#: shared across cases, but shipping payloads still costs more than the
+#: thread cases, which run the same content-payload functions.
+#: ``adaptive``, ``method`` and ``reuse_results`` apply to both sides.
 CONFIGURATIONS = (
     {"fusion": 8},
     {"fusion": 2},
@@ -45,7 +49,29 @@ CONFIGURATIONS = (
     {"fusion": 4, "adaptive": True, "jobs": 2},
     {"planner": "auto"},
     {"fusion": 8, "jobs": 2, "executor": "process"},
+    {"jobs": 2, "executor": "process"},
+    {"fusion": 8, "reuse_results": False},
+    {"fusion": 4, "method": "auto", "trace": True},
+    {"adaptive": True, "trace": True},
 )
+
+
+def _certainty_counters(service) -> tuple[int, int]:
+    """Lifetime ``(hits, misses)`` of the service's certainty cache."""
+    cache = next(cache for cache in service.stats().caches
+                 if cache.name == "certainty")
+    return cache.hits, cache.misses
+
+
+def _submit_counted(service, sql, **request):
+    """Submit, returning the response and the request's accounting: groups
+    computed and from cache, and the certainty-cache hit/miss deltas."""
+    hits, misses = _certainty_counters(service)
+    response = service.submit(sql, **request)
+    after_hits, after_misses = _certainty_counters(service)
+    return response, (response.stats.groups_computed,
+                      response.stats.groups_from_cache,
+                      after_hits - hits, after_misses - misses)
 
 
 def _assert_answers_identical(context: str, reference, fused) -> None:
@@ -75,19 +101,25 @@ class TestFusedDifferential:
             schema, specs, sql, group_witnesses = _random_case(rng)
             seed = int(rng.integers(0, 2**31))
             configuration = dict(CONFIGURATIONS[case_index % len(CONFIGURATIONS)])
-            adaptive = configuration.pop("adaptive", False)
-            method = configuration.pop("method", "afpras")
+            shared = {
+                "adaptive": configuration.pop("adaptive", False),
+                "method": configuration.pop("method", "afpras"),
+                "reuse_results": configuration.pop("reuse_results", True),
+            }
             database = generate_database(schema, specs, rng=seed)
             context = f"case {case_index}: {sql!r} via {configuration}"
 
-            reference = AnnotationService(database, epsilon=0.25).submit(
-                sql, seed=seed, method=method, adaptive=adaptive,
-                group_witnesses=group_witnesses)
-            candidate = AnnotationService(database, epsilon=0.25).submit(
-                sql, seed=seed, method=method, adaptive=adaptive,
-                group_witnesses=group_witnesses, **configuration)
+            reference, reference_counts = _submit_counted(
+                AnnotationService(database, epsilon=0.25), sql, seed=seed,
+                group_witnesses=group_witnesses, **shared)
+            candidate, candidate_counts = _submit_counted(
+                AnnotationService(database, epsilon=0.25), sql, seed=seed,
+                group_witnesses=group_witnesses, **shared, **configuration)
 
             _assert_answers_identical(context, reference, candidate)
+            # Same work accounting: groups computed vs served from cache,
+            # and exactly one counted cache probe per group either way.
+            assert candidate_counts == reference_counts, context
             fused_kernels += candidate.stats.kernels_launched
             fused_tuples += candidate.stats.tuples_fused
         # The harness must actually exercise the fused path, not vacuously

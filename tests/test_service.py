@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datagen.experiments import EXPERIMENT_QUERIES
 from repro.engine.annotate import annotate
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -230,6 +231,27 @@ class TestServiceStats:
         assert payload["requests"] == 2
         assert payload["estimates_reused"] >= 1
         assert {cache["name"] for cache in payload["caches"]} >= {"certainty"}
+
+    def test_fused_auto_counts_one_cache_probe_per_group(
+            self, tiny_sales_database):
+        """Every group is probed once, whichever unit later decides it.
+
+        Under ``fusion`` with ``method="auto"`` most groups resolve to the
+        exact backend and run as solo units next to the fused batches;
+        each must count exactly one certainty-cache miss, not one per
+        dispatch layer it passes through.
+        """
+        service = AnnotationService(tiny_sales_database, epsilon=0.1, seed=3,
+                                    fusion=8, method="auto")
+        for sql in EXPERIMENT_QUERIES.values():
+            service.submit(sql)
+            service.submit(sql)
+        stats = service.stats()
+        certainty = next(cache for cache in stats.caches
+                         if cache.name == "certainty")
+        assert stats.estimates_computed > 0 and stats.estimates_reused > 0
+        assert certainty.misses == stats.estimates_computed
+        assert certainty.hits == stats.estimates_reused
 
     def test_method_validated_eagerly(self, shop):
         with pytest.raises(ValueError, match="unknown method"):
