@@ -746,7 +746,7 @@ def bench_cluster(quick: bool) -> dict:
     from loadgen import build_workload, run_load
 
     from repro.cluster import EmbeddedCluster, worker_argv
-    from repro.cluster.coordinator import defaults_from_options
+    from repro.server.protocol import defaults_from_options
     from repro.relational.csv_io import save_database
     from repro.service import ServiceOptions
 

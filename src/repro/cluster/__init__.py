@@ -12,7 +12,6 @@ from repro.cluster.coordinator import (
     CoordinatorApp,
     WorkerLink,
     WorkerUnavailable,
-    defaults_from_options,
 )
 from repro.cluster.embedded import EmbeddedCluster
 from repro.cluster.hashring import DEFAULT_REPLICAS, HashRing, family_digest
@@ -23,6 +22,7 @@ from repro.cluster.workers import (
     parse_worker_addr,
     worker_argv,
 )
+from repro.server.protocol import defaults_from_options
 
 __all__ = [
     "CoordinatorApp",

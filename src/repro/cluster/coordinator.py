@@ -1,10 +1,10 @@
 """The cluster coordinator: one front door over N ``repro server`` workers.
 
-:class:`CoordinatorApp` implements the same transport-facing interface as
-:class:`~repro.server.app.ServerApp` (``query_events`` / ``mutate`` /
-``health`` / ``stats`` / ``metrics_text`` / drain), so the PR 5 network
-front end serves a whole fleet exactly as it served one process.  What
-changes is what happens between parse and answer:
+:class:`CoordinatorApp` shares :class:`~repro.server.frontdoor.FrontDoor` with
+:class:`~repro.server.app.ServerApp` -- parse, admission, coalescing,
+mutation gating, drain -- so the network front end serves a whole fleet
+exactly as it serves one process.  What changes is how a flight is led
+and how a mutation commits:
 
 * **cache-affine routing** -- each query is keyed by the blake2b digest
   of its normalised SQL (the *query family*) and consistently hashed onto
@@ -27,7 +27,9 @@ changes is what happens between parse and answer:
   that drops a connection, times out, or answers ``draining``/
   ``overloaded`` fails the request over to the next worker on the ring
   (queries are pure and seeded, so a replay is safe and bit-identical).
-  Locally spawned workers are respawned by the supervisor and **replayed**
+  When every worker tried was live and refused, the last refusal is
+  relayed as it came (an overloaded fleet is not a dead one).  Locally
+  spawned workers are respawned by the supervisor and **replayed**
   the mutation log before rejoining the ring, so a restarted worker
   re-converges on the barrier version instead of serving stale data;
 * **fleet aggregation** -- ``stats()`` fans out to every worker and
@@ -52,14 +54,13 @@ import os
 import time
 from typing import Any, AsyncIterator, Mapping, Optional, Sequence
 
-from repro import package_version
 from repro.cluster.hashring import DEFAULT_REPLICAS, HashRing, family_digest
 from repro.cluster.workers import (
     LocalWorker,
     WorkerEndpoint,
     WorkerSpawnError,
 )
-from repro.obs.alerts import AlertEvaluator, cluster_slos, disabled_report
+from repro.obs.alerts import AlertEvaluator, cluster_slos
 from repro.obs.logsetup import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry, counters_family
 from repro.obs.profiler import (
@@ -70,30 +71,24 @@ from repro.obs.profiler import (
 )
 from repro.obs.propagate import (
     TRACEPARENT_KEY,
-    extract_context,
     format_traceparent,
     new_context,
 )
 from repro.obs.trace import Trace, TraceStore, spans_to_chrome
 from repro.obs.tsdb import TimeSeriesStore
-from repro.server.app import Flight
+from repro.server.frontdoor import TERMINAL, Flight, FrontDoor
 from repro.server.protocol import (
     MAX_LINE_BYTES,
-    OverloadError,
     ProtocolError,
+    defaults_from_options,
     dump_line,
     error_event,
     load_line,
-    parse_mutation_request,
-    parse_query_request,
     request_key,
 )
 from repro.service.service import normalise_sql
 
 logger = get_logger("cluster")
-
-#: Terminal event types forwarded from workers.
-_TERMINAL = ("result", "error")
 
 #: Worker error codes that trigger failover instead of a passthrough: the
 #: request never started computing, so replaying it elsewhere is free.
@@ -109,27 +104,6 @@ _MUTATE_TIMEOUT = 120.0
 
 class WorkerUnavailable(Exception):
     """Transport-level failure talking to one worker."""
-
-
-def defaults_from_options(options=None) -> dict[str, Any]:
-    """Request defaults derived from a :class:`ServiceOptions` (the same
-    resolution :meth:`ServerApp.request_defaults` performs).  With no
-    options, the library defaults apply -- a coordinator must never start
-    with an empty defaults mapping, or option resolution fills ``method``
-    et al. with ``None`` and every request is rejected as malformed."""
-    if options is None:
-        from repro.service import ServiceOptions
-        options = ServiceOptions()
-    seed = options.seed
-    return {
-        "epsilon": options.epsilon,
-        "delta": options.delta,
-        "method": options.method,
-        "limit": None,
-        "seed": seed if isinstance(seed, int) else None,
-        "adaptive": options.adaptive,
-        "planner": options.planner,
-    }
 
 
 class WorkerLink:
@@ -188,7 +162,9 @@ class WorkerLink:
             raise WorkerUnavailable(f"{self.id}: cannot connect: {error}")
 
     def _release(self, connection) -> None:
-        if len(self._pool) < _POOL_SIZE:
+        # Only a routable worker's connections are kept: one released while
+        # the worker drains or restarts points at a process about to exit.
+        if self.routable and len(self._pool) < _POOL_SIZE:
             self._pool.append(connection)
         else:
             connection[1].close()
@@ -243,7 +219,7 @@ class WorkerLink:
                         f"{self.id}: connection closed mid-request")
                 event = load_line(line)
                 yield event
-                if event.get("type") in _TERMINAL:
+                if event.get("type") in TERMINAL:
                     break
         except (OSError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError) as error:
@@ -261,8 +237,10 @@ class WorkerLink:
             self._release(connection)
 
 
-class CoordinatorApp:
+class CoordinatorApp(FrontDoor):
     """Transport-independent cluster serving over a fleet of workers."""
+
+    name = "cluster"
 
     def __init__(self, endpoints: Sequence[WorkerEndpoint] = (), *,
                  locals_: Sequence[LocalWorker] = (),
@@ -273,7 +251,8 @@ class CoordinatorApp:
                  supervise: bool = True,
                  worker_template: Optional[Sequence[str]] = None,
                  observe: bool = True) -> None:
-        self._defaults = dict(defaults) if defaults else defaults_from_options()
+        super().__init__(defaults or defaults_from_options(),
+                         max_pending=max_pending)
         self._workers: dict[str, WorkerLink] = {}
         self._ring = HashRing(replicas=replicas)
         for local in locals_:
@@ -283,7 +262,6 @@ class CoordinatorApp:
         for endpoint in endpoints:
             link = WorkerLink(endpoint.worker_id, endpoint.host, endpoint.port)
             self._workers[link.id] = link
-        self._max_pending = max_pending
         self._health_interval = health_interval
         self._supervise = supervise
         #: argv template for scale-up spawns (None disables ``cluster_scale``
@@ -293,34 +271,14 @@ class CoordinatorApp:
         self._spawned = sum(1 for w in self._workers.values()
                             if w.local is not None)
 
-        self._flights: dict[tuple, Flight] = {}
-        #: Strong references to flight-leader tasks.  The event loop keeps
-        #: only weak task references, and a leader suspended on a worker
-        #: read is an unreachable cycle (task <-> reader waiter) -- without
-        #: this set the GC can destroy it mid-flight.
-        self._flight_tasks: set[asyncio.Future] = set()
-        self._mutation_gate = asyncio.Lock()
         self._admin_gate = asyncio.Lock()
         self._log: list[str] = []
         self._barrier_version = 0
-        self._draining = False
         self._closing = False
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._health_task: Optional[asyncio.Task] = None
         self._respawn_tasks: dict[str, asyncio.Task] = {}
-        self._started = time.monotonic()
 
-        # Lifetime counters (event-loop only).
-        self._requests = 0
-        self._launched = 0
-        self._coalesced = 0
-        self._overloads = 0
-        self._query_errors = 0
-        self._internal_errors = 0
-        self._mutations = 0
-        self._mutation_errors = 0
-        self._mutations_inflight = 0
+        # Cluster lifetime counters (event-loop only) on top of the door's.
         self._failovers = 0
         self._worker_deaths = 0
         self._respawns = 0
@@ -341,16 +299,12 @@ class CoordinatorApp:
                 "repro_cluster_request_seconds",
                 "Front-door query latency (admission to terminal event)",
                 buckets=LATENCY_BUCKETS)
-            self._tsdb: Optional[TimeSeriesStore] = \
-                TimeSeriesStore(self._metrics)
-            self._alert_evaluator: Optional[AlertEvaluator] = \
-                AlertEvaluator(cluster_slos())
+            self._tsdb = TimeSeriesStore(self._metrics)
+            self._alert_evaluator = AlertEvaluator(cluster_slos())
             self._trace_store: Optional[TraceStore] = TraceStore()
         else:
             self._metrics = None
             self._request_seconds = None
-            self._tsdb = None
-            self._alert_evaluator = None
             self._trace_store = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -365,8 +319,7 @@ class CoordinatorApp:
         logger.info("cluster up", extra={
             "workers": len(self._workers), "healthy": len(healthy)})
         self._health_task = asyncio.ensure_future(self._health_loop())
-        if self._tsdb is not None:
-            self._tsdb.start()
+        await super().start()
 
     async def _probe(self, link: WorkerLink, deadline: float) -> bool:
         """Poll one worker's health op until it answers or time runs out."""
@@ -497,25 +450,10 @@ class CoordinatorApp:
         await self._rejoin(link)
         return link
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    def begin_drain(self) -> None:
-        self._draining = True
-
-    async def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
-
     def close(self) -> None:
         """Stop the supervisor and the fleet (local workers drain first)."""
         self._closing = True
-        if self._tsdb is not None:
-            self._tsdb.stop()
+        super().close()
         if self._health_task is not None:
             self._health_task.cancel()
         for task in self._respawn_tasks.values():
@@ -528,9 +466,6 @@ class CoordinatorApp:
                     "worker": link.id, "exit_code": code})
 
     # -- the query path ------------------------------------------------------
-
-    def request_defaults(self) -> dict[str, Any]:
-        return dict(self._defaults)
 
     def route_of(self, sql: str) -> Optional[str]:
         """The worker id that currently owns a query's family (debugging,
@@ -547,181 +482,114 @@ class CoordinatorApp:
                 order.append(link)
         return order
 
-    async def query_events(self, message: dict) -> AsyncIterator[dict]:
-        """Serve one query through the fleet as a stream of wire events."""
-        self._requests += 1
-        try:
-            sql, options = parse_query_request(message,
-                                               self.request_defaults())
-        except ProtocolError as error:
-            self._query_errors += 1
-            yield error.as_event()
-            return
-        if self._draining:
-            yield error_event(None, "draining",
-                              "cluster is draining; not accepting new queries")
-            return
-        family = family_digest(normalise_sql(sql))
-        key = (request_key(sql, options), self._barrier_version)
-        flight = self._flights.get(key)
-        if flight is None:
-            if len(self._flights) >= self._max_pending:
-                self._overloads += 1
-                yield OverloadError(
-                    f"coordinator is at its admission limit "
-                    f"({self._max_pending} pending flights); retry later"
-                ).as_event()
-                return
-            flight = Flight(key)
-            self._flights[key] = flight
-            self._idle.clear()
-            self._launched += 1
-            # The flight leader's trace context wins: one computation, one
-            # trace id.  A client-sent traceparent is honored; otherwise
-            # the coordinator becomes the trace origin.
-            task = asyncio.ensure_future(
-                self._lead(flight, sql, options, family,
-                           context=extract_context(message)))
-            self._flight_tasks.add(task)
-            task.add_done_callback(self._flight_tasks.discard)
-        else:
-            self._coalesced += 1
-        queue = flight.subscribe()
-        while True:
-            event = await queue.get()
-            yield event
-            if event.get("type") in _TERMINAL:
-                return
+    def _flight_key(self, sql: str, options: dict) -> tuple:
+        # The barrier version keeps a query admitted after a commit from
+        # coalescing onto a pre-commit flight.
+        return request_key(sql, options), self._barrier_version
+
+    def _error(self, code: str, message: str) -> dict:
+        if code in self._errors_by_kind:
+            self._errors_by_kind[code] += 1
+        return super()._error(code, message)
+
+    def _unavailable(self, message: str) -> dict:
+        self._internal_errors += 1
+        return self._error("unavailable", message)
 
     async def _lead(self, flight: Flight, sql: str, options: dict,
-                    family: bytes, context=None) -> None:
+                    context) -> dict:
         """Forward the flight to its owner, failing over along the ring."""
-        terminal: Optional[dict] = None
-        tried: set[str] = set()
+        family = family_digest(normalise_sql(sql))
         tr = root = None
-        started = time.perf_counter()
         if self._observe:
             # Every led flight gets a distributed trace.  The per-attempt
             # "forward" span's id rides the forwarded message as a
             # traceparent, so the worker's own spans parent onto it and the
             # stitched export shows the full cross-process tree -- failover
-            # attempts appear as sibling forwards under one trace id.
-            tr = Trace("request",
-                       context=context if context is not None
+            # attempts appear as sibling forwards under one trace id.  A
+            # client-sent traceparent is honored; otherwise the coordinator
+            # becomes the trace origin.
+            tr = Trace("request", context=context if context is not None
                        else new_context())
+            flight.trace_id = tr.trace_id
             root = tr.span("cluster.request")
             root.set("family", family.hex()[:16])
+        started = time.perf_counter()
+        terminal = None
         try:
-            while terminal is None:
-                order = self._route_order(family,
-                                          exclude=frozenset(tried))
-                if not order:
-                    self._internal_errors += 1
-                    self._errors_by_kind["unavailable"] += 1
-                    terminal = error_event(
-                        None, "unavailable",
-                        "no live worker can serve this query "
-                        f"(tried {sorted(tried) or 'none'})")
-                    break
-                link = order[0]
-                tried.add(link.id)
-                self._routed[link.id] = self._routed.get(link.id, 0) + 1
-                forward = {"op": "query", "sql": sql, "options": options}
-                attempt = None
-                if tr is not None:
-                    attempt = tr.span("forward", parent=root)
-                    attempt.set("worker", link.id)
-                    attempt.set("attempt", len(tried))
-                    forward[TRACEPARENT_KEY] = format_traceparent(
-                        tr.trace_id, attempt.span_id)
-                try:
-                    async for event in link.events(forward):
-                        kind = event.get("type")
-                        if kind in _TERMINAL:
-                            if kind == "error" and \
-                                    event.get("code") in _RETRIABLE_CODES:
-                                # The worker refused before computing;
-                                # replaying on a replica is free and keeps
-                                # the front door available through rolling
-                                # restarts.
-                                self._failovers += 1
-                                if attempt is not None:
-                                    attempt.set("outcome", event.get("code"))
-                                break
-                            terminal = dict(event)
-                            break
+            terminal = await self._forward(flight, sql, options, family,
+                                           tr, root)
+            return terminal
+        finally:
+            if tr is not None:
+                root.set("type", terminal["type"] if terminal else "error")
+                root.__exit__(None, None, None)
+                self._request_seconds.observe(time.perf_counter() - started)
+                self._trace_store.put(tr)
+
+    async def _forward(self, flight: Flight, sql: str, options: dict,
+                       family: bytes, tr, root) -> dict:
+        tried: set[str] = set()
+        refusal: Optional[dict] = None
+        unreachable = False
+        while True:
+            order = self._route_order(family, exclude=frozenset(tried))
+            if not order:
+                break
+            link = order[0]
+            tried.add(link.id)
+            self._routed[link.id] = self._routed.get(link.id, 0) + 1
+            forward = {"op": "query", "sql": sql, "options": options}
+            attempt = None
+            if tr is not None:
+                attempt = tr.span("forward", parent=root)
+                attempt.set("worker", link.id)
+                attempt.set("attempt", len(tried))
+                forward[TRACEPARENT_KEY] = format_traceparent(
+                    tr.trace_id, attempt.span_id)
+            terminal = outcome = None
+            try:
+                async for event in link.events(forward):
+                    if event.get("type") in TERMINAL:
+                        terminal = event
+                    else:
                         # Adaptive updates stream through live.  On a
                         # mid-stream failover the retry re-streams from
                         # stage zero -- identical values (same seed), so
                         # subscribers see repeats, never contradictions.
-                        published = dict(event)
-                        published["id"] = None
-                        flight.publish(published)
-                except WorkerUnavailable:
+                        flight.publish({**event, "id": None})
+            except WorkerUnavailable:
+                self._failovers += 1
+                self._mark_unavailable(link)
+                unreachable = True
+                outcome = "worker_unavailable"
+            else:
+                if terminal.get("code") in _RETRIABLE_CODES:
+                    # The worker refused before computing; replaying on a
+                    # replica is free and keeps the front door available
+                    # through rolling restarts.
                     self._failovers += 1
-                    self._mark_unavailable(link)
-                    if attempt is not None:
-                        attempt.set("outcome", "worker_unavailable")
-                        attempt.__exit__(None, None, None)
-                    continue
-                if attempt is not None:
-                    attempt.__exit__(None, None, None)
-        except Exception as error:  # noqa: BLE001 - reported, not hidden
-            self._internal_errors += 1
-            self._errors_by_kind["internal"] += 1
-            terminal = error_event(None, "internal",
-                                   f"{type(error).__name__}: {error}")
-        finally:
-            # Cancellation (coordinator close) and GeneratorExit skip the
-            # clauses above; subscribers must still see a terminal event,
-            # and the exception itself must keep propagating.
-            if terminal is None:
-                terminal = error_event(None, "unavailable",
-                                       "coordinator stopped mid-flight")
-                self._errors_by_kind["unavailable"] += 1
-            if terminal.get("type") == "error" and \
-                    terminal.get("code") not in ("internal", "unavailable"):
-                self._query_errors += 1
-            terminal = dict(terminal)
-            terminal["id"] = None
-            if tr is not None:
-                root.set("type", terminal.get("type"))
-                root.__exit__(None, None, None)
-                self._request_seconds.observe(time.perf_counter() - started)
-                self._trace_store.put(tr)
-                terminal["trace_id"] = tr.trace_id
-            self._flights.pop(flight.key, None)
-            self._maybe_idle()
-            flight.publish(terminal)
+                    refusal = terminal
+                    outcome = terminal["code"]
+            if attempt is not None:
+                if outcome is not None:
+                    attempt.set("outcome", outcome)
+                attempt.__exit__(None, None, None)
+            if outcome is None:
+                if terminal["type"] == "error" and \
+                        terminal.get("code") != "internal":
+                    self._query_errors += 1
+                return {**terminal, "id": None}
+        if refusal is not None and not unreachable:
+            # Every worker tried was live and refused: the fleet is busy,
+            # not broken -- relay the refusal so the client backs off.
+            self._overloads += 1
+            return {**refusal, "id": None}
+        return self._unavailable("no live worker can serve this query "
+                                 f"(tried {sorted(tried) or 'none'})")
 
-    def _maybe_idle(self) -> None:
-        if not self._flights and self._mutations_inflight == 0:
-            self._idle.set()
-
-    # -- the mutation path ---------------------------------------------------
-
-    async def mutate(self, message: dict) -> dict:
-        """Broadcast one mutation to the fleet behind the barrier gate."""
-        self._requests += 1
-        try:
-            sql = parse_mutation_request(message)
-        except ProtocolError as error:
-            self._mutation_errors += 1
-            return error.as_event()
-        if self._draining:
-            return error_event(None, "draining",
-                               "cluster is draining; not accepting mutations")
-        self._mutations_inflight += 1
-        self._idle.clear()
-        try:
-            async with self._mutation_gate:
-                return await self._broadcast(
-                    sql, context=extract_context(message))
-        finally:
-            self._mutations_inflight -= 1
-            self._maybe_idle()
-
-    async def _broadcast(self, sql: str, context=None) -> dict:
+    async def _commit(self, sql: str, context) -> dict:
+        """Broadcast one mutation to the fleet (under the door's gate)."""
         tr = root = None
         if self._observe:
             tr = Trace("mutation",
@@ -742,10 +610,7 @@ class CoordinatorApp:
     async def _broadcast_traced(self, sql: str, tr, root) -> dict:
         targets = [w for w in self._workers.values() if w.routable]
         if not targets:
-            self._internal_errors += 1
-            self._errors_by_kind["unavailable"] += 1
-            return error_event(None, "unavailable",
-                               "no live workers to commit the mutation")
+            return self._unavailable("no live workers to commit the mutation")
         forwards = []
         spans = []
         for link in targets:
@@ -770,11 +635,8 @@ class CoordinatorApp:
         survivors = [(link, event) for link, event in zip(targets, results)
                      if event is not None]
         if not survivors:
-            self._internal_errors += 1
-            self._errors_by_kind["unavailable"] += 1
-            return error_event(None, "unavailable",
-                               "every worker died during the mutation "
-                               "broadcast")
+            return self._unavailable("every worker died during the mutation "
+                                     "broadcast")
         canonical = dict(survivors[0][1])
         canonical["id"] = None
         if canonical.get("type") != "mutation":
@@ -818,35 +680,22 @@ class CoordinatorApp:
             "ok" if healthy == len(self._workers) else
             ("degraded" if healthy else "down"))
         return {
+            **super().health(),
             "status": status,
             "role": "coordinator",
             "workers": len(self._workers),
             "workers_healthy": healthy,
             "barrier_version": self._barrier_version,
-            "active": len(self._flights),
-            "max_pending": self._max_pending,
-            "uptime_seconds": time.monotonic() - self._started,
-            "version": package_version(),
         }
 
     def _coordinator_stats(self) -> dict:
         return {
-            "requests": self._requests,
-            "launched": self._launched,
-            "coalesced": self._coalesced,
-            "overloads": self._overloads,
+            **self._counters(),
             "failovers": self._failovers,
             "worker_deaths": self._worker_deaths,
             "respawns": self._respawns,
             "replayed_statements": self._replayed_statements,
-            "mutations": self._mutations,
-            "mutation_errors": self._mutation_errors,
-            "query_errors": self._query_errors,
-            "internal_errors": self._internal_errors,
             "barrier_version": self._barrier_version,
-            "active": len(self._flights),
-            "max_pending": self._max_pending,
-            "draining": self._draining,
             "workers": len(self._workers),
             "workers_healthy": sum(1 for w in self._workers.values()
                                    if w.routable),
@@ -862,9 +711,8 @@ class CoordinatorApp:
         cluster exactly as it reads one process, and gains ``coordinator``
         and ``workers`` sections on top.
         """
-        links = list(self._workers.values())
-        payloads = await asyncio.gather(
-            *(self._worker_stats(link) for link in links))
+        replies = dict(await self._fan_out({"op": "stats"},
+                                           timeout=_STATS_TIMEOUT))
         rows = []
         server_sum: dict[str, float] = {}
         service_sum: dict[str, float] = {}
@@ -872,9 +720,10 @@ class CoordinatorApp:
         flight_sum = {"launches": 0, "joins": 0, "failures": 0,
                       "in_flight": 0}
         have_flight = False
-        for link, payload in zip(links, payloads):
+        for link in list(self._workers.values()):
             row = link.describe()
             row["routed"] = self._routed.get(link.id, 0)
+            payload = (replies.get(link.id) or {}).get("stats")
             if payload is not None:
                 server = payload.get("server", {})
                 service = payload.get("service", {})
@@ -922,17 +771,6 @@ class CoordinatorApp:
             "service": service_block,
         }
 
-    async def _worker_stats(self, link: WorkerLink) -> Optional[dict]:
-        if not link.routable:
-            return None
-        try:
-            event = await link.roundtrip({"op": "stats"},
-                                         timeout=_STATS_TIMEOUT)
-        except WorkerUnavailable:
-            self._mark_unavailable(link)
-            return None
-        return event.get("stats")
-
     async def metrics_text(self) -> str:
         """Fleet Prometheus exposition: coordinator families plus every
         worker's samples re-labelled with ``worker="<id>"``."""
@@ -944,16 +782,11 @@ class CoordinatorApp:
         else:
             for family in self._metric_families():
                 lines.extend(family.render())
-        for link in list(self._workers.values()):
-            if not link.routable:
-                continue
-            try:
-                event = await link.roundtrip({"op": "metrics"},
-                                             timeout=_STATS_TIMEOUT)
-            except WorkerUnavailable:
-                self._mark_unavailable(link)
-                continue
-            lines.extend(_relabel(event.get("metrics", ""), link.id))
+        replies = await self._fan_out({"op": "metrics"},
+                                      timeout=_STATS_TIMEOUT)
+        for worker_id, event in replies:
+            if event is not None:
+                lines.extend(_relabel(event.get("metrics", ""), worker_id))
         return "\n".join(lines) + "\n"
 
     def _metric_families(self):
@@ -1009,14 +842,6 @@ class CoordinatorApp:
 
     # -- cluster-wide observability (history, profiles, traces, alerts) ------
 
-    def alerts_report(self) -> dict:
-        """Burn-rate alert states over the coordinator's own tsdb window."""
-        if self._alert_evaluator is None or self._tsdb is None:
-            return disabled_report()
-        window = self._alert_evaluator.max_window_seconds
-        snapshots = self._tsdb.history(window)["snapshots"]
-        return self._alert_evaluator.report(snapshots)
-
     async def history(self, seconds: Optional[float] = None) -> dict:
         """The coordinator's tsdb window plus every worker's, fanned out.
 
@@ -1024,11 +849,7 @@ class CoordinatorApp:
         top-level snapshots the same way) with a ``workers`` mapping on
         top: per-worker windows for the fleet trend panes.
         """
-        if self._tsdb is not None:
-            own = self._tsdb.history(seconds)
-        else:
-            own = {"interval_seconds": None, "capacity": 0,
-                   "retention_seconds": 0.0, "snapshots": []}
+        own = super().history(seconds)
         message: dict[str, Any] = {"op": "history"}
         if seconds is not None:
             message["seconds"] = seconds
@@ -1196,6 +1017,7 @@ class CoordinatorApp:
                     continue
                 link.port = port
                 link.data_version = 0
+                link.discard_pool()
                 try:
                     await self._rejoin(link)
                 except WorkerUnavailable as error:

@@ -17,20 +17,19 @@ workers on real sockets" without shelling out:
   drive.
 
 Either way the coordinator itself is served by a front
-:class:`NetworkServer` on a background thread, so clients connect to
-``host:port`` exactly as they would to ``repro cluster start``.
+:class:`EmbeddedServer` (``app=coordinator``) on a background thread, so
+clients connect to ``host:port`` exactly as they would to ``repro cluster
+start``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import threading
 from typing import Optional, Sequence
 
-from repro.cluster.coordinator import CoordinatorApp, defaults_from_options
+from repro.cluster.coordinator import CoordinatorApp
 from repro.cluster.workers import LocalWorker, WorkerEndpoint
 from repro.server.embedded import EmbeddedServer
-from repro.server.netserver import NetworkServer
+from repro.server.protocol import defaults_from_options
 
 
 class EmbeddedCluster:
@@ -66,16 +65,12 @@ class EmbeddedCluster:
 
         self.worker_servers: dict[str, EmbeddedServer] = {}
         self._locals: list[LocalWorker] = []
-        self._front: Optional[NetworkServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        self._front: Optional[EmbeddedServer] = None
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "EmbeddedCluster":
-        assert self._thread is None, "cluster already started"
+        assert self._front is None, "cluster already started"
         endpoints: list[WorkerEndpoint] = []
         if self._services:
             for index, service in enumerate(self._services):
@@ -98,47 +93,20 @@ class EmbeddedCluster:
             supervise=self._supervise,
             worker_template=self._worker_argv,
             observe=self._observe)
-        self._front = NetworkServer(
-            app=self.coordinator, host=self._host, port=0,
-            http_port=0 if self._http else None,
+        self._front = EmbeddedServer(
+            app=self.coordinator, host=self._host, http=self._http,
             drain_timeout=self._drain_timeout)
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="repro-embedded-cluster")
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
+        try:
+            self._front.start()
+        except BaseException:
             self.stop_workers()
-            raise self._startup_error
+            raise
         return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            # NetworkServer.start() awaits the coordinator's own bring-up
-            # (health-checking every worker) before opening the listeners.
-            loop.run_until_complete(self._front.start())
-        except BaseException as error:
-            self._startup_error = error
-            self._ready.set()
-            loop.close()
-            return
-        self._ready.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.close()
 
     def stop(self, timeout: float = 120.0) -> bool:
         """Drain the front door (which stops local workers), then the
         in-process worker servers."""
-        assert self._loop is not None and self._thread is not None
-        future = asyncio.run_coroutine_threadsafe(self._front.drain(),
-                                                  self._loop)
-        clean = future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        clean = self._front.stop(timeout)
         self.stop_workers()
         return clean
 
@@ -175,8 +143,7 @@ class EmbeddedCluster:
     def submit(self, coroutine, timeout: float = 60.0):
         """Run a coroutine on the coordinator's event loop (tests drive
         admin operations and introspection through this)."""
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(timeout)
+        return self._front.submit(coroutine, timeout)
 
     def route_of(self, sql: str) -> Optional[str]:
         """The worker id currently owning a query's family."""

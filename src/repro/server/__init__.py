@@ -7,9 +7,12 @@ for callers inside the process; this package is the network layer on top:
 * :mod:`repro.server.protocol` -- the NDJSON wire protocol: request
   validation, typed error taxonomy, bit-exact answer serialisation, the
   single-flight request key;
-* :mod:`repro.server.app` -- transport-independent serving: bounded
-  admission with typed backpressure, cross-connection single-flight
-  coalescing with streamed-update replay, adaptive streaming, drain;
+* :mod:`repro.server.frontdoor` -- the request loop every front door
+  shares (this server and the cluster coordinator): bounded admission with
+  typed backpressure, cross-connection single-flight coalescing with
+  streamed-update replay, the mutation gate, drain;
+* :mod:`repro.server.app` -- that front door over one service: compute on
+  a thread pool, adaptive streaming, MVCC mutations;
 * :mod:`repro.server.netserver` -- the asyncio TCP listener, the SIGTERM
   drain protocol and the blocking :func:`~repro.server.netserver.serve`
   entry point the CLI uses;

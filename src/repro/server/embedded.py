@@ -6,7 +6,9 @@ thread, listeners bind ephemeral ports, and :meth:`EmbeddedServer.stop`
 performs the same graceful drain SIGTERM would.  Because the server's
 :class:`~repro.service.AnnotationService` lives in this process, a test can
 also reach through :attr:`EmbeddedServer.app` and assert on coalescing and
-admission counters directly.
+admission counters directly.  Passing ``app=`` serves any front door
+instead -- :class:`~repro.cluster.EmbeddedCluster` runs its coordinator
+this way.
 """
 
 from __future__ import annotations
@@ -21,19 +23,19 @@ from repro.server.netserver import NetworkServer
 class EmbeddedServer:
     """A :class:`NetworkServer` on a background event-loop thread."""
 
-    def __init__(self, service, *, host: str = "127.0.0.1",
+    def __init__(self, service=None, *, app=None, host: str = "127.0.0.1",
                  max_pending: int = 64, workers: int = 4,
                  http: bool = True, drain_timeout: float = 30.0,
                  observe: bool = True) -> None:
         self._server = NetworkServer(
-            service, host=host, port=0, http_port=0 if http else None,
+            service, app=app, host=host, port=0,
+            http_port=0 if http else None,
             max_pending=max_pending, workers=workers,
             drain_timeout=drain_timeout, observe=observe)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-        self._stopped = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -52,8 +54,10 @@ class EmbeddedServer:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
+            # NetworkServer.start() awaits the app's own bring-up (a
+            # coordinator health-checks its workers) before listening.
             loop.run_until_complete(self._server.start())
-        except BaseException as error:  # pragma: no cover - bind failures
+        except BaseException as error:  # bind or bring-up failures
             self._startup_error = error
             self._ready.set()
             loop.close()
@@ -63,7 +67,6 @@ class EmbeddedServer:
             loop.run_forever()
         finally:
             loop.close()
-            self._stopped.set()
 
     def stop(self, timeout: float = 60.0) -> bool:
         """Drain gracefully and stop the loop; returns drain cleanliness."""
@@ -74,6 +77,11 @@ class EmbeddedServer:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout)
         return clean
+
+    def submit(self, coroutine, timeout: float = 60.0):
+        """Run a coroutine on the server's event loop and wait for it."""
+        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
+        return future.result(timeout)
 
     def __enter__(self) -> "EmbeddedServer":
         return self.start()

@@ -68,8 +68,9 @@ _ERROR_STATUS = {"bad_request": 400, "invalid_query": 400,
                  "unavailable": 503, "internal": 500}
 
 
-async def _maybe_await(value):
-    """Sync for :class:`ServerApp`, async for the cluster coordinator."""
+async def maybe_await(value):
+    """Resolve an app payload: sync for :class:`ServerApp`, async for the
+    cluster coordinator aggregating over its fleet."""
     if inspect.isawaitable(value):
         return await value
     return value
@@ -116,15 +117,76 @@ async def _read_request(reader: asyncio.StreamReader):
     return method, path, params, body
 
 
+class _BadParameter(ValueError):
+    """A malformed query-string parameter: the client's error (400)."""
+
+
 def _float_param(params: dict, key: str, default=None):
-    """A numeric query parameter, or raise ``ValueError`` with the key."""
+    """A numeric query parameter, or raise :class:`_BadParameter`."""
     raw = params.get(key)
     if raw is None:
         return default
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"'{key}' must be a number, got {raw!r}") from None
+        raise _BadParameter(f"'{key}' must be a number, got {raw!r}") \
+            from None
+
+
+def _text(payload: str, content_type: str) -> bytes:
+    return _response(200, payload.encode("utf-8"), content_type=content_type)
+
+
+async def _get_history(app, params: dict) -> bytes:
+    seconds = _float_param(params, "seconds")
+    return _json_response(200, await maybe_await(app.history(seconds)))
+
+
+async def _get_profile(app, params: dict) -> bytes:
+    seconds = _float_param(params, "seconds", 1.0)
+    if seconds is None or seconds <= 0:
+        raise _BadParameter("'seconds' must be positive")
+    payload = await maybe_await(app.profile(seconds=seconds))
+    return _text(payload["collapsed"], "text/plain; charset=utf-8")
+
+
+async def _get_trace(app, params: dict) -> bytes:
+    payload = await maybe_await(app.trace_export(params.get("id")))
+    if payload is None:
+        return _json_response(404, {"error": "no stored trace"})
+    return _json_response(200, payload["chrome"])
+
+
+async def _get_metrics(app, params: dict) -> bytes:
+    return _text(await maybe_await(app.metrics_text()),
+                 "text/plain; version=0.0.4; charset=utf-8")
+
+
+async def _json_report(report) -> bytes:
+    return _json_response(200, await maybe_await(report))
+
+
+#: Read-only routes: path -> ``handler(app, params)``, awaited for the
+#: response bytes.  A malformed parameter (:class:`_BadParameter`) answers
+#: 400; any other exception is a server fault, never the client's error.
+_GET_ROUTES = {
+    "/healthz": lambda app, params: _json_report(app.health()),
+    "/stats": lambda app, params: _json_report(app.stats()),
+    "/metrics": _get_metrics,
+    "/history": _get_history,
+    "/profile": _get_profile,
+    "/trace": _get_trace,
+    "/alerts": lambda app, params: _json_report(app.alerts_report()),
+}
+
+
+def _app_route(app, target: str):
+    """An app-specific read-only JSON route (the coordinator's
+    ``/cluster``) as a table handler; built-in routes win on a clash."""
+    handler = getattr(app, "http_routes", {}).get(target)
+    if handler is None:
+        return None
+    return lambda app, params: _json_report(handler(params))
 
 
 async def handle_http_connection(server, reader: asyncio.StreamReader,
@@ -140,93 +202,22 @@ async def handle_http_connection(server, reader: asyncio.StreamReader,
         return
     method, target, params, body = request
     app = server.app
-
-    if target == "/healthz":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            health = await _maybe_await(app.health())
-            writer.write(_json_response(200, health))
-    elif target == "/stats":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            stats = await _maybe_await(app.stats())
-            writer.write(_json_response(200, stats))
-    elif target == "/metrics":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            metrics = await _maybe_await(app.metrics_text())
-            writer.write(_response(
-                200, metrics.encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8"))
-    elif target == "/history":
+    get = _GET_ROUTES.get(target) or _app_route(app, target)
+    if get is not None:
         if method != "GET":
             writer.write(_json_response(405, {"error": "use GET"}))
         else:
             try:
-                seconds = _float_param(params, "seconds")
-            except ValueError as error:
+                writer.write(await get(app, params))
+            except _BadParameter as error:
                 writer.write(_json_response(400, {"error": str(error)}))
-            else:
-                payload = await _maybe_await(app.history(seconds))
-                writer.write(_json_response(200, payload))
-    elif target == "/profile":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            try:
-                seconds = _float_param(params, "seconds", 1.0)
-            except ValueError as error:
-                writer.write(_json_response(400, {"error": str(error)}))
-            else:
-                if seconds is None or seconds <= 0:
-                    writer.write(_json_response(
-                        400, {"error": "'seconds' must be positive"}))
-                else:
-                    payload = await _maybe_await(app.profile(seconds=seconds))
-                    writer.write(_response(
-                        200, payload["collapsed"].encode("utf-8"),
-                        content_type="text/plain; charset=utf-8"))
-    elif target == "/trace":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            payload = await _maybe_await(app.trace_export(params.get("id")))
-            if payload is None:
-                writer.write(_json_response(404, {"error": "no stored trace"}))
-            else:
-                writer.write(_json_response(200, payload["chrome"]))
-    elif target == "/alerts":
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            payload = await _maybe_await(app.alerts_report())
-            writer.write(_json_response(200, payload))
-    elif target in getattr(app, "http_routes", {}):
-        # App-specific read-only routes (the coordinator's /cluster).
-        if method != "GET":
-            writer.write(_json_response(405, {"error": "use GET"}))
-        else:
-            payload = await app.http_routes[target](params)
-            writer.write(_json_response(200, payload))
-    elif target == "/query":
+    elif target in _POST_ROUTES:
         if method != "POST":
             writer.write(_json_response(405, {"error": "use POST"}))
         else:
             server._enter_request()
             try:
-                await _handle_query(app, body, writer)
-            finally:
-                server._exit_request()
-    elif target == "/mutate":
-        if method != "POST":
-            writer.write(_json_response(405, {"error": "use POST"}))
-        else:
-            server._enter_request()
-            try:
-                await _handle_mutate(app, body, writer)
+                await _POST_ROUTES[target](app, body, writer)
             finally:
                 server._exit_request()
     else:
@@ -274,3 +265,8 @@ async def _handle_mutate(app, body: bytes,
     if event.get("type") == "error":
         status = _ERROR_STATUS.get(event.get("code"), 500)
     writer.write(_json_response(status, event))
+
+
+#: Write routes: path -> ``handler(app, body, writer)``; counted as
+#: in-flight requests so a drain waits for their responses.
+_POST_ROUTES = {"/query": _handle_query, "/mutate": _handle_mutate}

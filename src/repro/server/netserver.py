@@ -24,13 +24,13 @@ connections, which is what the load generator and the acceptance tests do).
 from __future__ import annotations
 
 import asyncio
-import inspect
 import signal
+from functools import partial
 from typing import Optional
 
 from repro.obs.logsetup import get_logger
 from repro.server.app import ServerApp
-from repro.server.http import handle_http_connection
+from repro.server.http import handle_http_connection, maybe_await
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -44,14 +44,6 @@ DEFAULT_PORT = 7464
 DEFAULT_HTTP_PORT = 7465
 
 logger = get_logger("server")
-
-
-async def _maybe_await(value):
-    """Resolve a payload that may be sync (ServerApp) or async (a cluster
-    coordinator aggregating over the fleet)."""
-    if inspect.isawaitable(value):
-        return await value
-    return value
 
 
 class NetworkServer:
@@ -113,11 +105,12 @@ class NetworkServer:
         if starter is not None:
             await starter()
         self._tcp_server = await asyncio.start_server(
-            self._handle_tcp, self._host, self._port, limit=MAX_LINE_BYTES)
+            self._tracked(self._serve_tcp), self._host, self._port,
+            limit=MAX_LINE_BYTES)
         if self._http_port is not None:
             self._http_server = await asyncio.start_server(
-                self._handle_http, self._host, self._http_port,
-                limit=MAX_LINE_BYTES)
+                self._tracked(partial(handle_http_connection, self)),
+                self._host, self._http_port, limit=MAX_LINE_BYTES)
 
     async def drain(self) -> bool:
         """Graceful shutdown; returns whether everything finished in time.
@@ -162,39 +155,49 @@ class NetworkServer:
         if self._serving == 0:
             self._flushed.set()
 
+    def _tracked(self, serve):
+        """A connection callback for either transport: the connection is
+        registered for drain (its writer closed, its task cancelled when a
+        drain times out) for as long as ``serve`` runs."""
+        async def handle(reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+            task = asyncio.current_task()
+            if task is not None:
+                self._connection_tasks.add(task)
+            self._connections.add(writer)
+            try:
+                await serve(reader, writer)
+            except (ConnectionResetError, BrokenPipeError,
+                    asyncio.CancelledError):
+                pass
+            finally:
+                if task is not None:
+                    self._connection_tasks.discard(task)
+                self._connections.discard(writer)
+                writer.close()
+        return handle
+
     # -- the TCP wire protocol -----------------------------------------------
 
-    async def _handle_tcp(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(writer, error_event(
-                        None, "bad_request",
-                        f"request line exceeds {MAX_LINE_BYTES} bytes"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self._enter_request()
-                try:
-                    await self._dispatch(writer, line)
-                finally:
-                    self._exit_request()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._connection_tasks.discard(task)
-            self._connections.discard(writer)
-            writer.close()
+    async def _serve_tcp(self, reader: asyncio.StreamReader,
+                         writer: asyncio.StreamWriter) -> None:
+        while True:
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                await self._send(writer, error_event(
+                    None, "bad_request",
+                    f"request line exceeds {MAX_LINE_BYTES} bytes"))
+                break
+            if not line:
+                break
+            if not line.strip():
+                continue
+            self._enter_request()
+            try:
+                await self._dispatch(writer, line)
+            finally:
+                self._exit_request()
 
     async def _dispatch(self, writer: asyncio.StreamWriter, line: bytes) -> None:
         try:
@@ -207,15 +210,15 @@ class NetworkServer:
         if op == "ping":
             await self._send(writer, {"id": request_id, "type": "pong"})
         elif op == "health":
-            health = await _maybe_await(self.app.health())
+            health = await maybe_await(self.app.health())
             await self._send(writer, {"id": request_id, "type": "health",
                                       **health})
         elif op == "stats":
-            stats = await _maybe_await(self.app.stats())
+            stats = await maybe_await(self.app.stats())
             await self._send(writer, {"id": request_id, "type": "stats",
                                       "stats": stats})
         elif op == "metrics":
-            metrics = await _maybe_await(self.app.metrics_text())
+            metrics = await maybe_await(self.app.metrics_text())
             await self._send(writer, {"id": request_id, "type": "metrics",
                                       "metrics": metrics})
         elif op == "history":
@@ -225,7 +228,7 @@ class NetworkServer:
                 await self._send(writer, error_event(
                     request_id, "bad_request", "'seconds' must be a number"))
             else:
-                payload = await _maybe_await(self.app.history(seconds))
+                payload = await maybe_await(self.app.history(seconds))
                 await self._send(writer, {"id": request_id, "type": "history",
                                           **payload})
         elif op == "profile":
@@ -236,19 +239,19 @@ class NetworkServer:
                     request_id, "bad_request",
                     "'seconds' must be a positive number"))
             else:
-                payload = await _maybe_await(
+                payload = await maybe_await(
                     self.app.profile(seconds=float(seconds)))
                 await self._send(writer, {"id": request_id, "type": "profile",
                                           **payload})
         elif op == "alerts":
-            payload = await _maybe_await(self.app.alerts_report())
+            payload = await maybe_await(self.app.alerts_report())
             await self._send(writer, {"id": request_id, "type": "alerts",
                                       **payload})
         elif op in ("trace", "trace_export"):
             trace_id = message.get("trace_id")
             fetch = (self.app.trace_payload if op == "trace"
                      else self.app.trace_export)
-            payload = await _maybe_await(
+            payload = await maybe_await(
                 fetch(trace_id if isinstance(trace_id, str) else None))
             if payload is None:
                 detail = f" {trace_id!r}" if trace_id else ""
@@ -281,22 +284,6 @@ class NetworkServer:
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
         writer.write(dump_line(message))
         await writer.drain()
-
-    async def _handle_http(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        self._connections.add(writer)
-        try:
-            await handle_http_connection(self, reader, writer)
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._connection_tasks.discard(task)
-            self._connections.discard(writer)
-            writer.close()
 
 
 async def _run_until_signalled(server: NetworkServer,

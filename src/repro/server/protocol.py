@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from repro.certainty.result import CertaintyResult
 # Redundant alias = explicit re-export: transports import the trace-context
@@ -66,7 +66,7 @@ from repro.certainty.result import CertaintyResult
 from repro.obs.propagate import TRACEPARENT_KEY as TRACEPARENT_KEY
 from repro.service.answers import AnnotatedAnswer
 from repro.service.planner import PLANNER_MODES
-from repro.service.service import SERVICE_METHODS, normalise_sql
+from repro.service.service import SERVICE_METHODS, ServiceOptions, normalise_sql
 from repro.relational.values import BaseNull, NumNull
 
 #: Prefixes marked nulls travel under (the CSV layer's convention).
@@ -125,6 +125,29 @@ def parse_mutation_request(message: Mapping) -> str:
 
 
 # -- requests ----------------------------------------------------------------
+
+
+def defaults_from_options(options: Optional[ServiceOptions] = None) \
+        -> dict[str, Any]:
+    """The option values a request inherits when it omits them.
+
+    Resolved from a service's :class:`ServiceOptions`; with none, the
+    library defaults apply -- a front door must never start with an empty
+    defaults mapping, or resolution fills ``method`` et al. with ``None``
+    and every request is rejected as malformed.
+    """
+    if options is None:
+        options = ServiceOptions()
+    seed = options.seed
+    return {
+        "epsilon": options.epsilon,
+        "delta": options.delta,
+        "method": options.method,
+        "limit": None,
+        "seed": seed if isinstance(seed, int) else None,
+        "adaptive": options.adaptive,
+        "planner": options.planner,
+    }
 
 
 def parse_query_request(message: Mapping,

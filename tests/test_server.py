@@ -481,6 +481,27 @@ class TestHttpAdapter:
             urllib.request.urlopen(self._base(server) + "/nope")
         assert excinfo.value.code == 404
 
+    def test_bad_query_parameters_are_400_and_wrong_methods_405(
+            self, server, monkeypatch):
+        for path in ("/history?seconds=soon", "/profile?seconds=0"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(self._base(server) + path)
+            assert excinfo.value.code == 400
+            assert "seconds" in json.loads(excinfo.value.read())["error"]
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(urllib.request.Request(
+                self._base(server) + "/stats", data=b"{}"))
+        assert excinfo.value.code == 405
+
+        def broken():
+            raise ValueError("a fault inside the app")
+
+        # A fault in the app's own report is not the client's error.
+        monkeypatch.setattr(server.app, "health", broken)
+        with pytest.raises(Exception) as excinfo:
+            urllib.request.urlopen(self._base(server) + "/healthz")
+        assert getattr(excinfo.value, "code", None) != 400
+
     def test_overload_maps_to_503(self, database):
         gated = GatedService(make_service(database))
         with EmbeddedServer(gated, max_pending=1, workers=1) as server:
