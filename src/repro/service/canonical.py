@@ -12,23 +12,25 @@ arithmetic pattern to each of them.
 This module computes a canonical representative: the relevant variables are
 renamed positionally (``v0, v1, ...`` in the order of the candidate's
 ``relevant_variables`` tuple, which follows the database's ambient null
-order) and the formula is rebuilt over the new names.  Lineages that agree
+order) and the formula is rebuilt over the new names (on demand: the digest
+is serialised straight from the source formula).  Lineages that agree
 after this renaming share one cache entry, one compiled kernel, and one
-Monte-Carlo estimate.  The renaming is order-preserving, so the key is
+Monte-Carlo estimate.  The renaming is order-preserving, so the form is
 *sound* for any pair it identifies; pairs that only match under a
 non-monotone permutation of the variables are treated as distinct (a cache
 miss, never a wrong answer).
 
 The canonical form also carries a SHA-256 digest of a deterministic
 serialisation.  The digest is stable across processes (Python's salted
-``hash()`` is never used) and doubles as the spawn key of the per-task RNG
-streams -- see :mod:`repro.service.rng`.
+``hash()`` is never used); it is the grouping and certainty-cache key and
+doubles as the spawn key of the per-task RNG streams -- see
+:mod:`repro.service.rng`.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.constraints.atoms import Constraint
@@ -52,22 +54,38 @@ class CanonicalisationError(ValueError):
 
 @dataclass(frozen=True)
 class CanonicalLineage:
-    """A lineage formula rebuilt over positional variable names.
+    """A lineage formula over positional variable names.
 
-    ``formula`` and ``variables`` are hashable, so ``key`` can index the
-    service's result cache directly; ``digest`` keys the RNG spawn so that
-    the Monte-Carlo estimate of a canonical lineage is a pure function of
-    ``(digest, seed, epsilon, delta, method)`` regardless of which request,
-    group index, or worker thread computes it.
+    ``digest`` identifies the canonical lineage everywhere: the scheduler
+    groups by it, the service's certainty cache is keyed on it, and it keys
+    the RNG spawn, so the Monte-Carlo estimate of a canonical lineage is a
+    pure function of ``(digest, seed, epsilon, delta, method)`` regardless
+    of which request, group index, or worker thread computes it.  Two
+    canonical lineages have equal digests exactly when their trees are
+    equal: coefficients are floats with zero terms dropped, monomials are
+    serialised in sorted order, children in their order, and the variables
+    are ``v0 .. v{d-1}`` for the serialised dimension ``d``.  Equality and
+    hashing therefore compare the digest alone.
+
+    Only the source formula and its relevant variables are kept; the
+    renamed tree is rebuilt on each access of :attr:`formula`, which only
+    cache-missing estimates need.  The service keeps one canonical lineage
+    per group in every plan-cache entry, whose candidates already hold the
+    source formula, so an entry holds no second copy of any tree.
     """
 
-    formula: ConstraintFormula
-    variables: tuple[str, ...]
     digest: bytes
+    source: ConstraintFormula = field(compare=False)
+    source_variables: tuple[str, ...] = field(compare=False)
 
     @property
-    def key(self) -> tuple[ConstraintFormula, tuple[str, ...]]:
-        return (self.formula, self.variables)
+    def variables(self) -> tuple[str, ...]:
+        mapping = _positional(self.source_variables)
+        return tuple(mapping[name] for name in self.source_variables)
+
+    @property
+    def formula(self) -> ConstraintFormula:
+        return _rename_formula(self.source, _positional(self.source_variables))
 
     @property
     def short(self) -> str:
@@ -76,7 +94,7 @@ class CanonicalLineage:
 
     @property
     def dimension(self) -> int:
-        return len(self.variables)
+        return len(self.source_variables)
 
     def translation(self) -> TranslationResult:
         """A self-contained translation over the canonical variables.
@@ -85,23 +103,32 @@ class CanonicalLineage:
         ambient dimension of the *database* is patched back onto the result
         by the service, since it is the same for every group.
         """
+        variables = self.variables
         return TranslationResult(
             formula=self.formula,
-            all_variables=self.variables,
-            relevant_variables=self.variables,
-            null_by_variable={name: NumNull(name) for name in self.variables},
+            all_variables=variables,
+            relevant_variables=variables,
+            null_by_variable={name: NumNull(name) for name in variables},
         )
+
+
+def _positional(relevant_variables: tuple[str, ...]) -> dict[str, str]:
+    """The canonical renaming: position ``i`` becomes ``v{i}``."""
+    return {name: f"v{index}" for index, name in enumerate(relevant_variables)}
+
+
+def _rename_monomial(monomial, mapping: Mapping[str, str]) -> tuple:
+    try:
+        return tuple(sorted((mapping[name], exponent) for name, exponent in monomial))
+    except KeyError as error:
+        raise CanonicalisationError(
+            f"formula variable {error.args[0]!r} is not in the relevant tuple")
 
 
 def _rename_polynomial(polynomial: Polynomial, mapping: Mapping[str, str]) -> Polynomial:
     renamed: dict = {}
     for monomial, coefficient in polynomial.coefficients.items():
-        try:
-            new_monomial = tuple(sorted((mapping[name], exponent)
-                                        for name, exponent in monomial))
-        except KeyError as error:
-            raise CanonicalisationError(
-                f"formula variable {error.args[0]!r} is not in the relevant tuple")
+        new_monomial = _rename_monomial(monomial, mapping)
         renamed[new_monomial] = renamed.get(new_monomial, 0.0) + coefficient
     return Polynomial(renamed)
 
@@ -123,12 +150,17 @@ def _rename_formula(formula: ConstraintFormula,
     raise CanonicalisationError(f"unexpected formula node: {type(formula).__name__}")
 
 
-def _serialise(formula: ConstraintFormula, parts: list[str]) -> None:
-    """Append a deterministic textual form of ``formula`` to ``parts``.
+def _serialise(formula: ConstraintFormula, mapping: Mapping[str, str],
+               parts: list[str]) -> None:
+    """Append a deterministic textual form of ``formula`` renamed under
+    ``mapping`` to ``parts``, without building the renamed tree.
 
     Floats are serialised with ``repr`` (shortest round-trip form), monomials
-    in sorted order; the result depends only on the formula's value, never on
-    interpreter identity or hash randomisation.
+    in sorted order of their renamed form; the result depends only on the
+    renamed formula's value, never on interpreter identity or hash
+    randomisation.  The renaming is injective and the source coefficients
+    are non-zero floats, so the text is exactly that of the tree
+    :func:`_rename_formula` builds.
     """
     if isinstance(formula, TrueFormula):
         parts.append("T")
@@ -137,18 +169,20 @@ def _serialise(formula: ConstraintFormula, parts: list[str]) -> None:
     elif isinstance(formula, Atom):
         constraint = formula.constraint
         parts.append(f"A{constraint.op.value}(")
-        for monomial, coefficient in sorted(constraint.polynomial.coefficients.items()):
+        for monomial, coefficient in sorted(
+                (_rename_monomial(monomial, mapping), coefficient)
+                for monomial, coefficient in constraint.polynomial.coefficients.items()):
             terms = ",".join(f"{name}^{exponent}" for name, exponent in monomial)
             parts.append(f"{terms}:{coefficient!r};")
         parts.append(")")
     elif isinstance(formula, Not):
         parts.append("!(")
-        _serialise(formula.child, parts)
+        _serialise(formula.child, mapping, parts)
         parts.append(")")
     elif isinstance(formula, (And, Or)):
         parts.append("&(" if isinstance(formula, And) else "|(")
         for child in formula.children:
-            _serialise(child, parts)
+            _serialise(child, mapping, parts)
             parts.append(",")
         parts.append(")")
     else:
@@ -163,13 +197,12 @@ def canonicalise(formula: ConstraintFormula,
     for any :class:`TranslationResult`); position ``i`` is renamed to
     ``v{i}``.
     """
-    mapping = {name: f"v{index}" for index, name in enumerate(relevant_variables)}
-    renamed = _rename_formula(formula, mapping)
-    variables = tuple(mapping[name] for name in relevant_variables)
-    parts: list[str] = [f"d{len(variables)}:"]
-    _serialise(renamed, parts)
+    relevant_variables = tuple(relevant_variables)
+    parts: list[str] = [f"d{len(relevant_variables)}:"]
+    _serialise(formula, _positional(relevant_variables), parts)
     digest = hashlib.sha256("".join(parts).encode("utf-8")).digest()
-    return CanonicalLineage(formula=renamed, variables=variables, digest=digest)
+    return CanonicalLineage(digest=digest, source=formula,
+                            source_variables=relevant_variables)
 
 
 def canonicalise_lineage(lineage: TranslationResult) -> CanonicalLineage:

@@ -10,10 +10,13 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
    (plan cache);
 3. **schedule** -- candidates are grouped by the null-renaming-invariant
    canonical form of their lineage (:mod:`repro.service.scheduler`), so one
-   compiled-kernel estimate decides a whole group;
+   compiled-kernel estimate decides a whole group.  The schedule and each
+   group's lineage nulls (its provenance) are built with the candidates
+   and stored in the same plan-cache entry, so a warm request does no
+   per-candidate work before assembling its answers;
 4. **execute** -- one pipeline under every configuration: each group is
    probed once in the certainty cache, keyed by
-   ``(canonical lineage, ε, δ, method, adaptive, seed)``, so structurally
+   ``(lineage digest, ε, δ, method, adaptive, seed)``, so structurally
    repeated requests skip the Monte-Carlo phase entirely; the misses
    become work units (solo groups, or fused batches of ``fusion`` groups)
    run by one executor call over ``jobs`` threads or processes.  Every
@@ -393,6 +396,34 @@ def _seed_token(root: np.random.SeedSequence) -> tuple:
     return (entropy, tuple(int(word) for word in root.spawn_key))
 
 
+@dataclass(frozen=True)
+class _PlanEntry:
+    """A planned query: its candidates and what every request derives from
+    them, built once per plan-cache fill by :func:`_plan_entry`.
+
+    ``provenance[i]`` names the marked nulls the lineages of
+    ``schedule[i]``'s members mention: the rows whose deletion could, as a
+    matter of provenance policy, affect that group's certainty entry.
+    """
+
+    candidates: tuple
+    schedule: tuple[TaskGroup, ...]
+    provenance: tuple[frozenset[str], ...]
+
+
+def _plan_entry(candidates: Sequence) -> _PlanEntry:
+    """The plan entry of ``candidates``: the one caller of
+    :func:`build_schedule`, for cached and uncached plans alike."""
+    candidates = tuple(candidates)
+    schedule = tuple(build_schedule(candidates))
+    provenance = tuple(
+        frozenset(candidates[member].lineage.null_by_variable[variable].name
+                  for member in group.members
+                  for variable in candidates[member].lineage.relevant_variables)
+        for group in schedule)
+    return _PlanEntry(candidates, schedule, provenance)
+
+
 class AnnotationService:
     """Serve certainty-annotated answers for SQL queries over one database.
 
@@ -590,7 +621,8 @@ class AnnotationService:
                     if cardinalities:
                         backend, shards = plan_engine.plan_enumeration(
                             cardinalities)
-                        database = self._database_for(backend, shards)
+                        database = self._database_for(database, backend,
+                                                      shards)
                         plan_span.set("backend", backend)
                         plan_span.set("shards", shards)
                         if requested_jobs is None and shards > 1:
@@ -598,19 +630,24 @@ class AnnotationService:
                             jobs = min(plan_engine.cpus, shards)
         if candidates is None:
             with tr.span("enumerate") as enumerate_span:
-                candidates = self._plan(query, select, limit, group_witnesses,
-                                        jobs, database, span=enumerate_span)
-                enumerate_span.set("candidates", len(candidates))
+                entry = self._plan(query, select, limit, group_witnesses,
+                                   jobs, database, span=enumerate_span)
+                enumerate_span.set("candidates", len(entry.candidates))
+        else:
+            # Caller-supplied candidates are not cached; the entry is built
+            # exactly as a plan-cache fill would build it.
+            entry = _plan_entry(candidates)
+        candidates = entry.candidates
 
         with tr.span("schedule") as schedule_span:
             if reuse:
-                schedule = build_schedule(candidates)
+                schedule = entry.schedule
             else:
                 # Independent estimates per tuple: one single-member group per
                 # candidate, each with a distinct replica token in its stream.
                 schedule = [TaskGroup(canonical=group.canonical,
                                       members=(index,))
-                            for group in build_schedule(candidates)
+                            for group in entry.schedule
                             for index in group.members]
             schedule_span.set("groups", len(schedule))
 
@@ -641,11 +678,11 @@ class AnnotationService:
 
         keys: list[Optional[tuple]] = [None] * len(schedule)
         if reuse:
-            keys = [(group.canonical.key, epsilon, delta, method, adaptive,
+            keys = [(group.canonical.digest, epsilon, delta, method, adaptive,
                      seed_token) for group in schedule]
             # Record which marked nulls each group's lineages touch, so a
             # later mutation can evict exactly the affected cache entries.
-            self._record_provenance(schedule, candidates, keys)
+            self._record_provenance(keys, entry.provenance)
 
         # The Monte-Carlo phase is one pipeline under every configuration.
         # 1. Probe: one counted certainty-cache get per group; hits are
@@ -901,14 +938,15 @@ class AnnotationService:
             for delta in deltas.values():
                 touched |= delta.touched_nulls()
             evicted = self._evict_touched(touched)
-            # The swap is a single reference assignment: requests pin
-            # self._database once at submit time, so they stay on their
-            # version; new requests pick this one up.
-            self._database = new_database
-            self._dimension = len(new_database.num_nulls_ordered())
             with self._views_lock:
-                # Alternate-backend views were converted from the parent
-                # snapshot's content; rebuild on demand from the new one.
+                # The swap is a single reference assignment: requests pin
+                # self._database once at submit time, so they stay on their
+                # version; new requests pick this one up.  Alternate-backend
+                # views were converted from the parent snapshot's content
+                # and are dropped in the same step, so no request pinned on
+                # the new version can find one.
+                self._database = new_database
+                self._dimension = len(new_database.num_nulls_ordered())
                 self._database_views.clear()
             with self._counters_lock:
                 self._mutations_applied += 1
@@ -934,7 +972,7 @@ class AnnotationService:
                     evicted += 1
         return evicted
 
-    def _record_provenance(self, schedule, candidates, keys) -> None:
+    def _record_provenance(self, keys, provenance) -> None:
         """Remember which marked nulls each group's result depends on.
 
         Only numerical nulls can occur in lineage formulas (base-null
@@ -942,30 +980,27 @@ class AnnotationService:
         the rows whose deletion could -- as a matter of provenance policy
         -- affect the entry.  Names accumulate across requests: the same
         canonical lineage served for different concrete rows answers for
-        all of them.
+        all of them.  ``provenance`` is the plan entry's per-group names;
+        a request writes only the groups whose names are not yet recorded,
+        so a warm request takes no lock.
         """
-        updates: dict[tuple, frozenset[str]] = {}
-        for group, key in zip(schedule, keys):
-            names: set[str] = set()
-            for member in group.members:
-                lineage = candidates[member].lineage
-                for variable in lineage.relevant_variables:
-                    names.add(lineage.null_by_variable[variable].name)
-            if names:
-                updates[key] = frozenset(names)
+        recorded = self._result_provenance
+        # An unlocked read is safe: a stale one only sends a group through
+        # the locked merge below, which re-reads.
+        updates = [(key, names) for key, names in zip(keys, provenance)
+                   if names and not names <= recorded.get(key, frozenset())]
         if not updates:
             return
         with self._provenance_lock:
-            for key, names in updates.items():
-                existing = self._result_provenance.get(key)
-                self._result_provenance[key] = (
-                    names if existing is None else existing | names)
-            if len(self._result_provenance) > 2 * self._result_cache.capacity:
+            for key, names in updates:
+                existing = recorded.get(key)
+                recorded[key] = names if existing is None else existing | names
+            if len(recorded) > 2 * self._result_cache.capacity:
                 # Bound the side table: drop records whose cache entry is
                 # long gone (capacity-evicted between mutations).
-                for key in list(self._result_provenance):
+                for key in list(recorded):
                     if key not in self._result_cache:
-                        del self._result_provenance[key]
+                        del recorded[key]
 
     def _patch_dimension(self, result: CertaintyResult) -> CertaintyResult:
         """Re-stamp a cached result with the current ambient dimension.
@@ -1006,13 +1041,13 @@ class AnnotationService:
 
     def _plan(self, query, select, limit: Optional[int],
               group_witnesses: bool, jobs: int, database=None,
-              span=None) -> tuple:
+              span=None) -> _PlanEntry:
         from repro.engine.candidates import enumerate_candidates
 
         if database is None:
             database = self._database
 
-        def enumerate_() -> tuple:
+        def enumerate_() -> _PlanEntry:
             sink: dict = {}
             enumeration_started = time.perf_counter()
             planned = tuple(enumerate_candidates(
@@ -1031,7 +1066,7 @@ class AnnotationService:
                         {"shard": entry["shard"], "tasks": entry["tasks"],
                          "witnesses": entry["witnesses"]}
                         for entry in sink.get("per_shard", ())])
-            return planned
+            return _plan_entry(planned)
 
         if not isinstance(query, str):
             # No stable text key; planning an AST is not cached.
@@ -1081,24 +1116,29 @@ class AnnotationService:
                 self._planner_instance = Planner()
             return self._planner_instance
 
-    def _database_for(self, backend: str, shards: int):
-        """The database snapshot under ``(backend, shards)``, converted once.
+    def _database_for(self, database, backend: str, shards: int):
+        """The request's pinned ``database`` under ``(backend, shards)``.
 
-        The constructed snapshot serves matching requests directly;
-        alternate layouts are converted lazily and cached for the service's
-        lifetime (content is identical across layouts, so every snapshot
-        yields the same answers and lineage digests).
+        A snapshot already in that layout serves directly; alternate
+        layouts of the current snapshot are converted lazily and cached
+        until the next commit (content is identical across layouts, so
+        every view yields the same answers and lineage digests).  A request
+        whose snapshot a commit has since replaced converts it without
+        caching: the cache holds views of the current snapshot only, which
+        :meth:`mutate` keeps true by swapping and clearing under the same
+        lock.
         """
-        base = self._database
-        if (getattr(base, "backend", "rows") == backend
-                and getattr(base, "shards", 1) == shards):
-            return base
+        if (getattr(database, "backend", "rows") == backend
+                and getattr(database, "shards", 1) == shards):
+            return database
         key = (backend, shards)
         with self._views_lock:
-            view = self._database_views.get(key)
+            current = database is self._database
+            view = self._database_views.get(key) if current else None
             if view is None:
-                view = base.with_backend(backend, shards=shards)
-                self._database_views[key] = view
+                view = database.with_backend(backend, shards=shards)
+                if current:
+                    self._database_views[key] = view
             return view
 
     def _observe_enumeration(self, select, database, elapsed: float) -> None:
@@ -1141,8 +1181,7 @@ class AnnotationService:
             return self._land(group, key,
                               self._estimate(payload, on_update)), True
 
-        (result, computed), leader = self._estimate_flights.run(
-            (group.canonical.digest, *key[1:]), compute)
+        (result, computed), leader = self._estimate_flights.run(key, compute)
         return result, not (leader and computed)
 
     def _estimate(self, payload: tuple, on_update=None) -> CertaintyResult:

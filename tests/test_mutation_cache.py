@@ -16,6 +16,9 @@ references and assert that
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,8 @@ def _service(database: Database) -> AnnotationService:
 
 Q_T = "SELECT t.key FROM t WHERE t.x > 2"
 Q_U = "SELECT u.key FROM u WHERE u.y > 3"
+#: Same arithmetic as ``Q_T`` over u's null: the lineages coincide.
+Q_U_SHARED = "SELECT u.key FROM u WHERE u.y > 2"
 
 
 def _snapshot(answers):
@@ -139,6 +144,74 @@ class TestDeltaDrivenInvalidation:
         assert frontier.hits >= 1
         assert frontier.misses >= 2
 
+    @pytest.mark.parametrize("backend", ["rows", "columnar"])
+    @pytest.mark.parametrize("statement", [
+        "DELETE FROM t WHERE key = 'b'",   # the row of the query that filled
+        "DELETE FROM u WHERE key = 'a'",   # the row of the query that reused
+    ])
+    def test_provenance_accumulates_across_plans_sharing_a_lineage(
+            self, backend, statement):
+        # ``t.x > 2`` over n0 and ``u.y > 2`` over n1 canonicalise to the
+        # same lineage, so the second query is served from the first one's
+        # certainty entry and its nulls must join that entry's provenance.
+        service = _service(_database(backend))
+        first = service.submit(Q_T)
+        second = service.submit(Q_U_SHARED)
+        assert ({answer.lineage_digest for answer in first.answers}
+                == {answer.lineage_digest for answer in second.answers})
+        assert second.stats.groups_from_cache == second.stats.groups == 2
+        assert service.stats().estimates_computed == 2
+
+        service.mutate(statement)
+        stats = service.stats()
+        assert (stats.results_evicted, stats.results_retained) == (1, 1)
+        for sql in (Q_T, Q_U_SHARED):
+            warm = service.submit(sql).answers
+            cold = _service(_rebuild(service)).submit(sql).answers
+            assert _snapshot(warm) == _snapshot(cold), sql
+        # The shared lineage was recomputed once and then served warm.
+        assert service.stats().estimates_computed == 3
+
+    def test_concurrent_requests_lose_no_provenance(self):
+        """More threads than cores record their nulls onto one shared
+        certainty entry at once; a lost update would leave some row whose
+        deletion no longer evicts the entry."""
+        rows = 8
+        schema = DatabaseSchema.of(RelationSchema.of("t", key="base", x="num"))
+        queries = [f"SELECT t.key FROM t WHERE t.key = 'r{index}' AND t.x > 2"
+                   for index in range(rows)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for victim in range(rows):
+                service = _service(Database.from_dict(schema, {"t": [
+                    (f"r{index}", NumNull(f"n{index}"))
+                    for index in range(rows)]}))
+                barrier = threading.Barrier(rows)
+                errors: list[Exception] = []
+
+                def read(sql: str) -> None:
+                    try:
+                        barrier.wait(timeout=10)
+                        assert len(service.submit(sql).answers) == 1
+                    except Exception as error:  # surfaced below
+                        errors.append(error)
+
+                threads = [threading.Thread(target=read, args=(sql,))
+                           for sql in queries]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                assert service.stats().results_retained == 1
+
+                service.mutate(f"DELETE FROM t WHERE key = 'r{victim}'")
+                assert service.stats().results_evicted == 1, victim
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_invalidate_clears_provenance_and_frontier(self):
         service = _service(_database())
         service.submit(Q_T)
@@ -147,6 +220,57 @@ class TestDeltaDrivenInvalidation:
         assert stats.results_retained == 0
         frontier = {c.name: c for c in stats.caches}["frontier"]
         assert frontier.size == 0
+
+
+class _CommitOnEnter:
+    """The service's views lock, with one commit landing just before the
+    first time ``caller`` enters it (the race window of a planned request:
+    its snapshot is pinned, its alternate-layout view not yet filled)."""
+
+    def __init__(self, lock, caller: str, commit) -> None:
+        self._lock = lock
+        self._caller = caller
+        self._commit = commit
+
+    def __enter__(self):
+        if (self._commit is not None
+                and sys._getframe(1).f_code.co_name == self._caller):
+            commit, self._commit = self._commit, None
+            commit()
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestAutoPlannerViews:
+    """Auto-planned requests convert their pinned snapshot to the planned
+    layout (a columnar service routes tiny tables to the rows engine)."""
+
+    COMMIT = "UPDATE t SET x = 9 WHERE key = 'b'"
+
+    def _race(self, caller: str):
+        service = _service(_database("columnar"))
+        before = service.submit(Q_T, planner="auto")
+        assert before.stats.planned["backend"] == "rows"
+        service._views_lock = _CommitOnEnter(
+            service._views_lock, caller, lambda: service.mutate(self.COMMIT))
+        during = service.submit(Q_T, planner="auto")
+        assert service.database.data_version == 1, "the commit must land"
+        return service, before, during
+
+    @pytest.mark.parametrize("caller", ["_get_planner", "_database_for"])
+    def test_a_request_stays_on_its_pinned_snapshot(self, caller):
+        _, before, during = self._race(caller)
+        assert _snapshot(during.answers) == _snapshot(before.answers)
+
+    @pytest.mark.parametrize("caller", ["_get_planner", "_database_for"])
+    def test_a_commit_in_the_race_window_leaves_no_stale_view(self, caller):
+        service, _, _ = self._race(caller)
+        after = service.submit(Q_T, planner="auto").answers
+        fresh = _service(_rebuild(service)).submit(Q_T).answers
+        assert _snapshot(after) == _snapshot(fresh)
+        assert all(answer.certainty.value == 1.0 for answer in after)
 
 
 def _rebuild(service: AnnotationService) -> Database:

@@ -133,6 +133,47 @@ class TestBatchScheduler:
         assert by_id["p3"].certainty.value == pytest.approx(0.5, abs=0.1)
 
 
+class TestWarmPath:
+    def test_warm_requests_do_no_per_candidate_work(self, shop, monkeypatch):
+        import repro.service.canonical as canonical
+
+        calls: list[int] = []
+        original = canonical.canonicalise
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(canonical, "canonicalise", counting)
+        service = AnnotationService(shop, epsilon=0.05)
+
+        def submit():
+            calls.clear()
+            stats = service.submit(SIMPLE, seed=3).stats
+            return len(calls), (stats.candidates, stats.groups,
+                                stats.groups_from_cache, stats.tuples_batched)
+
+        # Cold: once per candidate to schedule, plus whatever the estimates'
+        # kernel compilation adds on a compile-cache miss.
+        cold_calls, cold = submit()
+        assert cold_calls >= cold[0] > 0
+        warm_calls, warm = submit()
+        assert warm_calls == 0
+        assert warm[2] == warm[1] and warm[3] == cold[3]
+        assert submit() == (0, warm)
+
+        # Market is not in SIMPLE: its plan-cache key did not move.
+        service.mutate("INSERT INTO Market VALUES ('toys', 3.0, 1.0)")
+        assert submit() == (0, warm)
+
+        # Products is: the next request re-plans, once per candidate.
+        service.mutate("INSERT INTO Products VALUES ('p5', 'tools', 11.0, 0.5)")
+        replanned_calls, replanned = submit()
+        assert replanned_calls == replanned[0] == warm[0] + 1
+        assert submit() == (0, replanned)
+        assert submit() == (0, replanned)
+
+
 class TestParallelExecution:
     @pytest.mark.parametrize("reuse", [True, False])
     def test_jobs_4_bit_identical_to_jobs_1(self, shop, reuse):

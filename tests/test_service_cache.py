@@ -223,7 +223,7 @@ class TestCanonicalisation:
     def test_renaming_invariance(self):
         left = canonicalise(atom("z_a"), ("z_a",))
         right = canonicalise(atom("z_b"), ("z_b",))
-        assert left.key == right.key
+        assert left.formula == right.formula
         assert left.digest == right.digest
         assert left.variables == ("v0",)
 
@@ -235,7 +235,7 @@ class TestCanonicalisation:
         ))
         left = canonicalise(chain("z_1", "z_2"), ("z_1", "z_2"))
         right = canonicalise(chain("z_8", "z_9"), ("z_8", "z_9"))
-        assert left.key == right.key and left.digest == right.digest
+        assert left.formula == right.formula and left.digest == right.digest
 
     def test_distinct_structures_get_distinct_digests(self):
         le = canonicalise(atom("x", Comparison.LE), ("x",))
