@@ -12,8 +12,7 @@ through the network server at N concurrent connections versus the serial
 one-connection baseline, p50/p99 latency, QPS), and the PR 6 fusion
 scenario: a many-lineage annotation request decided through per-group
 kernel launches versus one block-diagonal fused pass per Monte-Carlo
-round, plus the cost-based planner against the best manual
-configuration, and the PR 8 mutation scenario: an append-heavy mixed
+round, and the PR 8 mutation scenario: an append-heavy mixed
 INSERT/DELETE/UPDATE version history replayed through the incremental
 MVCC path (delta-maintained join frontiers, carried shard partitions)
 versus rebuilding the database from scratch at every version, and the
@@ -521,15 +520,14 @@ def bench_fusion(quick: bool) -> dict:
     Candidates are pre-enumerated and passed into ``submit`` so both sides
     time exactly the Monte-Carlo phase the fusion targets; every timed run
     uses a fresh service (the result cache would otherwise serve repeat
-    runs).  The same workload also gates the cost-based planner: ``auto``
-    must land within 10% of the best manually-picked configuration.
+    runs).
     """
     config = dict(FUSION_HEADLINE, headline=True)
     if quick:
         config["groups"] = 120
-    # More repeats than the other scenarios: the planner-vs-best-manual
-    # gate compares runs tens of milliseconds long, where dispatch noise
-    # is a visible fraction of the measurement.
+    # More repeats than the other scenarios: the fused-vs-per-group gate
+    # compares runs tens of milliseconds long, where dispatch noise is a
+    # visible fraction of the measurement.
     repeats = 3 if quick else 5
     database, select, candidates = _fusion_workload(config["groups"])
 
@@ -548,16 +546,6 @@ def bench_fusion(quick: bool) -> dict:
             [a.certainty for a in fused_response.answers]:
         raise SystemExit("BUG: fused answers diverged from per-group answers")
 
-    manual_matrix = {"per-group": {}, "fused-8": {"fusion": 8},
-                     f"fused-{config['fusion']}": {"fusion": config["fusion"]}}
-    manual_seconds = {name: timed(**kwargs)[0]
-                      for name, kwargs in manual_matrix.items()}
-    best_manual = min(manual_seconds, key=manual_seconds.get)
-    auto_seconds, auto_response = timed(planner="auto")
-    if [a.certainty for a in solo_response.answers] != \
-            [a.certainty for a in auto_response.answers]:
-        raise SystemExit("BUG: planner auto changed the answers")
-
     row = {
         **config,
         "solo_seconds": solo_seconds,
@@ -565,20 +553,12 @@ def bench_fusion(quick: bool) -> dict:
         "speedup": solo_seconds / max(fused_seconds, 1e-12),
         "fused_kernels": fused_response.stats.kernels_launched,
         "tuples_fused": fused_response.stats.tuples_fused,
-        "manual_seconds": manual_seconds,
-        "best_manual": best_manual,
-        "best_manual_seconds": manual_seconds[best_manual],
-        "auto_seconds": auto_seconds,
-        "auto_ratio": auto_seconds / max(manual_seconds[best_manual], 1e-12),
-        "auto_plan": auto_response.stats.planned,
     }
     print(f"fusion G={config['groups']:>4d} eps={config['epsilon']} "
           f"adaptive  per-group {solo_seconds*1e3:8.2f} ms   "
           f"fused {fused_seconds*1e3:8.2f} ms   "
           f"speedup {row['speedup']:6.2f}x   "
-          f"({row['fused_kernels']} fused launches)   "
-          f"auto {auto_seconds*1e3:8.2f} ms "
-          f"({row['auto_ratio']:.2f}x best manual {best_manual})")
+          f"({row['fused_kernels']} fused launches)")
 
     # The single-pass estimate at the same epsilon, for the record: the
     # per-group sample draws dominate here, so the fused win is smaller
@@ -1096,10 +1076,6 @@ def main() -> int:
             "fused_seconds": fusion_headline["fused_seconds"],
             "speedup": fusion_headline["speedup"],
             "fused_kernels": fusion_headline["fused_kernels"],
-            "auto_seconds": fusion_headline["auto_seconds"],
-            "best_manual": fusion_headline["best_manual"],
-            "best_manual_seconds": fusion_headline["best_manual_seconds"],
-            "auto_ratio": fusion_headline["auto_ratio"],
         },
         "obs_headline": {
             "config": OBS_HEADLINE,
@@ -1150,8 +1126,7 @@ def main() -> int:
           f"p99 {server_headline['p99_ms']:.1f} ms, "
           f"{server_headline['qps']:.1f} qps); fusion headline: "
           f"{fusion_headline['speedup']:.2f}x fused-vs-per-group "
-          f"(G={fusion_headline['groups']}, adaptive ladder, planner auto at "
-          f"{fusion_headline['auto_ratio']:.2f}x best manual); "
+          f"(G={fusion_headline['groups']}, adaptive ladder); "
           f"obs headline: "
           f"{100.0 * (obs_headline['overhead_ratio'] - 1.0):+.2f}% "
           f"metrics+tracing overhead "
@@ -1181,11 +1156,6 @@ def main() -> int:
     if fusion_headline["speedup"] <= 1.0:
         print("FAIL: fused kernel execution is not faster than per-group "
               "launches on the many-lineage workload")
-        failed = True
-    if fusion_headline["auto_ratio"] > 1.10:
-        print("FAIL: planner auto loses more than 10% to the best manual "
-              f"configuration ({fusion_headline['auto_ratio']:.2f}x vs "
-              f"{fusion_headline['best_manual']})")
         failed = True
     if service_headline["speedup"] <= 1.0:
         print("FAIL: cached (warm) service path is not faster than cold")

@@ -32,6 +32,7 @@ which only a handful are relevant to any one answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.certainty.result import CertaintyResult
 from repro.compile import DEFAULT_BLOCK_SIZE, compile_formula
@@ -71,11 +72,14 @@ def afpras_formula_measure(formula: ConstraintFormula,
                            delta: float = DEFAULT_DELTA,
                            rng: RngLike = None,
                            engine: str = "batched",
-                           block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[float, int]:
+                           block_size: int = DEFAULT_BLOCK_SIZE,
+                           digest: Optional[bytes] = None) -> tuple[float, int]:
     """Estimate ``nu(formula)`` over the listed variables by direction sampling.
 
     Returns ``(estimate, samples)``.  With an empty variable list the formula
     is a Boolean constant and the exact value is returned with zero samples.
+    ``digest`` is the canonical lineage digest of ``(formula, variables)``
+    when the caller holds it (see :func:`~repro.compile.compile_formula`).
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -94,7 +98,7 @@ def afpras_formula_measure(formula: ConstraintFormula,
                 hits += 1
         return hits / samples, samples
 
-    compiled = compile_formula(formula, variables)
+    compiled = compile_formula(formula, variables, digest=digest)
     estimate = estimate_indicator_mean_batch(
         lambda block_generator, count: compiled.asymptotic_truth_batch(
             sample_direction(dimension, block_generator, size=count)),
@@ -111,7 +115,8 @@ def afpras_measure(translation: TranslationResult,
     value, samples = afpras_formula_measure(
         translation.formula, tuple(variables),
         epsilon=options.epsilon, delta=options.delta, rng=rng,
-        engine=options.engine, block_size=options.block_size)
+        engine=options.engine, block_size=options.block_size,
+        digest=translation.digest if options.relevant_only else None)
     guarantee = "exact" if samples == 0 else "additive"
     return CertaintyResult(
         value=value,

@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Optional
 
 import numpy as np
 
@@ -77,7 +78,8 @@ def is_order_style(formula: ConstraintFormula) -> bool:
 
 
 def _signed_ordering_measure(formula: ConstraintFormula,
-                             variables: tuple[str, ...]) -> Fraction:
+                             variables: tuple[str, ...],
+                             digest: Optional[bytes] = None) -> Fraction:
     """Exact rational measure by enumerating signed orderings of the nulls.
 
     The representative points of all ``(n+1) * n!`` signed-ordering cells are
@@ -106,7 +108,7 @@ def _signed_ordering_measure(formula: ConstraintFormula,
                         point[index] = float(rank + 1)
                     rows.append(point)
                     probabilities.append(cell_probability)
-    compiled = compile_formula(formula, variables)
+    compiled = compile_formula(formula, variables, digest=digest)
     decisions = compiled.asymptotic_truth_batch(np.asarray(rows, dtype=float))
     total = Fraction(0)
     for decision, cell_probability in zip(decisions, probabilities):
@@ -130,7 +132,8 @@ def exact_order_measure(translation: TranslationResult,
     if len(variables) > options.max_order_dimension:
         raise ExactComputationError(
             f"too many relevant nulls ({len(variables)}) for signed-ordering enumeration")
-    return _signed_ordering_measure(translation.formula, tuple(variables))
+    return _signed_ordering_measure(translation.formula, tuple(variables),
+                                    translation.digest)
 
 
 def exact_measure(translation: TranslationResult,
@@ -156,7 +159,8 @@ def exact_measure(translation: TranslationResult,
                 details={"backend": "planar-cones"})
 
     if is_order_style(formula) and len(variables) <= options.max_order_dimension:
-        value = _signed_ordering_measure(formula, tuple(variables))
+        value = _signed_ordering_measure(formula, tuple(variables),
+                                         translation.digest)
         return CertaintyResult(
             value=float(value), method="exact", guarantee="exact",
             dimension=dimension, relevant_dimension=len(variables),

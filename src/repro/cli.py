@@ -48,7 +48,7 @@ without writing any Python:
     ``/stats`` and ``/history`` and renders refreshing tables of
     throughput (with qps sparklines from the server-side history ring),
     windowed p50/p99 latency, SLO burn-rate alerts, cache hit rates,
-    coalescing, planner decisions and fusion counters.  Pointed at a
+    coalescing and fusion counters.  Pointed at a
     cluster coordinator it additionally renders per-worker rows, trends
     and routing/failover counters.  ``--json`` emits one machine-readable
     snapshot and exits.
@@ -106,7 +106,6 @@ from repro.relational.csv_io import load_database, save_database
 from repro.relational.schema import SchemaError
 from repro.service import (
     EXECUTORS,
-    PLANNER_MODES,
     SERVICE_METHODS,
     AnnotationService,
     ServiceOptions,
@@ -202,14 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "tables), 'rows' is the row-at-a-time "
                                     "reference engine (default); answers are "
                                     "identical either way")
-        subparser.add_argument("--planner", default="manual",
-                               choices=PLANNER_MODES,
-                               help="'auto' lets the calibrated cost model "
-                                    "pick backend, shards, jobs, executor "
-                                    "and fusion batch per query (explicit "
-                                    "flags still win); 'manual' (default) "
-                                    "runs exactly the flags given; answers "
-                                    "are identical either way")
         subparser.add_argument("--fusion", type=int, default=0,
                                help="decide group estimates this many "
                                     "lineages at a time through one fused "
@@ -226,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_serving_arguments(annotate_parser)
     annotate_parser.add_argument(
         "--trace", metavar="PATH", default=None,
-        help="write the request's span tree (parse/plan/enumerate/schedule/"
+        help="write the request's span tree (parse/enumerate/schedule/"
              "estimate/serialize) as a Chrome trace-event JSON file")
 
     serve_parser = subparsers.add_parser(
@@ -295,11 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     client_parser.add_argument("--adaptive", action="store_true",
                                help="stream refinement stages (on stderr) "
                                     "while the final table builds")
-    client_parser.add_argument("--planner", default=None,
-                               choices=PLANNER_MODES,
-                               help="override the server's planner mode for "
-                                    "this query ('auto' = cost-based "
-                                    "execution planning)")
 
     cluster_parser = subparsers.add_parser(
         "cluster",
@@ -434,8 +420,7 @@ def _load_service(args: argparse.Namespace) -> AnnotationService:
                              jobs=args.jobs, executor=args.executor,
                              adaptive=args.adaptive,
                              seed=args.seed, backend=args.backend,
-                             shards=args.shards,
-                             planner=args.planner, fusion=args.fusion)
+                             shards=args.shards, fusion=args.fusion)
     return AnnotationService(database, options)
 
 
@@ -589,8 +574,7 @@ def _worker_serving_flags(args: argparse.Namespace) -> list[str]:
     flags = ["--epsilon", str(args.epsilon), "--method", args.method,
              "--seed", str(args.seed), "--jobs", str(args.jobs),
              "--executor", args.executor, "--shards", str(args.shards),
-             "--backend", args.backend, "--planner", args.planner,
-             "--fusion", str(args.fusion)]
+             "--backend", args.backend, "--fusion", str(args.fusion)]
     if args.limit is not None:
         flags += ["--limit", str(args.limit)]
     if args.adaptive:
@@ -638,8 +622,7 @@ def _run_cluster_start(args: argparse.Namespace) -> int:
             return 1
     defaults = {"epsilon": args.epsilon, "delta": None,
                 "method": args.method, "limit": args.limit,
-                "seed": args.seed, "adaptive": args.adaptive,
-                "planner": args.planner}
+                "seed": args.seed, "adaptive": args.adaptive}
     app = CoordinatorApp(endpoints, locals_=locals_, defaults=defaults,
                          max_pending=args.max_pending,
                          health_interval=args.health_interval,
@@ -797,8 +780,7 @@ def _run_client(args: argparse.Namespace) -> int:
             result = client.query(
                 sql, epsilon=args.epsilon, delta=args.delta,
                 method=args.method, limit=args.limit, seed=args.seed,
-                adaptive=args.adaptive or None, planner=args.planner,
-                on_update=on_update)
+                adaptive=args.adaptive or None, on_update=on_update)
     except ServerError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE if error.code in (

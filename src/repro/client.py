@@ -229,7 +229,6 @@ class ReproClient:
                delta: Optional[float] = None, method: Optional[str] = None,
                limit: Optional[int] = None, seed: Optional[int] = None,
                adaptive: Optional[bool] = None,
-               planner: Optional[str] = None,
                traceparent: Optional[str] = None) -> Iterator[StreamEvent]:
         """Yield adaptive updates as they land, then the final result.
 
@@ -241,7 +240,7 @@ class ReproClient:
         try:
             self._send(_query_message(request_id, sql, dict(
                 epsilon=epsilon, delta=delta, method=method, limit=limit,
-                seed=seed, adaptive=adaptive, planner=planner),
+                seed=seed, adaptive=adaptive),
                 traceparent=traceparent))
             while True:
                 event = self._recv(request_id)
@@ -459,7 +458,6 @@ class AsyncReproClient:
                      method: Optional[str] = None,
                      limit: Optional[int] = None, seed: Optional[int] = None,
                      adaptive: Optional[bool] = None,
-                     planner: Optional[str] = None,
                      traceparent: Optional[str] = None
                      ) -> AsyncIterator[StreamEvent]:
         """Async iterator of adaptive updates, then the final result.
@@ -474,7 +472,7 @@ class AsyncReproClient:
         try:
             await self._send(_query_message(request_id, sql, dict(
                 epsilon=epsilon, delta=delta, method=method, limit=limit,
-                seed=seed, adaptive=adaptive, planner=planner),
+                seed=seed, adaptive=adaptive),
                 traceparent=traceparent))
             while True:
                 event = await self._recv(request_id)

@@ -363,8 +363,11 @@ def compile_formula(formula: ConstraintFormula,
         raise LoweringError(f"duplicate variables in ambient tuple: {variables}")
     if digest is not None:
         def build_from_digest() -> CompiledFormula:
-            _, build_formula, build_variables = _canonical_key(formula, variables)
-            table, program = lower(build_formula, build_variables)
+            # The digest already names the canonical lineage: rebuild only
+            # its renamed tree, without serialising and hashing it again.
+            from repro.service.canonical import CanonicalLineage
+            canonical = CanonicalLineage(digest, formula, variables)
+            table, program = lower(canonical.formula, canonical.variables)
             return _build_compiled(table, program)
 
         return _COMPILE_CACHE.get_or_compute(digest, build_from_digest)

@@ -25,8 +25,8 @@ The translation follows the proof:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence, Union
 
 from repro.constraints.atoms import Comparison as AtomComparison
 from repro.constraints.atoms import Constraint
@@ -146,6 +146,10 @@ class TranslationResult:
     relevant_variables: tuple[str, ...]
     #: Mapping from variable name back to the numerical null it stands for.
     null_by_variable: Mapping[str, NumNull]
+    #: Canonical lineage digest of ``(formula, relevant_variables)`` when the
+    #: producer already holds it: the estimators then compile through the
+    #: kernel memo without canonicalising the formula again.
+    digest: Optional[bytes] = field(default=None, compare=False)
 
     @property
     def dimension(self) -> int:

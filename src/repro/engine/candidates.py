@@ -295,19 +295,6 @@ def _hash_join_key(condition: Condition, compiler: _ConditionCompiler,
     return None
 
 
-def workload_cardinalities(select: SelectQuery,
-                           database: Database) -> tuple[int, ...]:
-    """Row counts of every FROM-clause table occurrence, in clause order.
-
-    The cost-based planner's pre-enumeration input: backend and shard
-    choice must be made *before* candidates exist, and table cardinalities
-    are the only size signal available at that point.  Self-joins count the
-    table once per occurrence, matching the work the join actually does.
-    """
-    return tuple(len(database.relation(reference.table))
-                 for reference in select.tables)
-
-
 def enumerate_candidates(select: SelectQuery, database: Database,
                          limit: Optional[int] = None,
                          max_witnesses: int = 1_000_000,

@@ -3,9 +3,9 @@
 Polls a running server's ``GET /metrics``, ``GET /stats`` and
 ``GET /history`` endpoints and renders a refreshing terminal dashboard:
 request throughput with a qps sparkline, windowed latency quantiles, SLO
-burn-rate alert states, cache hit rates, single-flight coalescing, planner
-decisions, fusion counters, per-worker trends (cluster front doors), and
-the slow-query log.
+burn-rate alert states, cache hit rates, single-flight coalescing, fusion
+counters, per-worker trends (cluster front doors), and the slow-query
+log.
 
 Quantiles come from *subtracting histogram snapshots* bucket-for-bucket
 and running :func:`~repro.obs.metrics.histogram_quantile` on the delta --
@@ -446,18 +446,6 @@ def render_frame(current: ConsoleSample,
         out.extend(render_table(
             ("cache", "size", "hits", "misses", "hit rate"), rows))
 
-    planner = service.get("planner")
-    if planner and planner.get("plans"):
-        choices = ", ".join(f"{backend}={count}" for backend, count
-                            in sorted(planner.get("backend_choices",
-                                                  {}).items()))
-        out.append("")
-        out.extend(render_table(
-            ("planner", "value"),
-            [("plans", str(planner.get("plans", 0))),
-             ("fused plans", str(planner.get("fused_plans", 0))),
-             ("backend choices", choices or "-")]))
-
     fusion = service.get("fusion")
     if fusion and (fusion.get("batches") or fusion.get("kernels_launched")):
         out.append("")
@@ -566,17 +554,6 @@ def render_stats_tables(stats: dict) -> str:
             [(flight.get("name", "flights"), str(flight.get("launches", 0)),
               str(flight.get("joins", 0)), str(flight.get("failures", 0)),
               str(flight.get("in_flight", 0)))]))
-    planner = service.get("planner")
-    if planner and planner.get("plans"):
-        choices = ", ".join(f"{backend}={count}" for backend, count
-                            in sorted(planner.get("backend_choices",
-                                                  {}).items()))
-        out.append("")
-        out.extend(render_table(
-            ("planner", "value"),
-            [("plans", str(planner.get("plans", 0))),
-             ("fused plans", str(planner.get("fused_plans", 0))),
-             ("backend choices", choices or "-")]))
     fusion = service.get("fusion")
     if fusion and (fusion.get("batches") or fusion.get("kernels_launched")):
         out.append("")

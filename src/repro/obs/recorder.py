@@ -14,9 +14,9 @@ disabled path byte-identical to the pre-observability code.
 
 The recorder also owns the scrape-side glue:
 :func:`service_stats_collector` turns a service's existing lifetime
-counters (requests, cache hits, single-flight, fusion, planner, shards)
-into Prometheus metric families *at scrape time*, so ``GET /metrics`` adds
-zero cost to the request hot path.
+counters (requests, cache hits, single-flight, fusion, shards) into
+Prometheus metric families *at scrape time*, so ``GET /metrics`` adds zero
+cost to the request hot path.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Recorder:
             buckets=LATENCY_BUCKETS)
         self._phase_seconds = self.metrics.histogram(
             "repro_phase_seconds",
-            "Per-phase time within one request (parse/plan/enumerate/"
+            "Per-phase time within one request (parse/enumerate/"
             "schedule/estimate/serialize)",
             labelnames=("phase",), buckets=LATENCY_BUCKETS)
         # Children are created once and live forever, and phase names are a
@@ -129,7 +129,7 @@ def service_stats_collector(service) -> "callable":
 
     Reads :meth:`AnnotationService.stats` at scrape time and renders the
     existing counter structures -- requests, caches, backends, shards,
-    single-flight, fusion, planner -- as Prometheus families.  Nothing is
+    single-flight, fusion -- as Prometheus families.  Nothing is
     double-counted on the hot path; the source of truth stays the service's
     ``_counters_lock``-guarded integers.
     """
@@ -211,21 +211,6 @@ def service_stats_collector(service) -> "callable":
             families.append(_family(
                 "repro_fused_batches_total", "counter",
                 "Fused batches executed", [({}, fusion.batches)]))
-        if stats.planner is not None and stats.planner.plans:
-            planner = stats.planner
-            families.append(_family(
-                "repro_planner_plans_total", "counter",
-                "Requests planned by the cost-based planner",
-                [({}, planner.plans)]))
-            families.append(_family(
-                "repro_planner_backend_choices_total", "counter",
-                "Planner backend decisions",
-                [({"backend": backend}, count) for backend, count
-                 in sorted(planner.backend_choices.items())]))
-            families.append(_family(
-                "repro_planner_fused_plans_total", "counter",
-                "Plans that enabled kernel fusion",
-                [({}, planner.fused_plans)]))
         return families
 
     return collect

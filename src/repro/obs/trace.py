@@ -1,12 +1,12 @@
 """Per-request span tracing with Chrome trace-event export.
 
-A :class:`Trace` is one request's span tree: ``parse -> plan (planner
-decision) -> enumerate (per-shard fan-out) -> schedule -> estimate (per
-group / per fused batch / per adaptive rung) -> serialize``.  Spans are
+A :class:`Trace` is one request's span tree: ``parse -> enumerate
+(per-shard fan-out) -> schedule -> estimate (per group / per fused batch /
+per adaptive rung) -> serialize``.  Spans are
 created with explicit parents (the service passes its request-root span
 into worker closures, so spans recorded on executor threads still attach to
 the right tree -- no context-variable propagation to get wrong), carry a
-small attribute map (planner decisions, cache hits, sample counts), and
+small attribute map (plan-cache misses, shard fan-out, sample counts), and
 record wall-clock anchored ``perf_counter`` timestamps.
 
 Export is the Chrome trace-event JSON format (``chrome://tracing`` /

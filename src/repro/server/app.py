@@ -130,8 +130,7 @@ class ServerApp(FrontDoor):
                 sql,
                 epsilon=options["epsilon"], delta=options["delta"],
                 method=options["method"], limit=options["limit"],
-                seed=options["seed"], adaptive=options["adaptive"],
-                planner=options.get("planner"), trace=tr,
+                seed=options["seed"], adaptive=options["adaptive"], trace=tr,
                 on_update=on_update if options["adaptive"] else None)
 
         try:

@@ -65,7 +65,6 @@ from repro.certainty.result import CertaintyResult
 # field name from the protocol module they already depend on.
 from repro.obs.propagate import TRACEPARENT_KEY as TRACEPARENT_KEY
 from repro.service.answers import AnnotatedAnswer
-from repro.service.planner import PLANNER_MODES
 from repro.service.service import SERVICE_METHODS, ServiceOptions, normalise_sql
 from repro.relational.values import BaseNull, NumNull
 
@@ -74,8 +73,7 @@ _NUM_NULL_PREFIX = "⊤:"
 _BASE_NULL_PREFIX = "⊥:"
 
 #: Option keys a query request may carry, with their validators.
-_OPTION_SCHEMA = ("epsilon", "delta", "method", "limit", "seed", "adaptive",
-                  "planner")
+_OPTION_SCHEMA = ("epsilon", "delta", "method", "limit", "seed", "adaptive")
 
 #: Longest accepted wire line (requests and responses), 16 MiB.  Bounds the
 #: per-connection buffer so one client cannot balloon the server's memory.
@@ -146,7 +144,6 @@ def defaults_from_options(options: Optional[ServiceOptions] = None) \
         "limit": None,
         "seed": seed if isinstance(seed, int) else None,
         "adaptive": options.adaptive,
-        "planner": options.planner,
     }
 
 
@@ -209,14 +206,6 @@ def _validate_options(options: Mapping[str, Any]) -> None:
                             f"seed must be a non-negative integer, got {seed!r}")
     if not isinstance(options.get("adaptive"), bool):
         raise ProtocolError("bad_request", "adaptive must be a boolean")
-    planner = options.get("planner")
-    if planner is not None and planner not in PLANNER_MODES:
-        # None means "the server's configured default" (and keeps defaults
-        # dicts from planner-unaware callers valid).
-        raise ProtocolError(
-            "bad_request",
-            f"planner must be one of {', '.join(PLANNER_MODES)}, "
-            f"got {planner!r}")
 
 
 def request_key(sql: str, options: Mapping[str, Any]) -> bytes:
@@ -403,7 +392,5 @@ def result_event(request_id: Any, response) -> dict:
             "kernels_launched": stats.kernels_launched,
             "tuples_fused": stats.tuples_fused,
             "fusion_batches": stats.fusion_batches,
-            **({"planned": stats.planned}
-               if stats.planned is not None else {}),
         },
     }

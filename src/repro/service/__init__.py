@@ -48,14 +48,6 @@ from repro.service.fused import (
     decide_fused_batch,
     fusable_method,
 )
-from repro.service.planner import (
-    MAX_FUSION_BATCH,
-    PLANNER_MODES,
-    CostModel,
-    PlanDecision,
-    Planner,
-    PlannerStats,
-)
 from repro.service.rng import root_sequence, spawn_stream
 from repro.service.scheduler import TaskGroup, build_schedule, partition_batches
 from repro.service.service import (
@@ -72,8 +64,6 @@ from repro.service.service import (
 
 __all__ = [
     "EXECUTORS",
-    "MAX_FUSION_BATCH",
-    "PLANNER_MODES",
     "SERVICE_METHODS",
     "AdaptiveUpdate",
     "AnnotatedAnswer",
@@ -82,14 +72,10 @@ __all__ = [
     "CacheStats",
     "CanonicalLineage",
     "CanonicalisationError",
-    "CostModel",
     "FusedTask",
     "FusionAccounting",
     "FusionStats",
     "LruCache",
-    "PlanDecision",
-    "Planner",
-    "PlannerStats",
     "RequestStats",
     "ServiceOptions",
     "ServiceResponse",

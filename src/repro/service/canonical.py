@@ -109,6 +109,7 @@ class CanonicalLineage:
             all_variables=variables,
             relevant_variables=variables,
             null_by_variable={name: NumNull(name) for name in variables},
+            digest=self.digest,
         )
 
 

@@ -48,8 +48,8 @@ def available_cpus() -> int:
 
     ``sched_getaffinity`` respects container/cgroup CPU masks where
     ``os.cpu_count()`` reports the whole host -- the difference is exactly
-    the 1-core-host regression BENCH_PR4 documented, so the planner (and
-    ``jobs=0``) must see the real budget.
+    the 1-core-host regression BENCH_PR4 documented, so ``jobs=0`` must
+    see the real budget.
     """
     if hasattr(os, "sched_getaffinity"):
         try:

@@ -303,7 +303,7 @@ class TestShardingFlags:
                   "SELECT * FROM Market", "--executor", "greenlet"])
 
 
-class TestPlannerAndFusionFlags:
+class TestFusionFlags:
     QUERY = ["annotate", "--query-name", "competitive_advantage",
              "--epsilon", "0.15", "--seed", "6"]
 
@@ -314,19 +314,6 @@ class TestPlannerAndFusionFlags:
         assert main(query + ["--fusion", "8"]) == 0
         fused = capsys.readouterr().out
         assert fused == solo
-
-    def test_planner_auto_output_is_bit_identical(self, data_dir, capsys):
-        query = self.QUERY + ["--data", str(data_dir)]
-        assert main(query + ["--planner", "manual"]) == 0
-        manual = capsys.readouterr().out
-        assert main(query + ["--planner", "auto"]) == 0
-        auto = capsys.readouterr().out
-        assert auto == manual
-
-    def test_unknown_planner_rejected_by_argparse(self, data_dir):
-        with pytest.raises(SystemExit):
-            main(["annotate", "--data", str(data_dir), "--sql",
-                  "SELECT * FROM Market", "--planner", "cascades"])
 
     def test_negative_fusion_rejected(self, data_dir, capsys):
         assert main(["annotate", "--data", str(data_dir),

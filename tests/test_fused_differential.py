@@ -1,17 +1,16 @@
 """Property-based differential harness: fused execution vs the per-group path.
 
-Block-diagonal kernel fusion (:mod:`repro.service.fused`) and the cost-based
-planner (:mod:`repro.service.planner`) promise to be *observationally
-invisible*: at a fixed seed, a request answered through fused kernel
-launches -- under any fusion batch size, job count, executor, method
-resolution, and with the adaptive epsilon ladder on or off -- must return
-bit-identical certainties, intervals, adaptive traces, and lineage digests
-to the historical per-group path.
+Block-diagonal kernel fusion (:mod:`repro.service.fused`) promises to be
+*observationally invisible*: at a fixed seed, a request answered through
+fused kernel launches -- under any fusion batch size, job count, executor,
+method resolution, and with the adaptive epsilon ladder on or off -- must
+return bit-identical certainties, intervals, adaptive traces, and lineage
+digests to the historical per-group path.
 
 This harness reuses the random (schema, data, query) generator of
 tests/test_columnar_differential.py and runs every case through two
 :class:`AnnotationService` instances over the same database -- one with the
-per-group reference configuration, one with a rotating fused/planned
+per-group reference configuration, one with a rotating fused
 configuration -- comparing answers field for field, and the request's
 work accounting (groups computed and served from cache, certainty-cache
 hits and misses).  Set ``REPRO_FUSED_CASES`` to scale the case count.
@@ -47,7 +46,6 @@ CONFIGURATIONS = (
     {"fusion": 3, "jobs": 3},
     {"fusion": 8, "method": "auto"},
     {"fusion": 4, "adaptive": True, "jobs": 2},
-    {"planner": "auto"},
     {"fusion": 8, "jobs": 2, "executor": "process"},
     {"jobs": 2, "executor": "process"},
     {"fusion": 8, "reuse_results": False},
@@ -171,19 +169,3 @@ class TestFusedDifferential:
             assert by_group(solo_log) == by_group(fused_log), sql
             compared += len(by_group(solo_log))
         assert compared > 0
-
-    def test_planner_auto_is_invisible_on_random_cases(self):
-        """``--planner auto`` may repick every knob but never an answer."""
-        rng = np.random.default_rng(77)
-        for _ in range(8):
-            schema, specs, sql, group_witnesses = _random_case(rng)
-            seed = int(rng.integers(0, 2**31))
-            database = generate_database(schema, specs, rng=seed)
-            context = f"planner case: {sql!r}"
-            manual = AnnotationService(database, epsilon=0.25).submit(
-                sql, seed=seed, group_witnesses=group_witnesses)
-            auto = AnnotationService(database, epsilon=0.25).submit(
-                sql, seed=seed, group_witnesses=group_witnesses,
-                planner="auto")
-            assert auto.stats.planned is not None, context
-            _assert_answers_identical(context, manual, auto)

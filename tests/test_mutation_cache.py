@@ -222,55 +222,38 @@ class TestDeltaDrivenInvalidation:
         assert frontier.size == 0
 
 
-class _CommitOnEnter:
-    """The service's views lock, with one commit landing just before the
-    first time ``caller`` enters it (the race window of a planned request:
-    its snapshot is pinned, its alternate-layout view not yet filled)."""
-
-    def __init__(self, lock, caller: str, commit) -> None:
-        self._lock = lock
-        self._caller = caller
-        self._commit = commit
-
-    def __enter__(self):
-        if (self._commit is not None
-                and sys._getframe(1).f_code.co_name == self._caller):
-            commit, self._commit = self._commit, None
-            commit()
-        return self._lock.__enter__()
-
-    def __exit__(self, *exc_info):
-        return self._lock.__exit__(*exc_info)
-
-
-class TestAutoPlannerViews:
-    """Auto-planned requests convert their pinned snapshot to the planned
-    layout (a columnar service routes tiny tables to the rows engine)."""
+class TestPinnedSnapshot:
+    """A request keeps the snapshot it pinned at submit time -- answers and
+    result metadata alike -- while a commit lands mid-request."""
 
     COMMIT = "UPDATE t SET x = 9 WHERE key = 'b'"
 
-    def _race(self, caller: str):
-        service = _service(_database("columnar"))
-        before = service.submit(Q_T, planner="auto")
-        assert before.stats.planned["backend"] == "rows"
-        service._views_lock = _CommitOnEnter(
-            service._views_lock, caller, lambda: service.mutate(self.COMMIT))
-        during = service.submit(Q_T, planner="auto")
+    def test_a_commit_mid_request_leaves_the_request_on_its_snapshot(self):
+        service = _service(_database())
+        pinned = _service(_database()).submit(Q_T).answers
+        plan = service._plan
+
+        def commit_then_plan(*args, **kwargs):
+            # The request has pinned its snapshot; the next version commits
+            # before it enumerates, estimates and stamps its results.
+            service.mutate(self.COMMIT)
+            return plan(*args, **kwargs)
+
+        service._plan = commit_then_plan
+        during = service.submit(Q_T).answers
+        del service._plan
         assert service.database.data_version == 1, "the commit must land"
-        return service, before, during
+        assert _snapshot(during) == _snapshot(pinned)
+        # The pinned version holds both nulls; the committed one only u's.
+        assert [answer.certainty.dimension for answer in during] == \
+            [2] * len(during)
 
-    @pytest.mark.parametrize("caller", ["_get_planner", "_database_for"])
-    def test_a_request_stays_on_its_pinned_snapshot(self, caller):
-        _, before, during = self._race(caller)
-        assert _snapshot(during.answers) == _snapshot(before.answers)
-
-    @pytest.mark.parametrize("caller", ["_get_planner", "_database_for"])
-    def test_a_commit_in_the_race_window_leaves_no_stale_view(self, caller):
-        service, _, _ = self._race(caller)
-        after = service.submit(Q_T, planner="auto").answers
+        after = service.submit(Q_T).answers
         fresh = _service(_rebuild(service)).submit(Q_T).answers
         assert _snapshot(after) == _snapshot(fresh)
         assert all(answer.certainty.value == 1.0 for answer in after)
+        assert [answer.certainty.dimension for answer in after] == \
+            [1] * len(after)
 
 
 def _rebuild(service: AnnotationService) -> Database:

@@ -22,8 +22,12 @@ from repro.server.protocol import (
     load_line,
     parse_query_request,
     request_key,
+    result_event,
     sanitize,
 )
+from repro.relational.database import Database
+from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.service import AnnotationService
 from repro.service.answers import AnnotatedAnswer
 from repro.relational.values import BaseNull, NumNull
 
@@ -64,6 +68,7 @@ class TestParseQueryRequest:
         {"sql": "SELECT * FROM T", "options": {"limit": 2.5}},
         {"sql": "SELECT * FROM T", "options": {"seed": -3}},
         {"sql": "SELECT * FROM T", "options": {"adaptive": "yes"}},
+        {"sql": "SELECT * FROM T", "options": {"planner": "auto"}},
     ])
     def test_rejects_malformed_requests(self, message):
         with pytest.raises(ProtocolError) as excinfo:
@@ -74,6 +79,20 @@ class TestParseQueryRequest:
         event = OverloadError("full").as_event("req-1")
         assert event == {"id": "req-1", "type": "error", "code": "overloaded",
                          "message": "full"}
+
+
+class TestResultEvent:
+    def test_result_event_carries_fusion_counters(self):
+        schema = DatabaseSchema.of(RelationSchema.of("T", key="base", x="num"))
+        database = Database.from_dict(schema, {"T": [
+            ("a", NumNull("n0")), ("b", NumNull("n1")), ("c", 1.0)]})
+        response = AnnotationService(database, epsilon=0.2).submit(
+            "SELECT T.key FROM T WHERE T.x * 2 <= 5", seed=5, fusion=8)
+        assert response.stats.kernels_launched > 0
+        stats = result_event("r1", response)["stats"]
+        assert stats["kernels_launched"] == response.stats.kernels_launched
+        assert stats["tuples_fused"] == response.stats.tuples_fused
+        assert stats["fusion_batches"] == response.stats.fusion_batches
 
 
 class TestRequestKey:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compile import configure_compile_cache
 from repro.datagen.experiments import EXPERIMENT_QUERIES
 from repro.engine.annotate import annotate
 from repro.relational.database import Database
@@ -145,6 +146,7 @@ class TestWarmPath:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(canonical, "canonicalise", counting)
+        configure_compile_cache(clear=True)
         service = AnnotationService(shop, epsilon=0.05)
 
         def submit():
@@ -153,10 +155,11 @@ class TestWarmPath:
             return len(calls), (stats.candidates, stats.groups,
                                 stats.groups_from_cache, stats.tuples_batched)
 
-        # Cold: once per candidate to schedule, plus whatever the estimates'
-        # kernel compilation adds on a compile-cache miss.
+        # Cold: once per candidate to schedule.  The estimates compile their
+        # kernels under the group digests they carry, so a compile-cache
+        # miss canonicalises nothing again.
         cold_calls, cold = submit()
-        assert cold_calls >= cold[0] > 0
+        assert cold_calls == cold[0] > 0
         warm_calls, warm = submit()
         assert warm_calls == 0
         assert warm[2] == warm[1] and warm[3] == cold[3]
@@ -299,6 +302,37 @@ class TestServiceStats:
             AnnotationService(shop, options=ServiceOptions(method="bogus"))
         with pytest.raises(ValueError, match="unknown method"):
             AnnotationService(shop).submit(SIMPLE, method="simulate")
+
+    def test_negative_fusion_rejected(self, shop):
+        with pytest.raises(ValueError, match="fusion"):
+            AnnotationService(shop, fusion=-1)
+        with pytest.raises(ValueError, match="fusion"):
+            AnnotationService(shop).submit(ADVANTAGE, fusion=-1)
+
+
+class TestFusion:
+    def test_fusion_counters_flow_to_stats(self, shop):
+        service = AnnotationService(shop, epsilon=0.2)
+        response = service.submit(ADVANTAGE, seed=5, fusion=8)
+        assert response.stats.kernels_launched > 0
+        assert response.stats.tuples_fused > 0
+        assert response.stats.fusion_batches > 0
+        stats = service.stats()
+        assert stats.fusion.kernels_launched == response.stats.kernels_launched
+        assert stats.fusion.tuples_fused == response.stats.tuples_fused
+        assert stats.fusion.batches == response.stats.fusion_batches
+        assert stats.fusion.batch_sizes
+        assert "fused kernels" in stats.report()
+        as_dict = stats.as_dict()
+        assert as_dict["fusion"]["kernels_launched"] > 0
+
+    def test_fused_requests_still_fill_the_result_cache(self, shop):
+        service = AnnotationService(shop, epsilon=0.2)
+        cold = service.submit(ADVANTAGE, seed=5, fusion=8)
+        warm = service.submit(ADVANTAGE, seed=5)
+        assert warm.stats.groups_from_cache == warm.stats.groups
+        assert [a.certainty for a in cold.answers] == \
+            [a.certainty for a in warm.answers]
 
 
 class TestWrapperCompatibility:

@@ -143,7 +143,7 @@ class TestPartitioning:
     def test_numeric_key_alignment(self):
         """partition_rows also aligns numeric key columns (public API path).
 
-        The query planner only ever shards on base columns, but
+        The sharded join's shard plan only partitions on base columns, but
         ``partition_rows`` is usable directly; equal floats (including
         ``-0.0`` vs ``0.0``) and re-occurring numeric null marks must
         co-locate.
