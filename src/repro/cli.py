@@ -185,22 +185,23 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="hash-partition the columnar database "
                                     "into this many key-aligned shards; "
                                     "with --jobs N shard joins run across "
-                                    "worker processes (requires --backend "
-                                    "columnar to take effect; answers are "
-                                    "identical to --shards 1)")
+                                    "worker processes (no effect with "
+                                    "--backend rows; answers are identical "
+                                    "to --shards 1)")
         subparser.add_argument("--adaptive", action="store_true",
                                help="serve coarse estimates first and refine "
                                     "toward --epsilon; refinement stages "
                                     "stream on stderr, the final table gains "
                                     "an interval column")
-        subparser.add_argument("--backend", default="rows",
+        subparser.add_argument("--backend", default="columnar",
                                choices=("rows", "columnar"),
                                help="storage/execution backend for candidate "
                                     "enumeration: 'columnar' joins whole "
-                                    "NumPy columns at once (fastest on large "
-                                    "tables), 'rows' is the row-at-a-time "
-                                    "reference engine (default); answers are "
-                                    "identical either way")
+                                    "NumPy columns at once (default), 'rows' "
+                                    "is the row-at-a-time reference engine "
+                                    "the differential tests check it "
+                                    "against; answers are identical either "
+                                    "way")
         subparser.add_argument("--fusion", type=int, default=0,
                                help="decide group estimates this many "
                                     "lineages at a time through one fused "

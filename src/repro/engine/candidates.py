@@ -334,13 +334,16 @@ def enumerate_candidates(select: SelectQuery, database: Database,
     :func:`repro.engine.vectorized.enumerate_candidates_sharded`.  The row
     backend ignores both: it stays the verbatim single-core oracle.
     ``shard_stats``, if given, receives per-shard accounting for the
-    service's stats report.
+    service's stats report and, on the columnar engine, which frontier
+    path ran (``"frontier"``, one of
+    :data:`repro.engine.vectorized.FRONTIER_PATHS`).
 
     ``frontier_cache``, if given, is a
     :class:`repro.engine.vectorized.FrontierCache`: the unsharded columnar
     path reuses a previously computed join frontier for the same query
     shape and delta-joins only rows appended since (MVCC append-only
-    versions keep old row indices stable).  Results are bit-identical with
+    versions keep old row indices stable; the cache's ``advance`` carries
+    entries past deletes at commit time).  Results are bit-identical with
     or without it; the row backend and sharded execution ignore it.
     """
     chosen = backend if backend is not None else getattr(database, "backend", "rows")

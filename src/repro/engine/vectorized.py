@@ -364,6 +364,9 @@ def enumerate_candidates_columnar(select: SelectQuery, database: Database,
     than :data:`_MAX_FRONTIER_PAIRS` pairs at once (see there); every path
     returns identical candidates, so fallbacks only change the cost
     profile, never the answer.
+
+    ``shard_stats``, when given, also receives ``"frontier"``: which
+    frontier path the unsharded engine took (:data:`FRONTIER_PATHS`).
     """
     from repro.engine.candidates import enumerate_candidates
 
@@ -377,8 +380,11 @@ def enumerate_candidates_columnar(select: SelectQuery, database: Database,
                 return sharded
         return _enumerate_eager(select, database, limit, max_witnesses,
                                 group_witnesses,
-                                frontier_cache=frontier_cache)
+                                frontier_cache=frontier_cache,
+                                stats=shard_stats)
     except _FrontierOverflow:
+        if shard_stats is not None:
+            shard_stats["frontier"] = "fallback"
         return enumerate_candidates(select, database, limit=limit,
                                     max_witnesses=max_witnesses,
                                     group_witnesses=group_witnesses,
@@ -397,16 +403,21 @@ def _enumerate_eager(select: SelectQuery, database: Database,
                      limit: Optional[int],
                      max_witnesses: int,
                      group_witnesses: bool,
-                     frontier_cache: Optional["FrontierCache"] = None) -> list:
+                     frontier_cache: Optional["FrontierCache"] = None,
+                     stats: Optional[dict] = None) -> list:
     frontier = pending = None
+    path = "cold"
     if frontier_cache is not None:
         entry = frontier_cache.lookup(select, database)
         if entry is not None:
             frontier, pending = _maintain_frontier(select, database, entry)
+            path = "advanced" if entry.advanced else "appended"
     if frontier is None:
         frontier, pending = _compute_frontier(select, database)
     if frontier_cache is not None:
         frontier_cache.store(select, database, frontier, pending)
+    if stats is not None:
+        stats["frontier"] = path
     return _assemble_candidates(select, database, frontier, pending,
                                 limit, max_witnesses, group_witnesses)
 
@@ -590,6 +601,20 @@ def _compute_frontier(select: SelectQuery,
 # disjoint and disjoint from the old frontier, and the DFS witness order is
 # lexicographic over per-binding row indices -- so one ``np.lexsort`` merge
 # restores exactly the order a from-scratch enumeration would produce.
+#
+# Deletes are carried eagerly, at commit time (:meth:`FrontierCache.advance`):
+# a delete keeps the surviving rows in their old order and closes the gaps,
+# so a witness survives iff none of its rows was deleted, and each surviving
+# index drops by the number of deleted indices below it.  That shift is
+# monotone, so the lexicographic witness order is kept as well.  An UPDATE
+# is a delete plus a tail append: the delete is carried at commit, the
+# append by the lazy path above on the next enumeration.
+
+#: The values of the ``"frontier"`` stats entry: computed from scratch,
+#: reused through the append path, reused after :meth:`FrontierCache.advance`
+#: carried it past a delete, or handed to the row oracle on
+#: :class:`_FrontierOverflow`.
+FRONTIER_PATHS = ("cold", "appended", "advanced", "fallback")
 
 
 @dataclass(frozen=True)
@@ -602,30 +627,59 @@ class _FrontierEntry:
     lengths: dict
     frontier: dict
     pending: Optional[list]
+    #: Whether :meth:`FrontierCache.advance` carried it past a delete since
+    #: it was stored.
+    advanced: bool = False
+
+
+def _eligible(entry: _FrontierEntry, select: SelectQuery,
+              database: Database) -> bool:
+    """Whether ``entry``'s row indices are valid in ``database``."""
+    if entry.version_token is not database.version_token:
+        return False
+    # A reader on a newer version may have stored (or a commit advanced)
+    # this entry past a delete: its indices are shifted for that version,
+    # not for an older one a reader is still pinned on.
+    if entry.data_version > database.data_version:
+        return False
+    for reference in select.tables:
+        if database.table_epoch(reference.table) > entry.data_version:
+            return False
+        if len(database.relation(reference.table)) < \
+                entry.lengths[reference.binding]:
+            return False
+    return True
 
 
 class FrontierCache:
-    """A small per-service cache of join frontiers, maintained under appends.
+    """A small per-service cache of join frontiers, maintained under writes.
 
     Keyed by the select AST (frozen dataclasses, hashable): the same query
     shape re-run after an append-only mutation reuses its old frontier and
-    delta-joins only the appended rows.  An entry is *eligible* for a
-    database snapshot when
+    delta-joins only the appended rows; :meth:`advance` carries entries
+    past deletes at commit time.  An entry is *eligible* for a database
+    snapshot when
 
     * the snapshot belongs to the same version chain (``version_token``
       identity -- a rebuilt or converted database never matches),
+    * the entry is not newer than the snapshot (``data_version`` at or
+      below it),
     * no queried table saw a non-append mutation since the entry's version
       (``table_epoch`` at or below it), and
     * no queried table shrank (lengths monotone).
 
-    Deletes bump the table's epoch, so eligibility degrades exactly to the
-    cases where old row indices are still valid.  Used by the unsharded
-    eager path only; sharded execution has its own partition-cache
-    carryover.
+    A frontier is admitted on its select's *second* enumeration only: a
+    bounded doorkeeper remembers the selects already enumerated.  A service
+    enumerates a select again only after a plan-cache miss (a write moved
+    a table version, or the plan aged out), so a read-only workload holds
+    no frontiers -- their residual formulas are the bulk of an entry's
+    memory.  Used by the unsharded eager path only; sharded execution has
+    its own partition-cache carryover.
     """
 
     def __init__(self, capacity: int = 8) -> None:
         import threading
+        from collections import OrderedDict
 
         from repro.caching import LruCache
 
@@ -633,6 +687,9 @@ class FrontierCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        #: Selects enumerated at least once, oldest first.
+        self._doorkeeper: OrderedDict = OrderedDict()
+        self._doorkeeper_capacity = 8 * capacity
 
     def stats(self):
         # An entry present but ineligible (epoch advanced, chain diverged)
@@ -646,22 +703,14 @@ class FrontierCache:
 
     def clear(self) -> None:
         self._cache.clear()
+        with self._lock:
+            self._doorkeeper.clear()
 
     def lookup(self, select: SelectQuery,
                database: Database) -> Optional[_FrontierEntry]:
         """The entry for ``select`` if it is eligible for ``database``."""
         entry = self._cache.peek(select)
-        eligible = (entry is not None
-                    and entry.version_token is database.version_token)
-        if eligible:
-            for reference in select.tables:
-                if database.table_epoch(reference.table) > entry.data_version:
-                    eligible = False
-                    break
-                relation = database.relation(reference.table)
-                if len(relation) < entry.lengths[reference.binding]:
-                    eligible = False
-                    break
+        eligible = entry is not None and _eligible(entry, select, database)
         with self._lock:
             if eligible:
                 self._hits += 1
@@ -674,6 +723,18 @@ class FrontierCache:
 
     def store(self, select: SelectQuery, database: Database,
               frontier: dict, pending: Optional[list]) -> None:
+        """Cache ``select``'s frontier at ``database``, once admitted."""
+        current = self._cache.peek(select)
+        if current is None:
+            with self._lock:
+                if select not in self._doorkeeper:
+                    self._doorkeeper[select] = None
+                    if len(self._doorkeeper) > self._doorkeeper_capacity:
+                        self._doorkeeper.popitem(last=False)
+                    return
+        elif (current.version_token is database.version_token
+              and current.data_version > database.data_version):
+            return  # a reader pinned on an older version keeps the newer one
         lengths = {reference.binding: len(database.relation(reference.table))
                    for reference in select.tables}
         self._cache.put(select, _FrontierEntry(
@@ -683,6 +744,63 @@ class FrontierCache:
             frontier=frontier,
             pending=pending,
         ))
+
+    def advance(self, parent: Database, sealed: Database,
+                deltas: dict) -> None:
+        """Carry every entry from ``parent`` to ``sealed`` across a commit.
+
+        ``deltas`` is the commit's ``{table: TableDelta}``.  An entry
+        eligible for ``parent`` whose tables lost rows drops the witnesses
+        that used a deleted row, shifts the surviving row indices down past
+        the deleted ones and is re-stamped at ``sealed``'s version; one
+        whose tables only grew stays as it is for the lazy append path.
+        Every other entry is dropped.  Callers serialise commits.
+        """
+        deleted = {table: np.asarray(delta.deleted_indices, dtype=np.int64)
+                   for table, delta in deltas.items() if delta.deleted_indices}
+        for select in self._cache.keys():
+            entry = self._cache.peek(select)
+            if entry is None:
+                continue
+            if not _eligible(entry, select, parent):
+                self._cache.pop(select)
+                continue
+            shrunk = [(reference.binding, deleted[reference.table])
+                      for reference in select.tables
+                      if reference.table in deleted]
+            if shrunk:
+                self._cache.put(select, _advance_entry(entry, shrunk,
+                                                       sealed.data_version))
+
+
+def _advance_entry(entry: _FrontierEntry, shrunk: list,
+                   data_version: int) -> _FrontierEntry:
+    """``entry`` past deletes: ``shrunk`` pairs each binding whose table lost
+    rows with the sorted parent indices it lost."""
+    frontier = dict(entry.frontier)
+    lengths = dict(entry.lengths)
+    alive = None
+    for binding, gone in shrunk:
+        rows = frontier[binding]
+        # One search gives both the shift (deleted indices below a row)
+        # and membership (the index at that position equals the row).
+        below = np.searchsorted(gone, rows)
+        hit = gone[np.minimum(below, len(gone) - 1)] == rows
+        alive = ~hit if alive is None else alive & ~hit
+        frontier[binding] = rows - below
+        lengths[binding] -= int(np.searchsorted(gone, lengths[binding]))
+    pending = entry.pending
+    if not alive.all():
+        positions = np.flatnonzero(alive)
+        frontier = {binding: rows[positions]
+                    for binding, rows in frontier.items()}
+        if pending is not None:
+            pending = [pending[index] for index in positions.tolist()]
+            if not any(pending):
+                pending = None
+    return _FrontierEntry(version_token=entry.version_token,
+                          data_version=data_version, lengths=lengths,
+                          frontier=frontier, pending=pending, advanced=True)
 
 
 def _maintain_frontier(select: SelectQuery, database: Database,

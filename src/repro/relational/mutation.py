@@ -79,17 +79,20 @@ class MutationConflictError(MutationError):
 class TableDelta:
     """What one committed mutation did to one table.
 
-    ``deleted_rows`` holds the removed tuples themselves (not indices):
-    the service's delta-driven invalidation needs the nulls those rows
-    carried, and the rows are already materialised at delete time.
-    ``appended`` counts rows added at the tail; ``old_length`` is the
-    table's row count in the parent snapshot.
+    ``deleted_rows`` holds the removed tuples themselves: the service's
+    delta-driven invalidation needs the nulls those rows carried, and the
+    rows are already materialised at delete time.  ``deleted_indices``
+    holds their row indices in the parent snapshot, ascending (parallel to
+    ``deleted_rows``): join-frontier maintenance shifts cached row indices
+    past them.  ``appended`` counts rows added at the tail; ``old_length``
+    is the table's row count in the parent snapshot.
     """
 
     table: str
     old_length: int
     appended: int
     deleted_rows: tuple[tuple[Value, ...], ...] = ()
+    deleted_indices: tuple[int, ...] = ()
 
     @property
     def append_only(self) -> bool:
@@ -212,22 +215,24 @@ class Mutation:
         for table, edit in self._edits.items():
             if not edit.inserts and not edit.deleted:
                 continue
+            deleted_indices = tuple(sorted(edit.deleted))
             deltas[table] = TableDelta(
                 table=table,
                 old_length=edit.old_length,
                 appended=len(edit.inserts),
                 deleted_rows=tuple(edit.deleted[index]
-                                   for index in sorted(edit.deleted)))
-            rebuilt[table] = self._rebuild(edit)
+                                   for index in deleted_indices),
+                deleted_indices=deleted_indices)
+            rebuilt[table] = self._rebuild(edit, deleted_indices)
         return self._database._commit_mutation(rebuilt, deltas), deltas
 
-    def _rebuild(self, edit: _TableEdit):
+    def _rebuild(self, edit: _TableEdit, deleted_indices: tuple[int, ...]):
         relation = edit.relation
         if isinstance(relation, ColumnarRelation):
-            if edit.deleted:
+            if deleted_indices:
                 kept = np.setdiff1d(
                     np.arange(edit.old_length, dtype=np.int64),
-                    np.asarray(sorted(edit.deleted), dtype=np.int64),
+                    np.asarray(deleted_indices, dtype=np.int64),
                     assume_unique=True)
                 base = relation.take(kept)
             else:

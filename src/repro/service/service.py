@@ -425,8 +425,9 @@ class AnnotationService:
     plans become unreachable, untouched tables stay warm), certainty
     results are evicted only when their recorded lineage nulls intersect
     the mutation's deleted/updated rows, and the join-frontier cache
-    delta-joins appended rows instead of re-enumerating.  The wholesale
-    :meth:`invalidate` remains for out-of-band database edits.
+    carries its frontiers past deletes and delta-joins appended rows
+    instead of re-enumerating.  The wholesale :meth:`invalidate` remains
+    for out-of-band database edits.
     """
 
     def __init__(self, database, options: Optional[ServiceOptions] = None,
@@ -456,8 +457,9 @@ class AnnotationService:
         self._plan_cache = LruCache(options.plan_cache_size, name="candidates")
         self._result_cache = LruCache(options.result_cache_size, name="certainty")
         # Incremental join-frontier maintenance for the unsharded columnar
-        # path: after an append-only mutation, re-enumeration delta-joins
-        # only the appended rows (see FrontierCache in engine.vectorized).
+        # path: a commit carries cached frontiers past its deletes, and
+        # re-enumeration delta-joins only the appended rows (see
+        # FrontierCache in engine.vectorized).
         from repro.engine.vectorized import FrontierCache
         self._frontier_cache = FrontierCache()
         # Delta-driven invalidation bookkeeping: result-cache key -> names
@@ -826,8 +828,9 @@ class AnnotationService:
         delta-driven: certainty results are evicted only when their
         recorded lineage nulls intersect the mutation's deleted/updated
         rows; plan-cache entries of untouched tables stay reachable
-        (their version keys did not move); appended rows feed the
-        incremental frontier maintenance on the next enumeration.
+        (their version keys did not move); cached join frontiers are
+        carried past deleted rows here, and appended rows are delta-joined
+        into them on the next enumeration.
 
         Raises :class:`~repro.relational.mutation.MutationValidationError`
         or :class:`~repro.relational.mutation.MutationConflictError`
@@ -845,12 +848,15 @@ class AnnotationService:
             raise MutationValidationError(
                 "SELECT is not a mutation; use submit()/annotate()")
         with self._mutation_lock:
-            new_database, deltas, outcome = execute_mutation(
-                parsed, self._snapshot.database)
+            parent = self._snapshot.database
+            new_database, deltas, outcome = execute_mutation(parsed, parent)
             touched: frozenset[str] = frozenset()
             for delta in deltas.values():
                 touched |= delta.touched_nulls()
             evicted = self._evict_touched(touched)
+            # Before the swap: the first reader of the new version then
+            # finds the frontiers already carried past the deletes.
+            self._frontier_cache.advance(parent, new_database, deltas)
             # The swap is a single reference assignment: requests pin the
             # snapshot once at submit time, so they stay on their version
             # and its dimension; new requests pick this one up.
@@ -962,6 +968,8 @@ class AnnotationService:
                 # Only a cache miss reaches this closure, so the span
                 # attribute doubles as the hit/miss marker.
                 span.set("plan_cache", "miss")
+                if "frontier" in sink:
+                    span.set("frontier", sink["frontier"])
                 if sink.get("sharded"):
                     span.set("per_shard", [
                         {"shard": entry["shard"], "tasks": entry["tasks"],

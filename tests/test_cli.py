@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -232,6 +232,14 @@ class TestBackendFlag:
         columnar_output = capsys.readouterr().out
         assert columnar_output == rows_output
 
+    @pytest.mark.parametrize("verb", [
+        ["annotate", "--query-name", "unfair_discount"],
+        ["query", "--query-name", "unfair_discount"],
+        ["serve"], ["server"], ["cluster", "start"]])
+    def test_every_serving_verb_defaults_to_columnar(self, verb):
+        args = _build_parser().parse_args(verb + ["--data", "data"])
+        assert args.backend == "columnar"
+
     def test_unknown_backend_rejected_by_argparse(self, data_dir):
         with pytest.raises(SystemExit):
             main(["annotate", "--data", str(data_dir), "--sql",
@@ -287,7 +295,8 @@ class TestShardingFlags:
         monkeypatch.setattr("sys.stdin", io.StringIO(
             "SELECT * FROM Market LIMIT 2\n\\stats\n\\quit\n"))
         assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--shards", "2"]) == 0
+                     "--seed", "0", "--shards", "2",
+                     "--backend", "rows"]) == 0
         output = capsys.readouterr().out
         assert "rows" in output
         assert "shard[" not in output  # rows engine never shards

@@ -22,6 +22,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.datagen.experiments import (
+    NEVER_KNOWINGLY_UNDERSOLD,
+    UNFAIR_DISCOUNT,
+    ExperimentScale,
+    generate_sales_database,
+)
+from repro.engine.candidates import enumerate_candidates
+from repro.engine.mutate import execute_mutation
+from repro.engine.sql.parser import parse_sql, parse_statement
+from repro.engine.vectorized import FrontierCache
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import NumNull
@@ -134,15 +144,14 @@ class TestDeltaDrivenInvalidation:
 
     def test_frontier_cache_counters_track_eligibility(self):
         service = _service(_database())
-        service.submit(Q_T)  # miss: cold
-        service.submit(Q_T)  # warm result cache, but same snapshot
+        service.submit(Q_T)  # miss: cold, the select is seen once
+        service.submit(Q_T)  # plan-cache hit: no enumeration
         service.mutate("INSERT INTO t VALUES ('z', 7)")
-        service.submit(Q_T)  # hit: append-only, delta-maintained
+        service.submit(Q_T)  # miss: re-enumerated cold, and admitted
         service.mutate("DELETE FROM t WHERE key = 'z'")
-        service.submit(Q_T)  # miss: epoch moved past the cached entry
+        service.submit(Q_T)  # hit: the commit carried it past the delete
         frontier = {c.name: c for c in service.stats().caches}["frontier"]
-        assert frontier.hits >= 1
-        assert frontier.misses >= 2
+        assert (frontier.hits, frontier.misses) == (1, 2)
 
     @pytest.mark.parametrize("backend", ["rows", "columnar"])
     @pytest.mark.parametrize("statement", [
@@ -212,9 +221,36 @@ class TestDeltaDrivenInvalidation:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_the_enumerate_span_names_the_frontier_path(self):
+        service = _service(_database())
+
+        def path(statement=None):
+            if statement is not None:
+                service.mutate(statement)
+            spans = service.submit(Q_T, trace=True).trace.spans
+            (enumerate_,) = [span for span in spans
+                             if span.name == "enumerate"]
+            return enumerate_.attributes.get("frontier")
+
+        assert path() == "cold"
+        assert path() is None  # a plan-cache hit enumerates nothing
+        assert path("INSERT INTO t VALUES ('z', 7)") == "cold"
+        assert path("INSERT INTO t VALUES ('y', 8)") == "appended"
+        assert path("DELETE FROM t WHERE key = 'z'") == "advanced"
+
+    def test_a_read_only_warm_up_holds_no_frontier(self):
+        service = _service(_database())
+        for sql in (Q_T, Q_U, Q_T, Q_U):
+            service.submit(sql)
+        frontier = {c.name: c for c in service.stats().caches}["frontier"]
+        assert frontier.size == 0
+
     def test_invalidate_clears_provenance_and_frontier(self):
         service = _service(_database())
         service.submit(Q_T)
+        service.mutate("INSERT INTO t VALUES ('z', 7)")
+        service.submit(Q_T)  # re-enumerated: admitted
+        assert {c.name: c for c in service.stats().caches}["frontier"].size
         service.invalidate()
         stats = service.stats()
         assert stats.results_retained == 0
@@ -254,6 +290,146 @@ class TestPinnedSnapshot:
         assert all(answer.certainty.value == 1.0 for answer in after)
         assert [answer.certainty.dimension for answer in after] == \
             [1] * len(after)
+
+
+    def test_a_frontier_stored_after_a_delete_never_reaches_the_older_reader(
+            self):
+        # The request pins version N; mid-request a DELETE commits N+1 and
+        # a reader on N+1 stores its frontier for the same select (another
+        # LIMIT, so a separate plan).  The pinned request then enumerates
+        # on N: the stored frontier's indices are shifted for N+1.
+        service = _sales_service()
+        victim = service.database.relation("Orders").tuples()[0][0]
+        service.submit(UNFAIR_DISCOUNT, limit=5)  # seen once: next admits
+        pinned = _sales_service().submit(UNFAIR_DISCOUNT, limit=10).answers
+        plan = service._plan
+
+        def commit_read_then_plan(*args, **kwargs):
+            del service._plan
+            service.mutate(f"DELETE FROM Orders WHERE id = '{victim}'")
+            service.submit(UNFAIR_DISCOUNT, limit=5)
+            assert len(service._frontier_cache._cache) == 1
+            return plan(*args, **kwargs)
+
+        service._plan = commit_read_then_plan
+        during = service.submit(UNFAIR_DISCOUNT, limit=10).answers
+        assert service.database.data_version == 1, "the commit must land"
+        assert _snapshot(during) == _snapshot(pinned)
+        # The older reader's frontier did not replace the newer one.
+        (kept,) = [service._frontier_cache._cache.peek(select)
+                   for select in service._frontier_cache._cache.keys()]
+        assert kept.data_version == 1
+
+
+def _sales_service() -> AnnotationService:
+    database = generate_sales_database(
+        ExperimentScale(60, 60, 6, null_rate=0.1), rng=3)
+    return AnnotationService(database, ServiceOptions(
+        seed=7, epsilon=0.2, backend="columnar"))
+
+
+class TestFrontierCache:
+    """Engine-level contract of the frontier cache across commits."""
+
+    @staticmethod
+    def _sales(backend: str = "columnar") -> Database:
+        return generate_sales_database(
+            ExperimentScale(60, 60, 6, null_rate=0.1),
+            rng=3).with_backend(backend)
+
+    @staticmethod
+    def _delete(database: Database, *rows: int):
+        mutation = database.begin_mutation()
+        for row in rows:
+            mutation.delete("Orders", row)
+        return mutation.commit()
+
+    def test_a_frontier_stored_on_a_newer_version_misses_an_older_one(self):
+        parent = self._sales()
+        sealed, _ = self._delete(parent, 0)
+        select = parse_sql(UNFAIR_DISCOUNT)
+        cache = FrontierCache()
+        for _ in range(2):  # the second enumeration admits the frontier
+            enumerate_candidates(select, sealed, frontier_cache=cache)
+        assert cache.lookup(select, sealed) is not None
+        assert cache.lookup(select, parent) is None
+        warm = enumerate_candidates(select, parent, frontier_cache=cache)
+        _assert_same_candidates(warm, enumerate_candidates(select, parent))
+
+    def test_advance_carries_a_frontier_past_deletes_and_an_update(self):
+        database = self._sales()
+        select = parse_sql(NEVER_KNOWINGLY_UNDERSOLD)
+        cache = FrontierCache()
+        for _ in range(2):
+            enumerate_candidates(select, database, frontier_cache=cache)
+        for statement in ("DELETE FROM Orders WHERE q > 5",
+                          "UPDATE Orders SET q = 2 WHERE id = 'o6'"):
+            parent = database
+            database, deltas, _ = execute_mutation(
+                parse_statement(statement), parent)
+            assert any(delta.deleted_indices for delta in deltas.values())
+            cache.advance(parent, database, deltas)
+            sink: dict = {}
+            warm = enumerate_candidates(select, database, shard_stats=sink,
+                                        frontier_cache=cache)
+            assert sink["frontier"] == "advanced", statement
+            cold = enumerate_candidates(
+                select, _fresh(database, "rows"))
+            _assert_same_candidates(warm, cold)
+
+    def test_advance_drops_entries_the_parent_cannot_use(self):
+        database = self._sales()
+        select = parse_sql(UNFAIR_DISCOUNT)
+        cache = FrontierCache()
+        for _ in range(2):
+            enumerate_candidates(select, database, frontier_cache=cache)
+        stranger = _fresh(database, "columnar")  # another version chain
+        sealed, deltas = self._delete(stranger, 0)
+        cache.advance(stranger, sealed, deltas)
+        assert len(cache._cache) == 0
+
+    def test_each_frontier_path_is_reported(self, monkeypatch):
+        from repro.engine import vectorized
+
+        database = self._sales()
+        select = parse_sql(UNFAIR_DISCOUNT)
+        cache = FrontierCache()
+
+        paths: list[str] = []
+
+        def enumerate_on(target: Database) -> None:
+            sink: dict = {}
+            enumerate_candidates(select, target, shard_stats=sink,
+                                 frontier_cache=cache)
+            if sink["frontier"] not in paths:
+                paths.append(sink["frontier"])
+
+        enumerate_on(database)
+        enumerate_on(database)  # admitted, still cold
+        mutation = database.begin_mutation()
+        mutation.insert("Orders", ("o9000", "p1", 3.0, 0.5))
+        grown, _ = mutation.commit()
+        enumerate_on(grown)
+        parent, (database, deltas) = grown, self._delete(grown, 0)
+        cache.advance(parent, database, deltas)
+        enumerate_on(database)
+        monkeypatch.setattr(vectorized, "_MAX_FRONTIER_PAIRS", 1)
+        cache.clear()  # a cached frontier would need no join step
+        enumerate_on(database)
+        assert tuple(paths) == vectorized.FRONTIER_PATHS
+
+
+def _fresh(database: Database, backend: str) -> Database:
+    return Database.from_dict(
+        database.schema,
+        {name: database.relation(name).tuples()
+         for name in database.relation_names()},
+        backend=backend)
+
+
+def _assert_same_candidates(actual, expected) -> None:
+    assert [(c.values, c.witnesses, c.lineage.formula) for c in actual] == \
+        [(c.values, c.witnesses, c.lineage.formula) for c in expected]
 
 
 def _rebuild(service: AnnotationService) -> Database:

@@ -12,8 +12,9 @@ intermediate version against
 
 * the incremental **rows** snapshot chain,
 * the incremental **columnar** chain under a persistent
-  :class:`~repro.engine.vectorized.FrontierCache` and a random shard
-  count from {1, 2, 5}, and
+  :class:`~repro.engine.vectorized.FrontierCache` -- advanced past every
+  commit, as the service does -- and a random shard count from
+  {1, 2, 5}, and
 * a from-scratch :meth:`~repro.relational.database.Database.from_dict`
   rebuild of the same content (fresh version chain, no caches),
 
@@ -153,6 +154,7 @@ class TestMutationDifferential:
         annotated = 0
         statements_applied = 0
         statements_rejected = 0
+        frontier_paths: dict[str, int] = {}
         for case_index in range(CASES):
             schema, specs, pool, queries = _random_case(rng)
             seed = int(rng.integers(0, 2**31))
@@ -175,10 +177,13 @@ class TestMutationDifferential:
                     incremental_rows = enumerate_candidates(
                         select, rows_chain, group_witnesses=grouped,
                         max_witnesses=4000)
+                    sink: dict = {}
                     incremental_columnar = enumerate_candidates(
                         select, columnar_chain, group_witnesses=grouped,
                         max_witnesses=4000, shards=shards,
-                        frontier_cache=frontier_cache)
+                        shard_stats=sink, frontier_cache=frontier_cache)
+                    path = sink.get("frontier", "sharded")
+                    frontier_paths[path] = frontier_paths.get(path, 0) + 1
                     _assert_equal(context, reference, incremental_rows)
                     _assert_equal(context, reference, incremental_columnar)
 
@@ -213,8 +218,10 @@ class TestMutationDifferential:
                         execute_mutation(statement, columnar_chain)
                     statements_rejected += 1
                     continue
-                columnar_chain, _, columnar_outcome = execute_mutation(
-                    statement, columnar_chain)
+                parent = columnar_chain
+                columnar_chain, deltas, columnar_outcome = execute_mutation(
+                    statement, parent)
+                frontier_cache.advance(parent, columnar_chain, deltas)
                 assert rows_outcome == columnar_outcome, \
                     f"case {case_index} step {step}: {script[step]!r}"
                 assert rows_chain.data_version == \
@@ -223,6 +230,9 @@ class TestMutationDifferential:
 
         assert annotated > 0
         assert statements_applied > 0
+        # Frontiers carried past a delete were served and checked: an
+        # admission or maintenance change cannot quietly drop the coverage.
+        assert frontier_paths.get("advanced", 0) > 0, frontier_paths
         # The generator is biased toward applicable statements; rejections
         # ride along (conflicts on duplicate inserts mostly) but must not
         # dominate the script mix.

@@ -58,7 +58,8 @@ class TestMvccSnapshots:
 
         delta = deltas["t"]
         assert delta == TableDelta(table="t", old_length=3, appended=1,
-                                   deleted_rows=(("b", 2.0),))
+                                   deleted_rows=(("b", 2.0),),
+                                   deleted_indices=(1,))
         assert not delta.append_only
         assert delta.touched_nulls() == frozenset()
 
