@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Flaky-test detector: a seeded sharded workload must be bit-reproducible.
+"""Flaky-test detector: a seeded process-parallel workload must be
+bit-reproducible.
 
 Process-parallel execution is exactly the kind of change that introduces
 nondeterminism quietly -- scheduling-order dependence, hash-salted dict
-iteration leaking into shard placement, worker-local RNG state.  This
-script runs a fixed, seeded workload through the full stack (columnar
-generation, sharded process-parallel enumeration, process-executor
-Monte-Carlo estimates, fused batches, adaptive refinement) and folds everything
-observable -- answer values, witness order, lineage digests, certainty
-floats at full precision -- into one SHA-256 digest.
+iteration, worker-local RNG state.  This script runs a fixed, seeded
+workload through the full stack (columnar generation and enumeration,
+process-executor Monte-Carlo estimates, adaptive refinement) and folds
+everything observable -- answer values, witness order, lineage digests,
+certainty floats at full precision -- into one SHA-256 digest.
 
 Two modes:
 
@@ -36,8 +36,8 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service import AnnotationService, ServiceOptions, shutdown_pools
 from repro.service.canonical import canonicalise_lineage
 
-#: The workload: sharded equi-join plus a round-robin scan, both served
-#: under process-parallel enumeration and estimation at a fixed seed.
+#: The workload: two equi-joins and a scan, served with process-parallel
+#: estimation at a fixed seed.
 QUERIES = (
     ("join", "SELECT F.key FROM Fact F, Dim D "
              "WHERE F.key = D.key AND F.val * D.ref <= 30 LIMIT 40"),
@@ -71,17 +71,12 @@ def run_workload() -> dict[str, str]:
     configure_compile_cache(clear=True)
     database = build_database()
     service = AnnotationService(database, ServiceOptions(
-        epsilon=0.25, seed=97, shards=4, jobs=2, executor="process"))
+        epsilon=0.25, seed=97, jobs=2, executor="process"))
     adaptive_service = AnnotationService(database, ServiceOptions(
-        epsilon=0.25, seed=97, shards=4, jobs=2, executor="process",
-        adaptive=True))
-    fused_service = AnnotationService(database, ServiceOptions(
-        epsilon=0.25, seed=97, shards=4, jobs=2, executor="process",
-        fusion=8))
+        epsilon=0.25, seed=97, jobs=2, executor="process", adaptive=True))
     digests: dict[str, str] = {}
     for name, sql in QUERIES:
-        for mode, server in (("single", service), ("adaptive", adaptive_service),
-                             ("fused", fused_service)):
+        for mode, server in (("single", service), ("adaptive", adaptive_service)):
             feed = hashlib.sha256()
             for answer in server.annotate(sql):
                 feed.update(repr(answer.values).encode())
@@ -89,10 +84,9 @@ def run_workload() -> dict[str, str]:
                 feed.update(answer.certainty.value.hex().encode())
             digests[f"{name}/{mode}"] = feed.hexdigest()
         # Lineage is not carried on served answers, so digest it at the
-        # enumeration level, through the same sharded process-parallel path.
+        # enumeration level.
         feed = hashlib.sha256()
-        for candidate in enumerate_candidates(
-                parse_sql(sql), database, shards=4, jobs=2):
+        for candidate in enumerate_candidates(parse_sql(sql), database):
             feed.update(repr(candidate.values).encode())
             feed.update(str(candidate.witnesses).encode())
             feed.update(canonicalise_lineage(candidate.lineage).digest)

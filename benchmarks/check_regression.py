@@ -3,8 +3,8 @@
 
 The ``BENCH_PR*.json`` files committed at the repository root record the
 perf story each PR bought -- kernel batching (PR 1), service caching
-(PR 2), the columnar join engine (PR 3), sharded process-parallel
-execution (PR 4).  Nothing used to *enforce* that trajectory: a PR could
+(PR 2), the columnar join engine (PR 3), incremental mutations (PR 8).
+Nothing used to *enforce* that trajectory: a PR could
 quietly hand a headline win back.  This gate compares a freshly measured
 bench JSON against the most recent committed baseline and fails when any
 shared headline scenario regresses by more than ``--tolerance`` (20% by
@@ -14,9 +14,12 @@ Headlines are compared by their **speedup ratios**, not wall-clock
 seconds: a ratio divides out the machine, so a laptop, a CI runner and the
 box that produced the committed baseline all gate against the same
 quantity.  Entries marked ``"enforced": false`` by the bench (e.g. the
-sharded headline on a host with fewer than 4 cores, where process
-parallelism cannot show itself) are reported but never gate, on either
-side of the comparison.
+cluster headline on a host with fewer than 4 cores, where worker
+processes cannot scale) are reported but never gate, on either side of
+the comparison.  Only headlines present in both files are compared: a
+scenario deleted from the bench together with the code it measured (the
+PR 4 sharded and PR 6 fusion headlines) drops out of the gate while the
+committed baselines keep recording it.
 
 Usage::
 

@@ -6,17 +6,13 @@ Measures wall-clock time of the AFPRAS (Theorem 8.1) and the CQ(+,<) FPRAS
 (the PR 1 scenario), the PR 2 service scenario (a repeated decision-support
 query served cold versus warm), the PR 3 storage scenario (candidate
 enumeration with lineage over a DataFiller-scale two-table equi-join,
-10^5 rows per table, row engine versus columnar), the PR 4 sharded
-scenario, the PR 5 serving scenario (the seeded loadgen workload
-through the network server at N concurrent connections versus the serial
-one-connection baseline, p50/p99 latency, QPS), and the PR 6 fusion
-scenario: a many-lineage annotation request decided through per-group
-kernel launches versus one block-diagonal fused pass per Monte-Carlo
-round, and the PR 8 mutation scenario: an append-heavy mixed
+10^5 rows per table, row engine versus columnar), the PR 5 serving
+scenario (the seeded loadgen workload through the network server at N
+concurrent connections versus the serial one-connection baseline, p50/p99
+latency, QPS), and the PR 8 mutation scenario: an append-heavy mixed
 INSERT/DELETE/UPDATE version history replayed through the incremental
-MVCC path (delta-maintained join frontiers, carried shard partitions)
-versus rebuilding the database from scratch at every version, and the
-PR 9 cluster scenario: the loadgen workload through the coordinator
+MVCC path (delta-maintained join frontiers) versus rebuilding the
+database from scratch at every version, and the PR 9 cluster scenario: the loadgen workload through the coordinator
 fronting 1 versus N real worker subprocesses (the scaling curve of the
 distributed serving tier), and the PR 10 cluster-observability
 scenario: the identical seeded mix through a fully-lit 2-worker cluster
@@ -46,6 +42,10 @@ import os
 import platform
 import time
 from pathlib import Path
+
+# First, so the package's BLAS thread default (set in repro/__init__.py
+# before NumPy loads) holds here as it does in the CLI and the server.
+import repro  # noqa: F401
 
 import numpy as np
 
@@ -345,73 +345,6 @@ def bench_join(quick: bool) -> dict:
     return {"scheme": "join", "configs": rows}
 
 
-#: The PR 4 execution headline: the PR 3 join scenario fanned across 4
-#: key-aligned shards on 4 worker processes, against the single-core
-#: columnar engine.  The acceptance threshold (>= 2.5x at 4 cores) is only
-#: *enforced* on hosts with at least 4 CPUs; elsewhere the scenario is
-#: still measured and recorded so the trajectory stays comparable.
-SHARDED_HEADLINE = {"rows_per_table": 100_000, "null_rate": 0.02, "seed": 13,
-                    "limit": 25, "shards": 4, "jobs": 4}
-
-
-def bench_sharded(quick: bool) -> dict:
-    """Sharded process-parallel enumeration vs the single-core columnar run.
-
-    Both sides see the identical columnar snapshot and the identical query;
-    the single-core side is exactly the PR 3 join headline's columnar
-    measurement.  Partitions and the worker pool are warmed by the
-    ``_best_of`` warm-up call, matching the service's steady state (the
-    partition cache persists across requests, the pool across the process).
-    """
-    from repro.service.executor import shutdown_pools
-
-    cpu_count = os.cpu_count() or 1
-    configs = [dict(SHARDED_HEADLINE, headline=True)]
-    if not quick:
-        configs.append(dict(SHARDED_HEADLINE, shards=2, jobs=2))
-    rows = []
-    for config in configs:
-        database = _join_database(
-            config["rows_per_table"], config["null_rate"], config["seed"])
-        select = parse_sql(JOIN_SQL)
-        repeats = 2 if quick else 3
-
-        def run(shards, jobs, config=config, database=database, select=select):
-            return enumerate_candidates(select, database,
-                                        limit=config["limit"],
-                                        shards=shards, jobs=jobs)
-
-        single_seconds, single_result = _best_of(
-            lambda run=run: run(1, 1), repeats)
-        sharded_seconds, sharded_result = _best_of(
-            lambda run=run, config=config: run(config["shards"], config["jobs"]),
-            repeats)
-        assert [c.values for c in sharded_result] == \
-            [c.values for c in single_result], \
-            "sharded run must agree with the single-core run"
-        assert [c.witnesses for c in sharded_result] == \
-            [c.witnesses for c in single_result], \
-            "sharded run must agree on witnesses"
-        row = {
-            **config,
-            "cpu_count": cpu_count,
-            "enforced": cpu_count >= 4,
-            "candidates": len(sharded_result),
-            "single_core_seconds": single_seconds,
-            "sharded_seconds": sharded_seconds,
-            "speedup": single_seconds / max(sharded_seconds, 1e-12),
-        }
-        rows.append(row)
-        print(f"shard  n={config['rows_per_table']:>7d} "
-              f"K={config['shards']} jobs={config['jobs']} "
-              f"(cpus={cpu_count})  "
-              f"1-core {single_seconds*1e3:8.2f} ms   "
-              f"sharded {sharded_seconds*1e3:8.2f} ms   "
-              f"speedup {row['speedup']:6.2f}x")
-    shutdown_pools()
-    return {"scheme": "sharded", "configs": rows}
-
-
 #: The PR 5 serving headline: the seeded loadgen workload through the
 #: network server, N concurrent connections against the one-connection
 #: serial baseline.  Concurrency can only pay on a multi-core host (the
@@ -483,117 +416,12 @@ def bench_server(quick: bool) -> dict:
     return {"scheme": "server", "configs": [row]}
 
 
-#: The PR 6 fusion headline: one skeleton group per row (every tuple owns a
-#: private null scaled by its own concrete factor, so the batch scheduler
-#: cannot merge them), per-group kernel launches vs fused block-diagonal
-#: passes, down the adaptive epsilon ladder at the service's default
-#: epsilon.  The ladder is fusion's home turf *by design*: its coarse rungs
-#: draw a handful of samples per group, so per-group execution pays one
-#: kernel launch per group per rung while the fused path pays one per rung.
-FUSION_HEADLINE = {"groups": 400, "epsilon": 0.05, "adaptive": True,
-                   "seed": 0, "fusion": 64}
-
-
-def _fusion_workload(groups: int):
-    """A catalog whose every row produces its own lineage skeleton group."""
-    schema = DatabaseSchema.of(
-        RelationSchema.of("Catalog", id="base", price="num", factor="num"))
-    database = Database(schema)
-    for index in range(groups):
-        # Distinct concrete factors make the canonical lineages distinct:
-        # price_i * factor_i <= 8 never shares a skeleton across rows.
-        database.add("Catalog", (f"c{index}", NumNull(f"price{index}"),
-                                 0.5 + index * 0.01))
-    select = parse_sql("SELECT C.id FROM Catalog C "
-                       "WHERE C.price * C.factor <= 8")
-    candidates = enumerate_candidates(select, database)
-    return database, select, candidates
-
-
-def bench_fusion(quick: bool) -> dict:
-    """Fused vs per-group Monte-Carlo execution on a many-lineage request.
-
-    The headline runs the adaptive epsilon ladder (fused per rung); a
-    secondary unenforced row records the single-pass estimate at the same
-    epsilon, where per-group sampling -- which fusion deliberately keeps
-    bit-identical and therefore cannot amortise -- bounds the win lower.
-    Candidates are pre-enumerated and passed into ``submit`` so both sides
-    time exactly the Monte-Carlo phase the fusion targets; every timed run
-    uses a fresh service (the result cache would otherwise serve repeat
-    runs).
-    """
-    config = dict(FUSION_HEADLINE, headline=True)
-    if quick:
-        config["groups"] = 120
-    # More repeats than the other scenarios: the fused-vs-per-group gate
-    # compares runs tens of milliseconds long, where dispatch noise is a
-    # visible fraction of the measurement.
-    repeats = 3 if quick else 5
-    database, select, candidates = _fusion_workload(config["groups"])
-
-    def timed(**kwargs):
-        def once():
-            service = AnnotationService(database, epsilon=config["epsilon"],
-                                        seed=config["seed"])
-            return service.submit(select, candidates=candidates,
-                                  method="afpras",
-                                  adaptive=config["adaptive"], **kwargs)
-        return _best_of(once, repeats)
-
-    solo_seconds, solo_response = timed()
-    fused_seconds, fused_response = timed(fusion=config["fusion"])
-    if [a.certainty for a in solo_response.answers] != \
-            [a.certainty for a in fused_response.answers]:
-        raise SystemExit("BUG: fused answers diverged from per-group answers")
-
-    row = {
-        **config,
-        "solo_seconds": solo_seconds,
-        "fused_seconds": fused_seconds,
-        "speedup": solo_seconds / max(fused_seconds, 1e-12),
-        "fused_kernels": fused_response.stats.kernels_launched,
-        "tuples_fused": fused_response.stats.tuples_fused,
-    }
-    print(f"fusion G={config['groups']:>4d} eps={config['epsilon']} "
-          f"adaptive  per-group {solo_seconds*1e3:8.2f} ms   "
-          f"fused {fused_seconds*1e3:8.2f} ms   "
-          f"speedup {row['speedup']:6.2f}x   "
-          f"({row['fused_kernels']} fused launches)")
-
-    # The single-pass estimate at the same epsilon, for the record: the
-    # per-group sample draws dominate here, so the fused win is smaller
-    # and this row never gates.
-    def single_pass(**kwargs):
-        def once():
-            service = AnnotationService(database, epsilon=config["epsilon"],
-                                        seed=config["seed"])
-            return service.submit(select, candidates=candidates,
-                                  method="afpras", **kwargs)
-        return _best_of(once, repeats)
-
-    flat_solo, _ = single_pass()
-    flat_fused, _ = single_pass(fusion=config["fusion"])
-    flat_row = {
-        "groups": config["groups"], "epsilon": config["epsilon"],
-        "adaptive": False, "seed": config["seed"],
-        "fusion": config["fusion"], "enforced": False,
-        "solo_seconds": flat_solo, "fused_seconds": flat_fused,
-        "speedup": flat_solo / max(flat_fused, 1e-12),
-    }
-    print(f"fusion G={config['groups']:>4d} eps={config['epsilon']} "
-          f"one-pass  per-group {flat_solo*1e3:8.2f} ms   "
-          f"fused {flat_fused*1e3:8.2f} ms   "
-          f"speedup {flat_row['speedup']:6.2f}x   (unenforced)")
-    return {"scheme": "fusion", "configs": [row, flat_row]}
-
-
 #: The PR 8 mutation headline: an append-heavy mixed version history over
 #: the two-table join instance, replayed query-per-version through the
-#: incremental MVCC path (append segments, delta-maintained frontier,
-#: carried shard partitions) versus a from-scratch rebuild of every
-#: version.  Occasional DELETE/UPDATE versions keep the rebuild paths in
-#: the mix -- the live data plane has to win on the blend, not just on
-#: pure appends.
+#: incremental MVCC path (append segments, delta-maintained frontier)
+#: versus a from-scratch rebuild of every version.  Occasional
+#: DELETE/UPDATE versions keep the rebuild paths in the mix -- the live
+#: data plane has to win on the blend, not just on pure appends.
 MUTATION_HEADLINE = {"base_rows": 20_000, "versions": 12,
                      "appends_per_version": 64, "null_rate": 0.02,
                      "seed": 21, "limit": 25}
@@ -991,25 +819,20 @@ def main() -> int:
 
     schemes = [bench_afpras(args.quick), bench_fpras(args.quick),
                bench_service(args.quick), bench_join(args.quick),
-               bench_sharded(args.quick), bench_server(args.quick),
-               bench_fusion(args.quick), bench_obs(args.quick),
+               bench_server(args.quick), bench_obs(args.quick),
                bench_mutations(args.quick), bench_cluster(args.quick)]
     headline = next(row for row in schemes[0]["configs"] if row.get("headline"))
     service_headline = next(row for row in schemes[2]["configs"]
                             if row.get("headline"))
     join_headline = next(row for row in schemes[3]["configs"]
                          if row.get("headline"))
-    sharded_headline = next(row for row in schemes[4]["configs"]
-                            if row.get("headline"))
-    server_headline = next(row for row in schemes[5]["configs"]
+    server_headline = next(row for row in schemes[4]["configs"]
                            if row.get("headline"))
-    fusion_headline = next(row for row in schemes[6]["configs"]
-                           if row.get("headline"))
-    obs_headline = next(row for row in schemes[7]["configs"]
+    obs_headline = next(row for row in schemes[5]["configs"]
                         if row.get("headline"))
-    mutation_headline = next(row for row in schemes[8]["configs"]
+    mutation_headline = next(row for row in schemes[6]["configs"]
                              if row.get("headline"))
-    cluster_headline = next(row for row in schemes[9]["configs"]
+    cluster_headline = next(row for row in schemes[7]["configs"]
                             if row.get("headline"))
     baseline = {
         "benchmark": "columnar vs row join engine, annotation service "
@@ -1042,17 +865,6 @@ def main() -> int:
             "columnar_seconds": join_headline["columnar_seconds"],
             "speedup": join_headline["speedup"],
         },
-        "sharded_headline": {
-            "config": {key: sharded_headline[key]
-                       for key in ("rows_per_table", "null_rate", "seed",
-                                   "limit", "shards", "jobs")},
-            "sql": JOIN_SQL,
-            "cpu_count": sharded_headline["cpu_count"],
-            "enforced": sharded_headline["enforced"],
-            "single_core_seconds": sharded_headline["single_core_seconds"],
-            "sharded_seconds": sharded_headline["sharded_seconds"],
-            "speedup": sharded_headline["speedup"],
-        },
         "server_headline": {
             "config": {key: server_headline[key]
                        for key in ("requests", "connections", "seed",
@@ -1067,15 +879,6 @@ def main() -> int:
             "p99_ms": server_headline["p99_ms"],
             "coalesced": server_headline["coalesced"],
             "protocol_errors": server_headline["protocol_errors"],
-        },
-        "fusion_headline": {
-            "config": {key: fusion_headline[key]
-                       for key in ("groups", "epsilon", "adaptive", "seed",
-                                   "fusion")},
-            "solo_seconds": fusion_headline["solo_seconds"],
-            "fused_seconds": fusion_headline["fused_seconds"],
-            "speedup": fusion_headline["speedup"],
-            "fused_kernels": fusion_headline["fused_kernels"],
         },
         "obs_headline": {
             "config": OBS_HEADLINE,
@@ -1117,17 +920,11 @@ def main() -> int:
           f"{service_headline['speedup']:.2f}x warm-vs-cold "
           f"({SERVICE_HEADLINE['query']}); join headline: "
           f"{join_headline['speedup']:.2f}x columnar-vs-rows "
-          f"(n={join_headline['rows_per_table']}); sharded headline: "
-          f"{sharded_headline['speedup']:.2f}x over single-core "
-          f"(K={SHARDED_HEADLINE['shards']}, jobs={SHARDED_HEADLINE['jobs']}, "
-          f"cpus={sharded_headline['cpu_count']}); server headline: "
+          f"(n={join_headline['rows_per_table']}); server headline: "
           f"{server_headline['speedup']:.2f}x concurrent-vs-serial "
           f"({SERVER_HEADLINE['connections']} connections, "
           f"p99 {server_headline['p99_ms']:.1f} ms, "
-          f"{server_headline['qps']:.1f} qps); fusion headline: "
-          f"{fusion_headline['speedup']:.2f}x fused-vs-per-group "
-          f"(G={fusion_headline['groups']}, adaptive ladder); "
-          f"obs headline: "
+          f"{server_headline['qps']:.1f} qps); obs headline: "
           f"{100.0 * (obs_headline['overhead_ratio'] - 1.0):+.2f}% "
           f"metrics+tracing overhead "
           f"({100.0 * (obs_headline['cluster_overhead_ratio'] - 1.0):+.2f}% "
@@ -1152,10 +949,6 @@ def main() -> int:
               "through the coordinator "
               f"({100.0 * (obs_headline['cluster_overhead_ratio'] - 1.0):.2f}% "
               f"overhead at {obs_headline['workers']} workers)")
-        failed = True
-    if fusion_headline["speedup"] <= 1.0:
-        print("FAIL: fused kernel execution is not faster than per-group "
-              "launches on the many-lineage workload")
         failed = True
     if service_headline["speedup"] <= 1.0:
         print("FAIL: cached (warm) service path is not faster than cold")
@@ -1195,10 +988,6 @@ def main() -> int:
               f"{cluster_headline['cpu_count']}-core host (needs >= 4); "
               "measured for the record only")
     if not args.quick:
-        if fusion_headline["speedup"] < 2.0:
-            print("FAIL: fused execution below the 2x acceptance threshold "
-                  "on the many-lineage headline")
-            failed = True
         if headline["speedup"] < 5.0:
             print("WARNING: kernel headline speedup below the 5x acceptance threshold")
             failed = True
@@ -1210,23 +999,6 @@ def main() -> int:
             print("WARNING: columnar join speedup below the 5x acceptance "
                   "threshold")
             failed = True
-        if sharded_headline["enforced"]:
-            if sharded_headline["speedup"] < 2.5:
-                # Warning-only until a >= 4-core run has recorded an
-                # enforced committed baseline (the threshold has only ever
-                # been *measured* on a 1-core container so far); set
-                # REPRO_ENFORCE_SHARDED=1 to make it fatal.  The 20%
-                # trajectory gate in check_regression.py starts protecting
-                # the sharded headline automatically once such a baseline
-                # lands.
-                fatal = os.environ.get("REPRO_ENFORCE_SHARDED") == "1"
-                print(f"{'FAIL' if fatal else 'WARNING'}: sharded execution "
-                      "below the 2.5x acceptance threshold at >= 4 cores")
-                failed = failed or fatal
-        else:
-            print(f"NOTE: sharded 2.5x threshold not enforced on this "
-                  f"{sharded_headline['cpu_count']}-core host (needs >= 4); "
-                  "measured for the record only")
     return 1 if failed else 0
 
 

@@ -28,6 +28,14 @@ Quickstart::
     print(certainty(q, db).value)   # ~0.5
 """
 
+import os
+
+# The Monte-Carlo kernels issue many small matrix products; OpenBLAS
+# spreading each one over every core spends more in thread hand-off and
+# spinning than it gains.  One BLAS thread is the default, set before the
+# first import below pulls in NumPy; a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from repro.certainty import CertaintyResult, certainty, certainty_from_translation
 from repro.constraints.translate import TranslationResult, translate
 from repro.logic.formulas import Query

@@ -47,8 +47,8 @@ without writing any Python:
     Live operator console: polls a running server's ``/metrics``,
     ``/stats`` and ``/history`` and renders refreshing tables of
     throughput (with qps sparklines from the server-side history ring),
-    windowed p50/p99 latency, SLO burn-rate alerts, cache hit rates,
-    coalescing and fusion counters.  Pointed at a
+    windowed p50/p99 latency, SLO burn-rate alerts, cache hit rates and
+    coalescing counters.  Pointed at a
     cluster coordinator it additionally renders per-worker rows, trends
     and routing/failover counters.  ``--json`` emits one machine-readable
     snapshot and exits.
@@ -171,23 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="root seed; fixed seeds make runs "
                                     "(including --jobs N) reproducible")
         subparser.add_argument("--jobs", type=int, default=1,
-                               help="workers for the Monte-Carlo phase and "
-                                    "for sharded enumeration (0 = one per "
-                                    "CPU; results are identical to --jobs 1 "
-                                    "at a fixed seed)")
+                               help="workers for the Monte-Carlo phase "
+                                    "(0 = one per CPU; results are identical "
+                                    "to --jobs 1 at a fixed seed)")
         subparser.add_argument("--executor", default="thread",
                                choices=EXECUTORS,
                                help="what --jobs spans for the Monte-Carlo "
                                     "phase: 'thread' shares the process, "
                                     "'process' spans cores; answers are "
                                     "bit-identical either way")
-        subparser.add_argument("--shards", type=int, default=1,
-                               help="hash-partition the columnar database "
-                                    "into this many key-aligned shards; "
-                                    "with --jobs N shard joins run across "
-                                    "worker processes (no effect with "
-                                    "--backend rows; answers are identical "
-                                    "to --shards 1)")
         subparser.add_argument("--adaptive", action="store_true",
                                help="serve coarse estimates first and refine "
                                     "toward --epsilon; refinement stages "
@@ -202,11 +194,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "the differential tests check it "
                                     "against; answers are identical either "
                                     "way")
-        subparser.add_argument("--fusion", type=int, default=0,
-                               help="decide group estimates this many "
-                                    "lineages at a time through one fused "
-                                    "kernel (0 = per-group kernels; answers "
-                                    "are bit-identical at any batch size)")
 
     annotate_parser = subparsers.add_parser(
         "annotate", aliases=["query"],
@@ -413,15 +400,10 @@ def _load_service(args: argparse.Namespace) -> AnnotationService:
     database = load_database(sales_schema(), Path(args.data))
     if database.total_tuples() == 0:
         raise _EmptyDataError(f"no data found in {args.data}")
-    if args.shards < 1:
-        raise ValueError(f"--shards must be at least 1, got {args.shards}")
-    if args.fusion < 0:
-        raise ValueError(f"--fusion must be non-negative, got {args.fusion}")
     options = ServiceOptions(epsilon=args.epsilon, method=args.method,
                              jobs=args.jobs, executor=args.executor,
                              adaptive=args.adaptive,
-                             seed=args.seed, backend=args.backend,
-                             shards=args.shards, fusion=args.fusion)
+                             seed=args.seed, backend=args.backend)
     return AnnotationService(database, options)
 
 
@@ -574,8 +556,7 @@ def _worker_serving_flags(args: argparse.Namespace) -> list[str]:
     """The serving flags ``repro cluster start`` forwards to each worker."""
     flags = ["--epsilon", str(args.epsilon), "--method", args.method,
              "--seed", str(args.seed), "--jobs", str(args.jobs),
-             "--executor", args.executor, "--shards", str(args.shards),
-             "--backend", args.backend, "--fusion", str(args.fusion)]
+             "--executor", args.executor, "--backend", args.backend]
     if args.limit is not None:
         flags += ["--limit", str(args.limit)]
     if args.adaptive:

@@ -13,13 +13,6 @@ equivalence tests assert that the kernels reach the same decisions.  See
 DESIGN.md for the architecture notes and the perf-measurement protocol.
 """
 
-from repro.compile.fusion import (
-    FUSION_MODES,
-    FusedFormula,
-    FusionError,
-    fuse_formulas,
-    fusion_mode,
-)
 from repro.compile.kernels import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_COMPILE_CACHE_SIZE,
@@ -35,14 +28,9 @@ __all__ = [
     "CompiledFormula",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_COMPILE_CACHE_SIZE",
-    "FUSION_MODES",
-    "FusedFormula",
-    "FusionError",
     "LoweringError",
     "compile_cache_stats",
     "compile_formula",
     "configure_compile_cache",
-    "fuse_formulas",
-    "fusion_mode",
     "lower",
 ]

@@ -354,8 +354,7 @@ def compile_formula(formula: ConstraintFormula,
     :func:`compile_cache_stats` and :func:`configure_compile_cache`.
 
     Callers that already hold the canonical digest of ``(formula,
-    variables)`` -- the service's schedule groups and fused tasks carry it
-    -- may pass it as ``digest``: a memo hit then costs one dict lookup
+    variables)`` -- the service's schedule groups carry it -- may pass it as ``digest``: a memo hit then costs one dict lookup
     instead of a full re-canonicalisation of the lineage.
     """
     variables = tuple(variables)

@@ -102,8 +102,7 @@ def generate_database(schema: DatabaseSchema,
                       specs: dict[str, TableSpec],
                       rng: RngLike = None,
                       null_prefix: str = "g",
-                      backend: str = "rows",
-                      shards: int = 1) -> Database:
+                      backend: str = "rows") -> Database:
     """Generate a database instance of ``schema`` according to ``specs``.
 
     Every generated null is a fresh marked null (``⊥``/``⊤`` depending on the
@@ -118,18 +117,13 @@ def generate_database(schema: DatabaseSchema,
     column-wise draw order differs from the row-wise one, so the two
     backends generate different (same-distribution) instances at the same
     seed; use :meth:`Database.with_backend` to hand one instance to both.
-
-    ``shards`` declares the generated snapshot's shard count for the
-    sharded execution path; it does not change the generated content (the
-    draw order is shard-independent), only how queries over the result may
-    be parallelised.
     """
     generator = as_generator(rng)
     null_counter = itertools.count(1)
     if backend == "columnar":
         return _generate_columnar(schema, specs, generator, null_prefix,
-                                  null_counter, shards)
-    database = Database(schema, backend=backend, shards=shards)
+                                  null_counter)
+    database = Database(schema, backend=backend)
     for table_name, spec in specs.items():
         relation_schema = schema.relation(table_name)
         _check_specs(relation_schema, spec, table_name)
@@ -156,11 +150,11 @@ def _check_specs(relation_schema, spec: TableSpec, table_name: str) -> None:
 
 def _generate_columnar(schema: DatabaseSchema, specs: dict[str, TableSpec],
                        generator: np.random.Generator, null_prefix: str,
-                       null_counter, shards: int = 1) -> Database:
+                       null_counter) -> Database:
     """Column-wise generation straight into columnar storage."""
     from repro.relational.columnar import ColumnarRelation
 
-    database = Database(schema, backend="columnar", shards=shards)
+    database = Database(schema, backend="columnar")
     for table_name, spec in specs.items():
         relation_schema = schema.relation(table_name)
         _check_specs(relation_schema, spec, table_name)

@@ -300,9 +300,7 @@ def enumerate_candidates(select: SelectQuery, database: Database,
                          max_witnesses: int = 1_000_000,
                          group_witnesses: bool = True,
                          backend: Optional[str] = None,
-                         shards: Optional[int] = None,
-                         jobs: int = 1,
-                         shard_stats: Optional[dict] = None,
+                         frontier_stats: Optional[dict] = None,
                          frontier_cache=None) -> list[CandidateAnswer]:
     """Enumerate candidate answers of a SELECT query with their lineage.
 
@@ -327,36 +325,26 @@ def enumerate_candidates(select: SelectQuery, database: Database,
     harness in ``tests/test_columnar_differential.py`` enforces this); a
     database stored under the other backend is converted first.
 
-    ``shards`` splits the columnar engine's work into that many key-aligned
-    partitions (``None`` follows the database's own ``shards`` declaration)
-    and ``jobs`` spreads the shard frontiers over worker *processes* when
-    above 1; results are bit-identical to ``shards=1``/``jobs=1`` -- see
-    :func:`repro.engine.vectorized.enumerate_candidates_sharded`.  The row
-    backend ignores both: it stays the verbatim single-core oracle.
-    ``shard_stats``, if given, receives per-shard accounting for the
-    service's stats report and, on the columnar engine, which frontier
-    path ran (``"frontier"``, one of
+    ``frontier_stats``, if given, receives on the columnar engine which
+    frontier path ran (``"frontier"``, one of
     :data:`repro.engine.vectorized.FRONTIER_PATHS`).
 
     ``frontier_cache``, if given, is a
-    :class:`repro.engine.vectorized.FrontierCache`: the unsharded columnar
-    path reuses a previously computed join frontier for the same query
-    shape and delta-joins only rows appended since (MVCC append-only
-    versions keep old row indices stable; the cache's ``advance`` carries
-    entries past deletes at commit time).  Results are bit-identical with
-    or without it; the row backend and sharded execution ignore it.
+    :class:`repro.engine.vectorized.FrontierCache`: the columnar path
+    reuses a previously computed join frontier for the same query shape
+    and delta-joins only rows appended since (MVCC append-only versions
+    keep old row indices stable; the cache's ``advance`` carries entries
+    past deletes at commit time).  Results are bit-identical with or
+    without it; the row backend ignores both.
     """
     chosen = backend if backend is not None else getattr(database, "backend", "rows")
     if chosen == "columnar":
         from repro.engine.vectorized import enumerate_candidates_columnar
         if getattr(database, "backend", "rows") != "columnar":
             database = database.with_backend("columnar")
-        effective_shards = shards if shards is not None \
-            else getattr(database, "shards", 1)
         return enumerate_candidates_columnar(
             select, database, limit=limit, max_witnesses=max_witnesses,
-            group_witnesses=group_witnesses, shards=effective_shards,
-            jobs=jobs, shard_stats=shard_stats,
+            group_witnesses=group_witnesses, frontier_stats=frontier_stats,
             frontier_cache=frontier_cache)
     if chosen != "rows":
         raise ValueError(f"unknown engine backend {chosen!r}")

@@ -351,40 +351,28 @@ def enumerate_candidates_columnar(select: SelectQuery, database: Database,
                                   limit: Optional[int],
                                   max_witnesses: int,
                                   group_witnesses: bool,
-                                  shards: int = 1,
-                                  jobs: int = 1,
-                                  shard_stats: Optional[dict] = None,
+                                  frontier_stats: Optional[dict] = None,
                                   frontier_cache: Optional["FrontierCache"] = None) -> list:
     """Columnar twin of the row-at-a-time ``enumerate_candidates`` body.
 
-    With ``shards > 1`` the engine first tries key-aligned sharded
-    execution (:func:`enumerate_candidates_sharded`); queries without a
-    shardable plan, and ``shards=1``, run the single-frontier eager path.
     Falls back to the row oracle when a join step would materialise more
-    than :data:`_MAX_FRONTIER_PAIRS` pairs at once (see there); every path
-    returns identical candidates, so fallbacks only change the cost
+    than :data:`_MAX_FRONTIER_PAIRS` pairs at once (see there); both paths
+    return identical candidates, so the fallback only changes the cost
     profile, never the answer.
 
-    ``shard_stats``, when given, also receives ``"frontier"``: which
-    frontier path the unsharded engine took (:data:`FRONTIER_PATHS`).
+    ``frontier_stats``, when given, receives ``"frontier"``: which
+    frontier path the engine took (:data:`FRONTIER_PATHS`).
     """
     from repro.engine.candidates import enumerate_candidates
 
     try:
-        if shards > 1:
-            sharded = enumerate_candidates_sharded(
-                select, database, limit=limit, max_witnesses=max_witnesses,
-                group_witnesses=group_witnesses, shards=shards, jobs=jobs,
-                shard_stats=shard_stats)
-            if sharded is not None:
-                return sharded
         return _enumerate_eager(select, database, limit, max_witnesses,
                                 group_witnesses,
                                 frontier_cache=frontier_cache,
-                                stats=shard_stats)
+                                stats=frontier_stats)
     except _FrontierOverflow:
-        if shard_stats is not None:
-            shard_stats["frontier"] = "fallback"
+        if frontier_stats is not None:
+            frontier_stats["frontier"] = "fallback"
         return enumerate_candidates(select, database, limit=limit,
                                     max_witnesses=max_witnesses,
                                     group_witnesses=group_witnesses,
@@ -433,7 +421,7 @@ def _compute_frontier(select: SelectQuery,
     parallel ``pending`` list of residual-formula tuples (``None`` when no
     witness carries residuals).  Everything after this point -- projection,
     witness grouping, lineage assembly -- is data-independent of how the
-    frontier was computed, which is what lets sharded execution reuse it.
+    frontier was computed, which is what lets the frontier cache reuse it.
 
     ``row_ranges`` optionally restricts a binding's rows to a half-open
     ``(lo, hi)`` index range before pushdown.  Restriction commutes with
@@ -668,18 +656,15 @@ class FrontierCache:
       (``table_epoch`` at or below it), and
     * no queried table shrank (lengths monotone).
 
-    A frontier is admitted on its select's *second* enumeration only: a
-    bounded doorkeeper remembers the selects already enumerated.  A service
-    enumerates a select again only after a plan-cache miss (a write moved
-    a table version, or the plan aged out), so a read-only workload holds
-    no frontiers -- their residual formulas are the bulk of an entry's
-    memory.  Used by the unsharded eager path only; sharded execution has
-    its own partition-cache carryover.
+    A frontier is admitted only from a snapshot that has seen a commit
+    (``data_version > 0``): only a chain that moves can reuse a frontier,
+    so a read-only workload holds none -- their residual formulas are the
+    bulk of an entry's memory -- while a mutated chain caches from its
+    first enumeration on.
     """
 
     def __init__(self, capacity: int = 8) -> None:
         import threading
-        from collections import OrderedDict
 
         from repro.caching import LruCache
 
@@ -687,9 +672,6 @@ class FrontierCache:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
-        #: Selects enumerated at least once, oldest first.
-        self._doorkeeper: OrderedDict = OrderedDict()
-        self._doorkeeper_capacity = 8 * capacity
 
     def stats(self):
         # An entry present but ineligible (epoch advanced, chain diverged)
@@ -703,8 +685,6 @@ class FrontierCache:
 
     def clear(self) -> None:
         self._cache.clear()
-        with self._lock:
-            self._doorkeeper.clear()
 
     def lookup(self, select: SelectQuery,
                database: Database) -> Optional[_FrontierEntry]:
@@ -723,17 +703,13 @@ class FrontierCache:
 
     def store(self, select: SelectQuery, database: Database,
               frontier: dict, pending: Optional[list]) -> None:
-        """Cache ``select``'s frontier at ``database``, once admitted."""
+        """Cache ``select``'s frontier at ``database`` if it is admitted."""
+        if database.data_version == 0:
+            return  # a snapshot no commit has moved: nothing will reuse it
         current = self._cache.peek(select)
-        if current is None:
-            with self._lock:
-                if select not in self._doorkeeper:
-                    self._doorkeeper[select] = None
-                    if len(self._doorkeeper) > self._doorkeeper_capacity:
-                        self._doorkeeper.popitem(last=False)
-                    return
-        elif (current.version_token is database.version_token
-              and current.data_version > database.data_version):
+        if (current is not None
+                and current.version_token is database.version_token
+                and current.data_version > database.data_version):
             return  # a reader pinned on an older version keeps the newer one
         lengths = {reference.binding: len(database.relation(reference.table))
                    for reference in select.tables}
@@ -872,10 +848,10 @@ def _assemble_candidates(select: SelectQuery, database: Database,
                          group_witnesses: bool) -> list:
     """Project, group and build candidates from a computed frontier.
 
-    Shared terminal stage of the eager and sharded paths; it mirrors the
-    reference recursion's terminal block exactly, including LIMIT and
-    ``max_witnesses`` truncation (both paths materialise the frontier
-    first, so truncation is a pure prefix of the merged witness order).
+    The terminal stage of the eager path; it mirrors the reference
+    recursion's terminal block exactly, including LIMIT and
+    ``max_witnesses`` truncation (the frontier is materialised first, so
+    truncation is a pure prefix of the witness order).
     """
     from repro.engine.candidates import _ConditionCompiler, _build_candidates
 
@@ -937,212 +913,3 @@ def _assemble_candidates(select: SelectQuery, database: Database,
 
     return _build_candidates(order_keys, witness_formulae, witness_counts,
                              row_values, columns, database)
-
-
-# -- sharded execution -------------------------------------------------------
-#
-# Process-parallel candidate enumeration: the database is hash-partitioned
-# into K key-aligned shards (:mod:`repro.relational.sharding`), each shard's
-# frontier is computed independently -- in-process for ``jobs<=1``, across a
-# ``ProcessPoolExecutor`` otherwise, with column arrays shipped through
-# shared memory -- and the per-shard frontiers are merged back into the
-# exact reference DFS witness order before the shared assembly stage runs.
-# The unsharded paths above stay verbatim as the oracle the differential
-# harness compares against.
-
-
-def _shard_plan(select: SelectQuery, compiler) -> Optional[dict[str, Optional[str]]]:
-    """The key column each binding is partitioned on, or ``None``.
-
-    A query is shardable when every join step has a base equi-join predicate
-    (the same one the eager path would hash-join on) *and* the whole join
-    stays inside one key equivalence class: the probe column of every chosen
-    join must be the very column its binding is already partitioned on.
-    Chains that hop columns (``T0.a = T1.a AND T1.b = T2.b``) would let a
-    witness span shards, so they fall back to unsharded execution, as does
-    any step without an equi-join (cross joins, pure theta joins).
-    Single-table scans shard round-robin (key ``None``).
-    """
-    from repro.engine.candidates import _hash_join_key, _order_conditions
-
-    bindings = [reference.binding for reference in select.tables]
-    if len(bindings) == 1:
-        return {bindings[0]: None}
-    steps = _order_conditions(select, compiler)
-    keys: dict[str, Optional[str]] = {}
-    for step, binding in enumerate(bindings):
-        if step == 0:
-            continue
-        bound = set(bindings[:step])
-        join_spec = None
-        for condition in steps[step]:
-            join_spec = _hash_join_key(condition, compiler, binding, bound)
-            if join_spec is not None:
-                break
-        if join_spec is None:
-            return None
-        probe, build = join_spec
-        assigned = keys.get(probe[0])
-        if assigned is None:
-            keys[probe[0]] = probe[1]
-        elif assigned != probe[1]:
-            return None
-        keys[binding] = build[1]
-    return keys
-
-
-def _shard_database(schema, relations: dict[str, ColumnarRelation]) -> Database:
-    """A columnar database holding one shard of each queried table."""
-    database = Database(schema, backend="columnar")
-    for name, relation in relations.items():
-        database.install_relation(relation)
-    return database
-
-
-def _shard_frontier_task(payload) -> tuple[dict, Optional[list]]:
-    """Worker-side shard frontier: attach shared columns, join, detach.
-
-    Runs in a pool process (or inline, for the ``jobs<=1`` path through
-    :func:`repro.service.executor.process_map`).  The returned index arrays
-    are fresh allocations -- every frontier array comes out of
-    ``flatnonzero``/``repeat``/fancy indexing -- so closing the shared
-    blocks before returning is safe.
-    """
-    from repro.relational.sharding import attach_shard
-
-    select, schema, table_payloads = payload
-    handles: list = []
-    relations: dict[str, ColumnarRelation] = {}
-    try:
-        for table, shard_payload in table_payloads.items():
-            relation, keepalive = attach_shard(shard_payload)
-            relations[table] = relation
-            handles.extend(keepalive)
-        database = _shard_database(schema, relations)
-        return _compute_frontier(select, database)
-    finally:
-        for handle in handles:
-            try:
-                handle.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-
-
-def enumerate_candidates_sharded(select: SelectQuery, database: Database,
-                                 limit: Optional[int],
-                                 max_witnesses: int,
-                                 group_witnesses: bool,
-                                 shards: int,
-                                 jobs: int = 1,
-                                 shard_stats: Optional[dict] = None) -> Optional[list]:
-    """Sharded twin of the eager columnar path; ``None`` if not shardable.
-
-    Partition (cached per database snapshot) -> per-shard frontier
-    (embarrassingly parallel; equi-joins never cross key-aligned shards) ->
-    stable merge on the outer table's global row index -> the shared
-    assembly stage against the *full* database.  Bit-identical to the
-    unsharded engines: same candidates, same order, same witness counts,
-    same lineage formulas.
-
-    ``shard_stats``, when given, is filled with per-shard accounting
-    (``tasks``/``rows``/``witnesses`` per shard index, partition cache
-    hits/misses) that the service surfaces in its ``\\stats`` report.
-    """
-    from repro.engine.candidates import _ConditionCompiler
-    from repro.relational.sharding import export_shard, merge_order, release_payload
-    from repro.service.executor import process_map
-
-    compiler = _ConditionCompiler(database, select)
-    plan = _shard_plan(select, compiler)
-    if plan is None:
-        return None
-    bindings = [reference.binding for reference in select.tables]
-    binding_table = {reference.binding: reference.table
-                     for reference in select.tables}
-
-    # One partition per table: a table queried under two bindings must agree
-    # on its key column, otherwise its rows would need two different
-    # placements at once -- not shardable.
-    keys_by_table: dict[str, Optional[str]] = {}
-    for binding, key in plan.items():
-        table = binding_table[binding]
-        if table in keys_by_table and keys_by_table[table] != key:
-            return None
-        keys_by_table[table] = key
-
-    shard_sets = {}
-    partition_hits = partition_misses = 0
-    for table, key in keys_by_table.items():
-        shard_list, hit = database.table_shards(table, key, shards)
-        shard_sets[table] = shard_list
-        if hit:
-            partition_hits += 1
-        else:
-            partition_misses += 1
-
-    tables = sorted(keys_by_table)
-    if jobs > 1 and shards > 1:
-        payloads = []
-        exported_blocks: list = []
-        try:
-            for shard in range(shards):
-                table_payloads = {}
-                for table in tables:
-                    shard_payload, blocks = export_shard(
-                        shard_sets[table][shard].relation)
-                    exported_blocks.extend(blocks)
-                    table_payloads[table] = shard_payload
-                payloads.append((select, database.schema, table_payloads))
-            results = process_map(_shard_frontier_task, payloads, jobs=jobs)
-        finally:
-            release_payload(exported_blocks)
-    else:
-        results = []
-        for shard in range(shards):
-            relations = {table: shard_sets[table][shard].relation
-                         for table in tables}
-            results.append(_compute_frontier(
-                select, _shard_database(database.schema, relations)))
-
-    # -- merge: map shard-local rows to global rows, restore DFS order ------
-    outer = bindings[0]
-    outer_table = binding_table[outer]
-    per_shard_outer = [
-        shard_sets[outer_table][shard].offsets[results[shard][0][outer]]
-        for shard in range(shards)]
-    order = merge_order(per_shard_outer)
-    merged_frontier = {}
-    for binding in bindings:
-        offsets_of = shard_sets[binding_table[binding]]
-        merged_frontier[binding] = np.concatenate(
-            [offsets_of[shard].offsets[results[shard][0][binding]]
-             for shard in range(shards)])[order]
-
-    if any(results[shard][1] is not None for shard in range(shards)):
-        flat: list = []
-        for shard in range(shards):
-            pending = results[shard][1]
-            if pending is None:
-                flat.extend([_EMPTY_RESIDUAL] * len(per_shard_outer[shard]))
-            else:
-                flat.extend(pending)
-        merged_pending: Optional[list] = [flat[index] for index in order.tolist()]
-    else:
-        merged_pending = None
-
-    if shard_stats is not None:
-        shard_stats["sharded"] = True
-        shard_stats["shards"] = shards
-        shard_stats["partition_hits"] = partition_hits
-        shard_stats["partition_misses"] = partition_misses
-        shard_stats["per_shard"] = [
-            {"shard": shard,
-             "tasks": 1,
-             "rows": int(sum(len(shard_sets[table][shard])
-                             for table in tables)),
-             "witnesses": int(len(per_shard_outer[shard]))}
-            for shard in range(shards)]
-
-    return _assemble_candidates(select, database, merged_frontier,
-                                merged_pending, limit, max_witnesses,
-                                group_witnesses)

@@ -3,9 +3,8 @@
 Polls a running server's ``GET /metrics``, ``GET /stats`` and
 ``GET /history`` endpoints and renders a refreshing terminal dashboard:
 request throughput with a qps sparkline, windowed latency quantiles, SLO
-burn-rate alert states, cache hit rates, single-flight coalescing, fusion
-counters, per-worker trends (cluster front doors), and the slow-query
-log.
+burn-rate alert states, cache hit rates, single-flight coalescing,
+per-worker trends (cluster front doors), and the slow-query log.
 
 Quantiles come from *subtracting histogram snapshots* bucket-for-bucket
 and running :func:`~repro.obs.metrics.histogram_quantile` on the delta --
@@ -446,14 +445,6 @@ def render_frame(current: ConsoleSample,
         out.extend(render_table(
             ("cache", "size", "hits", "misses", "hit rate"), rows))
 
-    fusion = service.get("fusion")
-    if fusion and (fusion.get("batches") or fusion.get("kernels_launched")):
-        out.append("")
-        out.extend(render_table(
-            ("fusion", "value"),
-            [("batches", str(fusion.get("batches", 0))),
-             ("kernels launched", str(fusion.get("kernels_launched", 0))),
-             ("tuples fused", str(fusion.get("tuples_fused", 0)))]))
 
     slow = service.get("slow_queries", [])
     if slow:
@@ -554,14 +545,6 @@ def render_stats_tables(stats: dict) -> str:
             [(flight.get("name", "flights"), str(flight.get("launches", 0)),
               str(flight.get("joins", 0)), str(flight.get("failures", 0)),
               str(flight.get("in_flight", 0)))]))
-    fusion = service.get("fusion")
-    if fusion and (fusion.get("batches") or fusion.get("kernels_launched")):
-        out.append("")
-        out.extend(render_table(
-            ("fusion", "value"),
-            [("batches", str(fusion.get("batches", 0))),
-             ("kernels launched", str(fusion.get("kernels_launched", 0))),
-             ("tuples fused", str(fusion.get("tuples_fused", 0)))]))
     slow = service.get("slow_queries", [])
     if slow:
         out.append("")

@@ -14,7 +14,7 @@ disabled path byte-identical to the pre-observability code.
 
 The recorder also owns the scrape-side glue:
 :func:`service_stats_collector` turns a service's existing lifetime
-counters (requests, cache hits, single-flight, fusion, shards) into
+counters (requests, cache hits, single-flight) into
 Prometheus metric families *at scrape time*, so ``GET /metrics`` adds zero
 cost to the request hot path.
 """
@@ -128,8 +128,8 @@ def service_stats_collector(service) -> "callable":
     """A registry collector exporting a service's lifetime counters.
 
     Reads :meth:`AnnotationService.stats` at scrape time and renders the
-    existing counter structures -- requests, caches, backends, shards,
-    single-flight, fusion -- as Prometheus families.  Nothing is
+    existing counter structures -- requests, caches, backends,
+    single-flight -- as Prometheus families.  Nothing is
     double-counted on the hot path; the source of truth stays the service's
     ``_counters_lock``-guarded integers.
     """
@@ -176,17 +176,6 @@ def service_stats_collector(service) -> "callable":
             "Requests executed per storage backend",
             [({"backend": backend.backend}, backend.requests)
              for backend in stats.backends]))
-        if stats.shards:
-            families.append(_family(
-                "repro_shard_tasks_total", "counter",
-                "Frontier computations per shard",
-                [({"shard": str(shard.shard)}, shard.tasks)
-                 for shard in stats.shards]))
-            families.append(_family(
-                "repro_shard_witnesses_total", "counter",
-                "Witnesses produced per shard",
-                [({"shard": str(shard.shard)}, shard.witnesses)
-                 for shard in stats.shards]))
         if stats.single_flight is not None:
             flight = stats.single_flight
             families.append(_family(
@@ -199,18 +188,6 @@ def service_stats_collector(service) -> "callable":
                 "repro_estimate_flights_in_flight", "gauge",
                 "Estimate computations currently in flight",
                 [({}, flight.in_flight)]))
-        if stats.fusion is not None:
-            fusion = stats.fusion
-            families.append(_family(
-                "repro_fused_kernels_total", "counter",
-                "Fused kernel launches", [({}, fusion.kernels_launched)]))
-            families.append(_family(
-                "repro_fused_tuples_total", "counter",
-                "Tuples decided through fused launches",
-                [({}, fusion.tuples_fused)]))
-            families.append(_family(
-                "repro_fused_batches_total", "counter",
-                "Fused batches executed", [({}, fusion.batches)]))
         return families
 
     return collect

@@ -1,13 +1,13 @@
 """Per-request span tracing with Chrome trace-event export.
 
-A :class:`Trace` is one request's span tree: ``parse -> enumerate
-(per-shard fan-out) -> schedule -> estimate (per group / per fused batch /
-per adaptive rung) -> serialize``.  Spans are
-created with explicit parents (the service passes its request-root span
-into worker closures, so spans recorded on executor threads still attach to
-the right tree -- no context-variable propagation to get wrong), carry a
-small attribute map (plan-cache misses, shard fan-out, sample counts), and
-record wall-clock anchored ``perf_counter`` timestamps.
+A :class:`Trace` is one request's span tree: ``parse -> enumerate ->
+schedule -> estimate (per group / per adaptive rung) -> serialize``.
+Spans are created with explicit parents (the service passes its
+request-root span into worker closures, so spans recorded on executor
+threads still attach to the right tree -- no context-variable propagation
+to get wrong), carry a small attribute map (plan-cache misses, frontier
+path, sample counts), and record wall-clock anchored ``perf_counter``
+timestamps.
 
 Export is the Chrome trace-event JSON format (``chrome://tracing`` /
 Perfetto "complete" events, ``ph: "X"``): every span becomes one event

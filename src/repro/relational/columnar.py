@@ -32,7 +32,7 @@ per-row ``validate_tuple``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -57,12 +57,6 @@ class BaseColumnData:
     values: list
     #: Inverse of :attr:`values`.
     code_of: dict
-    #: Lazily memoised fixed-width encoding of :attr:`values` for
-    #: shared-memory shipping (:mod:`repro.relational.sharding`): ``None``
-    #: until first asked, ``False`` when the dictionary is unpackable, else
-    #: ``(texts, null_mask)`` arrays.  Excluded from comparisons -- it is a
-    #: cache of ``values``, not independent state.
-    packed: object = field(default=None, compare=False, repr=False)
 
     def value_objects(self) -> np.ndarray:
         """The column as an object array of the original values."""
@@ -379,14 +373,10 @@ class ColumnarRelation:
     def take(self, indices: np.ndarray) -> "ColumnarRelation":
         """The sub-relation of the rows at ``indices``, in that order.
 
-        This is the shard constructor of :mod:`repro.relational.sharding`:
-        row-aligned arrays are gathered with one fancy-indexing pass per
-        column, and each column's interning dictionary is *compacted* to
-        the values the taken rows actually use.  Compaction matters for
-        shard scaling -- the vectorized engine's dictionary remap loops and
-        the shared-memory payloads are dictionary-sized, so K shards over a
-        table with D distinct values must cost ``O(D)`` total, not
-        ``O(K*D)`` -- and it keeps the sub-relation's inventories
+        The delete path of :mod:`repro.relational.mutation`: row-aligned
+        arrays are gathered with one fancy-indexing pass per column, and
+        each column's interning dictionary is *compacted* to the values the
+        taken rows actually use, which keeps the sub-relation's inventories
         (``base_constants`` and friends) exact.  Code *numbering* changes
         under compaction; only code equality carries meaning, which every
         consumer honours.

@@ -21,7 +21,7 @@ widening of ``int`` constants to the equal ``float``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.columnar import ColumnarRelation
 from repro.relational.relation import Relation
@@ -33,32 +33,15 @@ BACKENDS = ("rows", "columnar")
 
 
 class Database:
-    """A database instance: one relation per relation schema, nulls allowed.
+    """A database instance: one relation per relation schema, nulls allowed."""
 
-    ``shards`` declares how many key-aligned partitions the sharded
-    execution path (:mod:`repro.relational.sharding`) should split each
-    relation into at query time; ``shards=1`` (the default) keeps every
-    engine on its unsharded path.  The value is a property of the snapshot,
-    not of the storage: partitions are computed lazily per (table, key
-    column) when a shardable query first needs them and cached until the
-    database is mutated.
-    """
-
-    def __init__(self, schema: DatabaseSchema, backend: str = "rows",
-                 shards: int = 1) -> None:
+    def __init__(self, schema: DatabaseSchema, backend: str = "rows") -> None:
         if backend not in BACKENDS:
             raise SchemaError(
                 f"unknown storage backend {backend!r}; expected one of {BACKENDS}")
-        if shards < 1:
-            raise SchemaError(f"shard count must be at least 1, got {shards}")
         relation_class = ColumnarRelation if backend == "columnar" else Relation
         self._schema = schema
         self._backend = backend
-        self._shards = int(shards)
-        #: ``(table, key column, shard count) -> list[RelationShard]``; small
-        #: (one entry per distinct join key actually queried) and dropped on
-        #: any mutation.
-        self._shard_cache: dict = {}
         self._relations: dict[str, Relation] = {
             relation_schema.name: relation_class(relation_schema)
             for relation_schema in schema
@@ -97,7 +80,6 @@ class Database:
         """Insert a tuple into the named relation."""
         if relation_name not in self._relations:
             raise SchemaError(f"unknown relation {relation_name!r}")
-        self._shard_cache.clear()
         self._relations[relation_name].add(values)
 
     def install_relation(self, relation) -> None:
@@ -120,7 +102,6 @@ class Database:
             raise SchemaError(
                 f"relation {name!r} is not a {expected.__name__}; this "
                 f"database uses the {self._backend!r} backend")
-        self._shard_cache.clear()
         # Wholesale replacement is indistinguishable from arbitrary deletes
         # and rewrites: start a new version chain, so anything cached
         # against the old chain token never treats the old content as a
@@ -136,8 +117,7 @@ class Database:
         independently, so incremental state cached against one must never
         be applied to the other.
         """
-        duplicate = Database(self._schema, backend=self._backend,
-                             shards=self._shards)
+        duplicate = Database(self._schema, backend=self._backend)
         for name, relation in self._relations.items():
             duplicate._relations[name] = relation.copy()
         duplicate._data_version = self._data_version
@@ -145,24 +125,21 @@ class Database:
         duplicate._table_epochs = dict(self._table_epochs)
         return duplicate
 
-    def with_backend(self, backend: str,
-                     shards: Optional[int] = None) -> "Database":
+    def with_backend(self, backend: str) -> "Database":
         """This database under the requested storage backend.
 
-        Returns ``self`` when the backend (and requested shard count)
-        already match (databases are treated as stable snapshots throughout
-        the service layer); otherwise converts every relation.  Conversion
-        preserves content and tuple order exactly, so query answers and
-        lineage formulas are identical across backends.  ``shards``
-        overrides the snapshot's shard count; ``None`` carries it over.
+        Returns ``self`` when the backend already matches (databases are
+        treated as stable snapshots throughout the service layer);
+        otherwise converts every relation.  Conversion preserves content
+        and tuple order exactly, so query answers and lineage formulas are
+        identical across backends.
         """
         if backend not in BACKENDS:
             raise SchemaError(
                 f"unknown storage backend {backend!r}; expected one of {BACKENDS}")
         if backend == self._backend:
-            return self if shards is None else self.with_shards(shards)
-        converted = Database(self._schema, backend=backend,
-                             shards=self._shards if shards is None else shards)
+            return self
+        converted = Database(self._schema, backend=backend)
         for name, relation in self._relations.items():
             if backend == "columnar":
                 converted._relations[name] = ColumnarRelation.from_relation(relation)
@@ -175,29 +152,6 @@ class Database:
         converted._table_epochs = dict(self._table_epochs)
         return converted
 
-    def with_shards(self, shards: int) -> "Database":
-        """A snapshot view of this database with a different shard count.
-
-        Relations are shared, not copied (they are immutable snapshots in
-        every sharded code path), so this is cheap enough to call per
-        request; the partition cache is *not* shared because its entries
-        are keyed by shard count anyway.
-        """
-        if shards == self._shards:
-            return self
-        view = Database(self._schema, backend=self._backend, shards=shards)
-        view._relations = self._relations
-        # Shared on purpose: entries are keyed by shard count, and sharing
-        # means a mutation through either view invalidates both.
-        view._shard_cache = self._shard_cache
-        # A view over the same relations *is* the same snapshot: share the
-        # chain identity and the version bookkeeping outright.
-        view._data_version = self._data_version
-        view._table_versions = self._table_versions
-        view._table_epochs = self._table_epochs
-        view._version_token = self._version_token
-        return view
-
     # -- access ------------------------------------------------------------
 
     @property
@@ -208,11 +162,6 @@ class Database:
     def backend(self) -> str:
         """Which storage backend this database uses (``rows`` or ``columnar``)."""
         return self._backend
-
-    @property
-    def shards(self) -> int:
-        """How many shards the sharded execution path splits relations into."""
-        return self._shards
 
     # -- MVCC version chain --------------------------------------------------
 
@@ -257,14 +206,9 @@ class Database:
 
         Called by :meth:`Mutation.commit` with the incrementally rebuilt
         relations of the touched tables and their deltas.  Untouched
-        tables share their relation objects; the partition cache carries
-        over per-shard (extended for append-only tables, dropped only for
-        tables with deletes).
+        tables share their relation objects.
         """
-        from repro.relational.mutation import extend_shard_cache
-
-        sealed = Database(self._schema, backend=self._backend,
-                          shards=self._shards)
+        sealed = Database(self._schema, backend=self._backend)
         sealed._relations = {
             name: rebuilt.get(name, relation)
             for name, relation in self._relations.items()}
@@ -276,37 +220,7 @@ class Database:
             sealed._table_versions[table] = sealed._data_version
             if not delta.append_only:
                 sealed._table_epochs[table] = sealed._data_version
-        # Concurrent readers may be filling the parent's cache right now;
-        # copy the dict once so carryover iterates a stable view.
-        sealed._shard_cache = extend_shard_cache(
-            dict(self._shard_cache), deltas, sealed._relations)
         return sealed
-
-    def table_shards(self, table: str, key_column: Optional[str],
-                     shard_count: int):
-        """The named table's partition for ``(key_column, shard_count)``.
-
-        Returns ``(shards, hit)`` where ``shards`` is the cached-or-computed
-        ``list[RelationShard]`` and ``hit`` says whether the partition cache
-        already held it.  Only meaningful on the columnar backend (the
-        sharded engine is the sole caller); partitions are invalidated by
-        any mutation of the database.
-        """
-        from repro.relational.sharding import shard_relation
-
-        key = (table, key_column, shard_count)
-        cached = self._shard_cache.get(key)
-        if cached is not None:
-            return cached, True
-        key_columns = None if key_column is None else (key_column,)
-        computed = shard_relation(self.relation(table), shard_count,
-                                  key_columns)
-        self._shard_cache[key] = computed
-        return computed, False
-
-    def clear_shard_cache(self) -> None:
-        """Drop cached partitions (mutations do this automatically)."""
-        self._shard_cache.clear()
 
     def relation(self, name: str) -> Relation:
         if name not in self._relations:

@@ -6,7 +6,7 @@ place.  :meth:`Database.begin_mutation` opens a :class:`Mutation` against
 the current snapshot; the caller stages inserts, deletes and updates
 through it; :meth:`Mutation.commit` seals a **new** snapshot carrying the
 next ``data_version``.  Readers that captured the old snapshot keep every
-object they were handed -- relations, shard partitions, column arrays --
+object they were handed -- relations, column arrays --
 untouched, which is the whole MVCC contract: writers never block readers,
 readers never observe a torn version.
 
@@ -19,10 +19,7 @@ The sealed snapshot is built incrementally, not rebuilt:
   existing row codes stable);
 * a table with deletes gathers its kept rows with one fancy-indexing pass
   per column (:meth:`ColumnarRelation.take`) -- logically a deletion
-  bitmap applied at commit time -- then appends;
-* cached shard partitions carry over: untouched tables keep their
-  entries, append-only tables extend only the shards the new rows' key
-  hashes land in, and only deletes drop a table's partitions.
+  bitmap applied at commit time -- then appends.
 
 Row order of the sealed snapshot is exactly the order a from-scratch
 rebuild of the same logical content would produce (kept rows in their
@@ -38,8 +35,8 @@ leaves the parent snapshot untouched -- statements are atomic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -248,62 +245,3 @@ class Mutation:
         rebuilt._tuples = kept_rows + edit.inserts
         rebuilt._seen = edit.seen
         return rebuilt
-
-
-def extend_shard_cache(parent_cache: dict, deltas: dict[str, TableDelta],
-                       relations: dict) -> dict:
-    """The new snapshot's partition cache, maintained incrementally.
-
-    * entries of untouched tables carry over unchanged (their shard
-      objects reference the very relation the new snapshot shares);
-    * entries of append-only tables are *extended*: the new rows are
-      hashed with the same key scheme and appended only to the shards they
-      land in, preserving ascending offsets and the take-compacted
-      relation/offsets contract of :func:`shard_relation`;
-    * entries of tables with deletes are dropped (row indices shifted).
-
-    ``relations`` maps table name to the **new** snapshot's relation (used
-    to slice out the appended segment for hashing).
-    """
-    from repro.relational.sharding import RelationShard, partition_rows
-
-    carried: dict = {}
-    for key, shard_list in parent_cache.items():
-        table, key_column, shard_count = key
-        delta = deltas.get(table)
-        if delta is None:
-            carried[key] = shard_list
-            continue
-        if not delta.append_only or not isinstance(
-                relations.get(table), ColumnarRelation):
-            continue  # deletes shift row indices: recompute on demand
-        relation = relations[table]
-        appended = relation.take(np.arange(
-            delta.old_length, delta.old_length + delta.appended,
-            dtype=np.int64))
-        if key_column is None:
-            # Round-robin assignment is by global row index, so the new
-            # rows' shards follow from their tail positions directly.
-            tail = np.arange(delta.old_length,
-                             delta.old_length + delta.appended,
-                             dtype=np.uint64)
-            partitions = [
-                np.flatnonzero(tail % np.uint64(shard_count) ==
-                               np.uint64(shard)).astype(np.int64)
-                for shard in range(shard_count)]
-        else:
-            partitions = partition_rows(appended, shard_count, (key_column,))
-        extended = []
-        for shard, shard_obj in enumerate(shard_list):
-            local = partitions[shard]
-            if len(local) == 0:
-                extended.append(shard_obj)
-                continue
-            rows = [appended.row(int(index)) for index in local.tolist()]
-            extended.append(RelationShard(
-                relation=shard_obj.relation.with_appended(rows),
-                offsets=np.concatenate([
-                    np.asarray(shard_obj.offsets, dtype=np.int64),
-                    local + delta.old_length])))
-        carried[key] = extended
-    return carried

@@ -10,7 +10,7 @@ variables.
 Constants are ordinary Python values: any hashable non-numeric object (most
 commonly a string) for base columns, and ``int``/``float`` for numerical
 columns.  Booleans are rejected as numeric constants to avoid the classic
-``True == 1`` confusion.
+``True == 1`` mix-up.
 """
 
 from __future__ import annotations

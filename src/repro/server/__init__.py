@@ -1,6 +1,6 @@
 """Async network serving for the annotation service.
 
-The compute stack (kernels -> columnar engine -> sharded execution ->
+The compute stack (kernels -> columnar engine ->
 :class:`~repro.service.AnnotationService`) answered queries fast but only
 for callers inside the process; this package is the network layer on top:
 
@@ -23,7 +23,7 @@ for callers inside the process; this package is the network layer on top:
 
 The compute layers are untouched underneath: requests run through the
 ordinary ``AnnotationService.submit`` on a thread pool, so ``jobs``,
-``shards``, ``backend``, ``executor``, ``adaptive`` and ``seed`` behave
+``backend``, ``executor``, ``adaptive`` and ``seed`` behave
 exactly as they do in-process, and served answers are bit-identical to
 local ones.
 """

@@ -389,8 +389,5 @@ def result_event(request_id: Any, response) -> dict:
             "groups_computed": stats.groups_computed,
             "tuples_batched": stats.tuples_batched,
             "elapsed_seconds": stats.elapsed_seconds,
-            "kernels_launched": stats.kernels_launched,
-            "tuples_fused": stats.tuples_fused,
-            "fusion_batches": stats.fusion_batches,
         },
     }

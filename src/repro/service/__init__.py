@@ -42,24 +42,16 @@ from repro.service.executor import (
     run_tasks,
     shutdown_pools,
 )
-from repro.service.fused import (
-    FusedTask,
-    FusionAccounting,
-    decide_fused_batch,
-    fusable_method,
-)
 from repro.service.rng import root_sequence, spawn_stream
-from repro.service.scheduler import TaskGroup, build_schedule, partition_batches
+from repro.service.scheduler import TaskGroup, build_schedule
 from repro.service.service import (
     SERVICE_METHODS,
     AnnotationService,
     BackendStats,
-    FusionStats,
     RequestStats,
     ServiceOptions,
     ServiceResponse,
     ServiceStats,
-    ShardStats,
 )
 
 __all__ = [
@@ -72,15 +64,11 @@ __all__ = [
     "CacheStats",
     "CanonicalLineage",
     "CanonicalisationError",
-    "FusedTask",
-    "FusionAccounting",
-    "FusionStats",
     "LruCache",
     "RequestStats",
     "ServiceOptions",
     "ServiceResponse",
     "ServiceStats",
-    "ShardStats",
     "SingleFlight",
     "SingleFlightStats",
     "TaskGroup",
@@ -90,10 +78,7 @@ __all__ = [
     "build_schedule",
     "canonicalise",
     "canonicalise_lineage",
-    "decide_fused_batch",
-    "fusable_method",
     "intersect_intervals",
-    "partition_batches",
     "process_map",
     "root_sequence",
     "run_tasks",

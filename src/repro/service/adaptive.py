@@ -83,11 +83,7 @@ def adaptive_schedule(epsilon: float,
 
 def intersect_intervals(previous: Optional[tuple[float, float]],
                         interval: tuple[float, float]) -> tuple[float, float]:
-    """Running intersection of stage intervals (the ladder's monotonicity).
-
-    Shared with the fused per-rung ladder (:mod:`repro.service.fused`),
-    which must intersect exactly as the per-group ladder does.
-    """
+    """Running intersection of stage intervals (the ladder's monotonicity)."""
     if previous is None:
         return interval
     low = max(previous[0], interval[0])
@@ -98,10 +94,6 @@ def intersect_intervals(previous: Optional[tuple[float, float]],
         midpoint = (low + high) / 2.0
         return (midpoint, midpoint)
     return (low, high)
-
-
-#: Backwards-compatible private alias (pre-PR 6 internal name).
-_intersect = intersect_intervals
 
 
 def adaptive_certainty(translation: TranslationResult,
@@ -135,7 +127,7 @@ def adaptive_certainty(translation: TranslationResult,
             method=method, rng=stream_factory(stage))
         exact = result.guarantee == "exact"
         final = exact or stage == stages - 1
-        interval = _intersect(interval, result.interval())
+        interval = intersect_intervals(interval, result.interval())
         trace.append({
             "stage": stage,
             "epsilon": None if exact else stage_epsilon,

@@ -5,13 +5,11 @@ Two pools live here, for the two shapes of parallelism the service uses:
 * **threads** (:func:`run_tasks`) -- the PR 2 executor.  The service's
   Monte-Carlo work units run as closures over its shared caches; NumPy
   kernels release the GIL, so threads overlap them without any pickling.
-* **processes** (:func:`process_map`) -- the PR 4 executor.  Candidate
-  enumeration over shards, and the same work units when the service is
-  configured with ``executor="process"``, are CPU-bound Python+NumPy mixes
-  whose Python share the GIL serialises; a ``ProcessPoolExecutor`` spans
-  cores instead.  Process tasks must be module-level functions over
-  picklable payloads -- the shard relations themselves travel through
-  shared-memory blocks (:mod:`repro.relational.sharding`), not the pickle.
+* **processes** (:func:`process_map`) -- the same work units when the
+  service is configured with ``executor="process"``.  They are CPU-bound
+  Python+NumPy mixes whose Python share the GIL serialises; a
+  ``ProcessPoolExecutor`` spans cores instead.  Process tasks must be
+  module-level functions over picklable payloads.
 
 Determinism is preserved by construction in both pools: every task derives
 its own random stream from a content-keyed ``SeedSequence`` spawn
@@ -126,23 +124,21 @@ atexit.register(shutdown_pools)
 
 
 def process_map(function: Callable[[P], T], payloads: Sequence[P],
-                jobs: int = 1, chunksize: Optional[int] = None) -> list[T]:
+                jobs: int = 1) -> list[T]:
     """Map a module-level ``function`` over ``payloads`` across processes.
 
     Results come back in payload order, so callers see serial semantics.
     ``jobs <= 1`` (or a single payload) runs inline without touching the
-    pool; ``jobs == 0`` uses one worker per CPU.  ``chunksize`` batches
-    consecutive payloads into one worker round-trip -- the per-shard
-    batching knob -- defaulting to an even split over the workers.  The
-    first worker exception propagates, as with the thread executor.
+    pool; ``jobs == 0`` uses one worker per CPU.  Payloads are split
+    evenly over the workers, one round-trip per worker.  The first worker
+    exception propagates, as with the thread executor.
     """
     if jobs == 0:
         jobs = default_jobs()
     if jobs <= 1 or len(payloads) <= 1:
         return [function(payload) for payload in payloads]
     workers = min(jobs, len(payloads))
-    if chunksize is None:
-        chunksize = max(1, -(-len(payloads) // workers))
+    chunksize = max(1, -(-len(payloads) // workers))
     pool = _shared_pool(workers)
     try:
         return list(pool.map(function, payloads, chunksize=chunksize))

@@ -43,19 +43,6 @@ class TaskGroup:
         return len(self.members)
 
 
-def partition_batches(items: Sequence, size: int) -> list[list]:
-    """Split ``items`` into consecutive batches of at most ``size``.
-
-    The fused execution path batches schedule order contiguously so the
-    answers' first-witness order survives fusion; ``size <= 1`` degenerates
-    to singleton batches (the per-group path's shape).
-    """
-    if size <= 1:
-        return [[item] for item in items]
-    return [list(items[start:start + size])
-            for start in range(0, len(items), size)]
-
-
 def build_schedule(candidates: Sequence["CandidateAnswer"]) -> list[TaskGroup]:
     """Group candidates by canonical-lineage digest, in first-member order."""
     order: list[CanonicalLineage] = []

@@ -17,12 +17,12 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
 4. **execute** -- one pipeline under every configuration: each group is
    probed once in the certainty cache, keyed by
    ``(lineage digest, ε, δ, method, adaptive, seed)``, so structurally
-   repeated requests skip the Monte-Carlo phase entirely; the misses
-   become work units (solo groups, or fused batches of ``fusion`` groups)
-   run by one executor call over ``jobs`` threads or processes.  Every
-   unit draws from streams spawned off the request's ``SeedSequence``
-   under a key derived from the lineage digest (:mod:`repro.service.rng`),
-   which makes parallel runs bit-identical to serial ones;
+   repeated requests skip the Monte-Carlo phase entirely; each miss is
+   estimated as one task, and one executor call runs the tasks over
+   ``jobs`` threads or processes.  Every task draws from streams spawned
+   off the request's ``SeedSequence`` under a key derived from the
+   lineage digest (:mod:`repro.service.rng`), which makes parallel runs
+   bit-identical to serial ones;
 5. **estimate** -- either single-shot at the requested ε, or adaptively
    (coarse first, streamed refinement; :mod:`repro.service.adaptive`);
    fresh results land in the certainty cache.
@@ -47,6 +47,7 @@ from repro.caching import CacheStats, LruCache, SingleFlight, SingleFlightStats
 from repro.certainty.measure import certainty_from_translation
 from repro.certainty.result import CertaintyResult
 from repro.compile import compile_cache_stats
+from repro.constraints.translate import TranslationResult
 from repro.geometry.montecarlo import DEFAULT_DELTA
 from repro.service.adaptive import (
     DEFAULT_COARSE_EPSILON,
@@ -56,16 +57,10 @@ from repro.service.adaptive import (
 )
 from repro.service.answers import AnnotatedAnswer
 from repro.service.executor import EXECUTORS, process_map, run_tasks
-from repro.service.fused import (
-    FusedTask,
-    fusable_method,
-    fused_payload,
-    run_fused_payload,
-)
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACE, Trace
 from repro.service.rng import SeedLike, root_sequence, spawn_stream
-from repro.service.scheduler import TaskGroup, build_schedule, partition_batches
+from repro.service.scheduler import TaskGroup, build_schedule
 
 #: Methods the service can dispatch on a pre-translated lineage.
 SERVICE_METHODS = ("auto", "exact", "afpras", "fpras")
@@ -87,8 +82,7 @@ class ServiceOptions:
     #: PR 2 executor; caches shared, zero shipping cost), ``"process"``
     #: workers span cores for the CPU-bound Monte-Carlo phase.  Results are
     #: bit-identical either way -- streams are content-keyed, not
-    #: scheduling-keyed.  Sharded candidate enumeration always uses
-    #: processes when ``jobs > 1``, independent of this knob.
+    #: scheduling-keyed.
     executor: str = "thread"
     #: Serve coarse estimates first and refine toward the requested epsilon.
     adaptive: bool = False
@@ -102,19 +96,9 @@ class ServiceOptions:
     #: backend.  The service converts its database snapshot once at
     #: construction, so every request runs on the chosen layout.
     backend: Optional[str] = None
-    #: Key-aligned shard count for columnar candidate enumeration; ``None``
-    #: follows the database's own ``shards`` declaration.  With ``jobs > 1``
-    #: shard frontiers run across worker processes.
-    shards: Optional[int] = None
     #: Reuse certainty results across tuples and requests with the same
     #: canonical lineage (the PR 1 ad-hoc annotate-loop reuse, generalised).
     reuse_results: bool = True
-    #: Fusion batch size for the Monte-Carlo phase: cache-missing groups
-    #: that sample AFPRAS are decided ``fusion`` lineages at a time through
-    #: one block-diagonal fused kernel (:mod:`repro.compile.fusion`); other
-    #: groups run as solo units.  ``0``/``1`` makes every group a solo
-    #: unit.  Results are bit-identical at any batch size.
-    fusion: int = 0
     parse_cache_size: int = 256
     plan_cache_size: int = 128
     result_cache_size: int = 4096
@@ -135,12 +119,6 @@ class RequestStats:
     tuples_batched: int
     elapsed_seconds: float
     seed_entropy: int
-    #: Fused kernel launches this request (0 when fusion was off).
-    kernels_launched: int = 0
-    #: Tuples whose estimates rode a fused launch.
-    tuples_fused: int = 0
-    #: Fused batches executed (one per mode-partitioned group batch).
-    fusion_batches: int = 0
 
 
 @dataclass(frozen=True)
@@ -165,44 +143,6 @@ class BackendStats:
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """Lifetime counters of one shard index of the sharded enumeration path."""
-
-    shard: int
-    #: Frontier computations this shard executed.
-    tasks: int
-    #: Input rows the shard's tables contributed across those tasks.
-    rows: int
-    #: Witnesses the shard produced (pre-merge frontier size).
-    witnesses: int
-    #: Sharded plans whose partitions (every queried table's) were served
-    #: from the partition cache vs. plans that had to partition at least
-    #: one table.
-    partition_hits: int
-    partition_misses: int
-
-
-@dataclass(frozen=True)
-class FusionStats:
-    """Lifetime fused-execution counters (the do-more-per-launch ledger)."""
-
-    #: Fused kernel launches (one per Monte-Carlo block per fused batch).
-    kernels_launched: int
-    #: Tuples whose estimates were decided through a fused launch.
-    tuples_fused: int
-    #: Fused batches executed.
-    batches: int
-    #: Recent fused batch sizes (most recent last, bounded window).
-    batch_sizes: tuple[int, ...] = ()
-
-    def as_dict(self) -> dict:
-        return {"kernels_launched": self.kernels_launched,
-                "tuples_fused": self.tuples_fused,
-                "batches": self.batches,
-                "batch_sizes": list(self.batch_sizes)}
-
-
-@dataclass(frozen=True)
 class ServiceStats:
     """Lifetime counters and per-cache snapshots for the stats report."""
 
@@ -213,12 +153,9 @@ class ServiceStats:
     tuples_batched: int
     caches: tuple[CacheStats, ...] = field(default_factory=tuple)
     backends: tuple[BackendStats, ...] = field(default_factory=tuple)
-    shards: tuple[ShardStats, ...] = field(default_factory=tuple)
     #: Cross-request estimate coalescing (concurrent identical lineages
     #: joining one computation); ``None`` on snapshots predating the server.
     single_flight: Optional[SingleFlightStats] = None
-    #: Fused-execution counters; ``None`` on snapshots predating fusion.
-    fusion: Optional[FusionStats] = None
     #: Top-K slow queries (dicts from :meth:`SlowQuery.as_dict`); empty
     #: when the service runs without a recorder.
     slow_queries: tuple = ()
@@ -251,11 +188,6 @@ class ServiceStats:
                 f"estimate flights    {self.single_flight.launches} launched, "
                 f"{self.single_flight.joins} joined, "
                 f"{self.single_flight.in_flight} in flight")
-        if self.fusion is not None:
-            lines.append(
-                f"fused kernels       {self.fusion.kernels_launched} launched, "
-                f"{self.fusion.tuples_fused} tuples in "
-                f"{self.fusion.batches} batches")
         lines.append(
             "cache               cap    size   hits  misses  evict  hit-rate")
         for cache in self.caches:
@@ -268,14 +200,6 @@ class ServiceStats:
             lines.append(
                 f"{backend.backend:<18} {backend.requests:>8} "
                 f"{backend.plan_hits:>11} {backend.plan_misses:>12}")
-        if self.shards:
-            lines.append(
-                "shard      tasks      rows  witnesses  part-hits  part-misses")
-            for shard in self.shards:
-                lines.append(
-                    f"shard[{shard.shard}] {shard.tasks:>8} {shard.rows:>9} "
-                    f"{shard.witnesses:>10} {shard.partition_hits:>10} "
-                    f"{shard.partition_misses:>12}")
         if self.slow_queries:
             lines.append("slow queries        elapsed  hottest-phase  sql")
             for entry in self.slow_queries:
@@ -301,15 +225,8 @@ class ServiceStats:
                  "plan_hits": backend.plan_hits,
                  "plan_misses": backend.plan_misses}
                 for backend in self.backends],
-            "shards": [
-                {"shard": shard.shard, "tasks": shard.tasks,
-                 "rows": shard.rows, "witnesses": shard.witnesses,
-                 "partition_hits": shard.partition_hits,
-                 "partition_misses": shard.partition_misses}
-                for shard in self.shards],
             "single_flight": (None if self.single_flight is None
                               else self.single_flight.as_dict()),
-            "fusion": None if self.fusion is None else self.fusion.as_dict(),
             "slow_queries": [dict(entry) for entry in self.slow_queries],
             "data_version": self.data_version,
             "mutations_applied": self.mutations_applied,
@@ -345,7 +262,7 @@ def normalise_sql(sql: str) -> str:
     return "\x00".join(parts)
 
 
-def _validate(method: str, executor: str, fusion: int) -> None:
+def _validate(method: str, executor: str) -> None:
     """Reject unknown options, as service defaults or per-request overrides."""
     if method not in SERVICE_METHODS:
         raise ValueError(
@@ -353,9 +270,6 @@ def _validate(method: str, executor: str, fusion: int) -> None:
     if executor not in EXECUTORS:
         raise ValueError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-    if fusion < 0:
-        raise ValueError(
-            f"fusion batch size must be non-negative, got {fusion}")
 
 
 def _seed_token(root: np.random.SeedSequence) -> tuple:
@@ -436,14 +350,11 @@ class AnnotationService:
             options = ServiceOptions()
         if overrides:
             options = replace(options, **overrides)
-        _validate(options.method, options.executor, options.fusion)
+        _validate(options.method, options.executor)
         if options.backend is not None:
             # One conversion at construction; the snapshot then serves every
             # request under the requested layout.
-            database = database.with_backend(options.backend,
-                                             shards=options.shards)
-        elif options.shards is not None and hasattr(database, "with_shards"):
-            database = database.with_shards(options.shards)
+            database = database.with_backend(options.backend)
         self._snapshot = _Snapshot(database,
                                    len(database.num_nulls_ordered()))
         self._options = options
@@ -456,8 +367,8 @@ class AnnotationService:
         self._parse_cache = LruCache(options.parse_cache_size, name="parsed sql")
         self._plan_cache = LruCache(options.plan_cache_size, name="candidates")
         self._result_cache = LruCache(options.result_cache_size, name="certainty")
-        # Incremental join-frontier maintenance for the unsharded columnar
-        # path: a commit carries cached frontiers past its deletes, and
+        # Incremental join-frontier maintenance for the columnar path: a
+        # commit carries cached frontiers past its deletes, and
         # re-enumeration delta-joins only the appended rows (see
         # FrontierCache in engine.vectorized).
         from repro.engine.vectorized import FrontierCache
@@ -480,13 +391,6 @@ class AnnotationService:
         self._estimates_computed = 0
         self._estimates_reused = 0
         self._tuples_batched = 0
-        self._kernels_launched = 0
-        self._tuples_fused = 0
-        self._fusion_batches = 0
-        #: Recent fused batch sizes (bounded window for the stats report).
-        self._fusion_batch_sizes: list[int] = []
-        #: shard index -> [tasks, rows, witnesses, partition hits, misses].
-        self._shard_counters: dict[int, list[int]] = {}
         # The network server calls ``submit`` from worker threads; unlocked
         # read-modify-write would drop increments and skew the very
         # counters the coalescing audit relies on.
@@ -530,7 +434,6 @@ class AnnotationService:
                adaptive: Optional[bool] = None,
                group_witnesses: bool = True,
                reuse_results: Optional[bool] = None,
-               fusion: Optional[int] = None,
                trace: Union[bool, Trace, None] = None,
                on_update: Optional[GroupUpdateCallback] = None) -> ServiceResponse:
         """Run one annotation request through the full service lifecycle.
@@ -554,8 +457,7 @@ class AnnotationService:
         executor = options.executor if executor is None else executor
         adaptive = options.adaptive if adaptive is None else adaptive
         reuse = options.reuse_results if reuse_results is None else reuse_results
-        fusion = options.fusion if fusion is None else fusion
-        _validate(method, executor, fusion)
+        _validate(method, executor)
         root = self._default_root if seed is None else root_sequence(seed)
         seed_token = _seed_token(root)
 
@@ -583,8 +485,7 @@ class AnnotationService:
         if candidates is None:
             with tr.span("enumerate") as enumerate_span:
                 entry = self._plan(query, select, limit, group_witnesses,
-                                   jobs, snapshot.database,
-                                   span=enumerate_span)
+                                   snapshot.database, span=enumerate_span)
                 enumerate_span.set("candidates", len(entry.candidates))
         else:
             # Caller-supplied candidates are not cached; the entry is built
@@ -625,57 +526,29 @@ class AnnotationService:
                 outcomes[position] = (
                     self._patch_dimension(cached, dimension), True)
 
-        # 2. Work units: with fusion, misses that sample AFPRAS pack into
-        #    batches of ``fusion`` groups (schedule order); every other miss
-        #    is a solo unit.
-        def task(position: int) -> FusedTask:
-            group = schedule[position]
-            return FusedTask(translation=group.canonical.translation(),
-                             digest=group.canonical.digest,
-                             replica=() if reuse else (group.members[0],))
-
+        # 2. Work: each miss is one content payload (the group's canonical
+        #    translation, the request parameters, the root seed), so it is
+        #    decided unchanged in this process or in a worker process.
         coarse, factor = options.adaptive_coarse, options.adaptive_factor
-        fuse = fusion > 1 and len(schedule) > 1
-        units: list[_WorkUnit] = []
-        fusable: list[int] = []
-        for position in misses:
-            if fuse and fusable_method(
-                    method, schedule[position].canonical.translation()):
-                fusable.append(position)
-            else:
-                units.append(_WorkUnit((position,), False, (
-                    task(position), epsilon, delta, method, adaptive, root,
-                    coarse, factor)))
-        units.extend(
-            _WorkUnit(tuple(batch), True, fused_payload(
-                [task(position) for position in batch], epsilon, delta,
-                adaptive, root, coarse, factor))
-            for batch in partition_batches(fusable, fusion))
+        payloads = [
+            (_EstimateTask(
+                translation=schedule[position].canonical.translation(),
+                digest=schedule[position].canonical.digest,
+                replica=() if reuse else (schedule[position].members[0],)),
+             epsilon, delta, method, adaptive, root, coarse, factor)
+            for position in misses]
 
-        def land(unit: _WorkUnit, results: Sequence) -> list:
-            return [self._land(schedule[position], keys[position], result,
-                               dimension)
-                    for position, result in zip(unit.positions, results)]
-
-        def run_here(unit: _WorkUnit) -> tuple:
-            group = schedule[unit.positions[0]]
-            attributes = ({"fused": len(unit.positions)} if unit.fused else
-                          {"lineage": group.canonical.digest.hex()[:12],
-                           "tuples": group.size})
+        def run_here(position: int, payload: tuple) -> tuple:
+            group = schedule[position]
             # Spans from executor worker threads attach via the explicit
             # parent handle, so the tree survives thread fan-out.
-            with tr.span("estimate", **attributes) as span:
-                callback = _rung_callback(
-                    tr, span, on_update,
-                    [schedule[position] for position in unit.positions])
-                if unit.fused:
-                    results, launches, sizes = unit.run(callback)
-                    return land(unit, results), False, launches, sizes
+            with tr.span("estimate", lineage=group.canonical.digest.hex()[:12],
+                         tuples=group.size) as span:
+                callback = _rung_callback(tr, span, on_update, group)
                 result, reused = self._decide_solo(
-                    group, keys[unit.positions[0]], unit.payload, dimension,
-                    callback)
+                    group, keys[position], payload, dimension, callback)
                 span.set("reused", reused)
-                return [result], reused, 0, []
+                return result, reused
 
         # 3. Execute: one executor call.  Streaming callbacks must run in
         #    this process, so the process executor only takes callback-free
@@ -683,28 +556,18 @@ class AnnotationService:
         #    content-keyed).
         if executor == "process" and jobs > 1 and on_update is None:
             # Worker processes cannot carry the trace; one umbrella span
-            # stands in for the per-unit breakdown.
+            # stands in for the per-task breakdown.
             with tr.span("estimate", mode="process", groups=len(misses)):
-                shipped = process_map(_WorkUnit.run, units, jobs=jobs)
-            decided = [(land(unit, results), False, launches, sizes)
-                       for unit, (results, launches, sizes)
-                       in zip(units, shipped)]
+                shipped = process_map(_estimate_task, payloads, jobs=jobs)
+            decided = [(self._land(schedule[position], keys[position], result,
+                                   dimension), False)
+                       for position, result in zip(misses, shipped)]
         else:
-            decided = run_tasks([partial(run_here, unit) for unit in units],
-                                jobs=jobs)
-
-        # 4. Collect: every result has landed (dimension patched, cache
-        #    filled); fused units also report their kernel accounting.
-        kernels_launched = tuples_fused = 0
-        batch_sizes: list[int] = []
-        for unit, (results, reused, launches, sizes) in zip(units, decided):
-            for position, result in zip(unit.positions, results):
-                outcomes[position] = (result, reused)
-            if unit.fused:
-                kernels_launched += launches
-                batch_sizes.extend(sizes)
-                tuples_fused += sum(schedule[position].size
-                                    for position in unit.positions)
+            decided = run_tasks([partial(run_here, position, payload)
+                                 for position, payload
+                                 in zip(misses, payloads)], jobs=jobs)
+        for position, outcome in zip(misses, decided):
+            outcomes[position] = outcome
 
         with tr.span("serialize") as serialize_span:
             by_candidate: dict[int, CertaintyResult] = {}
@@ -734,11 +597,6 @@ class AnnotationService:
             self._estimates_computed += computed
             self._estimates_reused += from_cache
             self._tuples_batched += batched
-            self._kernels_launched += kernels_launched
-            self._tuples_fused += tuples_fused
-            self._fusion_batches += len(batch_sizes)
-            self._fusion_batch_sizes.extend(batch_sizes)
-            del self._fusion_batch_sizes[:-32]
         stats = RequestStats(
             candidates=len(candidates),
             groups=len(schedule),
@@ -747,9 +605,6 @@ class AnnotationService:
             tuples_batched=batched,
             elapsed_seconds=time.perf_counter() - started,
             seed_entropy=seed_token[0] if isinstance(seed_token[0], int) else 0,
-            kernels_launched=kernels_launched,
-            tuples_fused=tuples_fused,
-            fusion_batches=len(batch_sizes),
         )
         if self._recorder.enabled:
             sql_text = query if isinstance(query, str) else "<parsed query>"
@@ -770,12 +625,6 @@ class AnnotationService:
             tuples_batched = self._tuples_batched
             mutations_applied = self._mutations_applied
             results_evicted = self._results_evicted
-            kernels_launched = self._kernels_launched
-            tuples_fused = self._tuples_fused
-            fusion_batches = self._fusion_batches
-            fusion_batch_sizes = tuple(self._fusion_batch_sizes)
-            shard_counters = {shard: list(counters) for shard, counters
-                              in self._shard_counters.items()}
         database = self._snapshot.database
         # One row: every request runs on the service's one layout.
         backend = BackendStats(backend=getattr(database, "backend", "rows"),
@@ -801,16 +650,7 @@ class AnnotationService:
                 compile_cache_stats(),
             ),
             backends=(backend,),
-            shards=tuple(
-                ShardStats(shard=shard, tasks=counters[0], rows=counters[1],
-                           witnesses=counters[2], partition_hits=counters[3],
-                           partition_misses=counters[4])
-                for shard, counters in sorted(shard_counters.items())),
             single_flight=self._estimate_flights.stats(),
-            fusion=FusionStats(kernels_launched=kernels_launched,
-                               tuples_fused=tuples_fused,
-                               batches=fusion_batches,
-                               batch_sizes=fusion_batch_sizes),
             slow_queries=slow_queries,
             data_version=getattr(database, "data_version", 0),
             mutations_applied=mutations_applied,
@@ -938,10 +778,6 @@ class AnnotationService:
         self._frontier_cache.clear()
         with self._provenance_lock:
             self._result_provenance.clear()
-        clear_shards = getattr(self._snapshot.database, "clear_shard_cache",
-                               None)
-        if clear_shards is not None:
-            clear_shards()
 
     # -- lifecycle stages --------------------------------------------------
 
@@ -953,28 +789,22 @@ class AnnotationService:
         return self._parse_cache.get_or_compute(key, lambda: parse_sql(query))
 
     def _plan(self, query, select, limit: Optional[int],
-              group_witnesses: bool, jobs: int, database,
-              span=None) -> _PlanEntry:
+              group_witnesses: bool, database, span=None) -> _PlanEntry:
         from repro.engine.candidates import enumerate_candidates
 
         def enumerate_() -> _PlanEntry:
-            sink: dict = {}
+            frontier_stats: dict = {}
             planned = tuple(enumerate_candidates(
                 select, database, limit=limit,
-                group_witnesses=group_witnesses, jobs=jobs,
-                shard_stats=sink, frontier_cache=self._frontier_cache))
-            self._record_shard_stats(sink)
+                group_witnesses=group_witnesses,
+                frontier_stats=frontier_stats,
+                frontier_cache=self._frontier_cache))
             if span is not None:
                 # Only a cache miss reaches this closure, so the span
                 # attribute doubles as the hit/miss marker.
                 span.set("plan_cache", "miss")
-                if "frontier" in sink:
-                    span.set("frontier", sink["frontier"])
-                if sink.get("sharded"):
-                    span.set("per_shard", [
-                        {"shard": entry["shard"], "tasks": entry["tasks"],
-                         "witnesses": entry["witnesses"]}
-                        for entry in sink.get("per_shard", ())])
+                if "frontier" in frontier_stats:
+                    span.set("frontier", frontier_stats["frontier"])
             return _plan_entry(planned)
 
         if not isinstance(query, str):
@@ -995,24 +825,6 @@ class AnnotationService:
             versions = ()
         key = (normalise_sql(query), limit, group_witnesses, versions)
         return self._plan_cache.get_or_compute(key, enumerate_)
-
-    def _record_shard_stats(self, sink: dict) -> None:
-        if not sink.get("sharded"):
-            return
-        # Partitioning is a per-request, all-shards-at-once event: count
-        # one hit per shard when every table's partition came from the
-        # cache, else one miss (not the sink's per-table totals, which
-        # would overcount by the table count on every shard row).
-        fully_cached = sink.get("partition_misses", 0) == 0
-        with self._counters_lock:
-            for entry in sink.get("per_shard", ()):
-                counters = self._shard_counters.setdefault(
-                    entry["shard"], [0, 0, 0, 0, 0])
-                counters[0] += entry["tasks"]
-                counters[1] += entry["rows"]
-                counters[2] += entry["witnesses"]
-                counters[3] += 1 if fully_cached else 0
-                counters[4] += 0 if fully_cached else 1
 
     def _decide_solo(self, group: TaskGroup, key: Optional[tuple],
                      payload: tuple, dimension: int, on_update=None
@@ -1068,36 +880,23 @@ class AnnotationService:
 
 
 @dataclass(frozen=True)
-class _WorkUnit:
-    """Cache-missing schedule positions decided by one content payload.
+class _EstimateTask:
+    """One schedule group in content form (picklable for process pools)."""
 
-    A solo unit carries :func:`_estimate_task`'s payload for one group; a
-    fused unit carries :func:`~repro.service.fused.run_fused_payload`'s for
-    a batch.  Payloads are pure content (translations, request parameters,
-    the root seed), so a unit runs unchanged in this process or in a
-    worker process.
-    """
-
-    positions: tuple[int, ...]
-    fused: bool
-    payload: tuple
-
-    def run(self, on_update=None) -> tuple[list, int, list]:
-        """``(results, fused kernel launches, fused batch sizes)``."""
-        if self.fused:
-            return run_fused_payload(self.payload, on_update)
-        return [_estimate_task(self.payload, on_update)], 0, []
+    translation: TranslationResult
+    digest: bytes
+    replica: tuple[int, ...] = ()
 
 
 def _estimate_task(payload: tuple, on_update=None) -> CertaintyResult:
     """One group's estimate from content alone (module-level, so it pickles).
 
     ``payload`` is ``(task, epsilon, delta, method, adaptive, root, coarse,
-    factor)`` with ``task`` a :class:`~repro.service.fused.FusedTask`; the
-    stream is derived from the root seed and the lineage digest (plus the
-    replica token), so the result is the same in any process.
-    ``on_update`` receives ``(0, update)`` per adaptive rung.  Dimension
-    metadata is the canonical translation's; the service patches it back.
+    factor)`` with ``task`` an :class:`_EstimateTask`; the stream is
+    derived from the root seed and the lineage digest (plus the replica
+    token), so the result is the same in any process.  ``on_update``
+    receives each adaptive rung's update.  Dimension metadata is the
+    canonical translation's; the service patches it back.
     """
     task, epsilon, delta, method, adaptive, root, coarse, factor = payload
     if adaptive:
@@ -1105,7 +904,7 @@ def _estimate_task(payload: tuple, on_update=None) -> CertaintyResult:
             task.translation, epsilon=epsilon, delta=delta, method=method,
             stream_factory=lambda stage: spawn_stream(
                 root, task.digest, *task.replica, stage),
-            on_update=None if on_update is None else partial(on_update, 0),
+            on_update=on_update,
             coarse=coarse, factor=factor)
     return certainty_from_translation(
         task.translation, epsilon=epsilon, delta=delta, method=method,
@@ -1113,25 +912,25 @@ def _estimate_task(payload: tuple, on_update=None) -> CertaintyResult:
 
 
 def _rung_callback(trace, span, on_update: Optional[GroupUpdateCallback],
-                   groups: Sequence[TaskGroup]):
-    """A work unit's ``(slot, update)`` rung callback, or ``None`` if unheard.
+                   group: TaskGroup):
+    """A group's rung callback, or ``None`` if nobody listens.
 
-    Each adaptive rung becomes one after-the-fact span under the unit's
+    Each adaptive rung becomes one after-the-fact span under the group's
     estimate span, and streamed updates reach ``on_update`` with the
-    slot's group.  Recording never touches random streams, so traced
-    answers stay bit-identical.
+    group.  Recording never touches random streams, so traced answers
+    stay bit-identical.
     """
     if on_update is None and trace is NULL_TRACE:
         return None
     rung_clock = [time.perf_counter()]
 
-    def callback(slot: int, update: AdaptiveUpdate) -> None:
+    def callback(update: AdaptiveUpdate) -> None:
         now = time.perf_counter()
         trace.record("rung", rung_clock[0], now, parent=span,
                      stage=update.stage, epsilon=update.epsilon,
                      samples=update.samples, final=update.final)
         rung_clock[0] = now
         if on_update is not None:
-            on_update(groups[slot], update)
+            on_update(group, update)
 
     return callback

@@ -90,6 +90,25 @@ class TestCliHardening:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    def test_process_executor_output_is_bit_identical(self, data_dir, capsys):
+        query = ["annotate", "--data", str(data_dir), "--sql",
+                 "SELECT P.seg FROM Products P, Market M "
+                 "WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp LIMIT 5",
+                 "--epsilon", "0.2", "--seed", "0"]
+        assert main(query) == 0
+        serial = capsys.readouterr().out
+        assert main(query + ["--jobs", "2", "--executor", "process"]) == 0
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize("flag", [
+        ("--executor", "greenlet"), ("--shards", "2"), ("--fusion", "8")],
+        ids=["executor", "shards", "fusion"])
+    def test_malformed_flag_exits_2(self, data_dir, flag):
+        with pytest.raises(SystemExit) as raised:
+            main(["annotate", "--data", str(data_dir), "--sql",
+                  "SELECT * FROM Market", *flag])
+        assert raised.value.code == 2
+
     def test_adaptive_prints_intervals(self, data_dir, capsys):
         exit_code = main(["annotate", "--data", str(data_dir),
                           "--sql", "SELECT P.id FROM Products P WHERE P.rrp <= 40",
@@ -254,90 +273,16 @@ class TestBackendFlag:
         assert "confidence" in output
         assert "requests" in output
 
-
-class TestShardingFlags:
-    JOIN_SQL = ("SELECT P.seg FROM Products P, Market M "
-                "WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp LIMIT 5")
-
-    def test_sharded_annotate_matches_unsharded(self, data_dir, capsys):
-        baseline = ["annotate", "--data", str(data_dir), "--sql", self.JOIN_SQL,
-                    "--epsilon", "0.2", "--seed", "0", "--backend", "columnar"]
-        assert main(baseline) == 0
-        unsharded = capsys.readouterr().out
-        assert main(baseline + ["--shards", "3", "--jobs", "2",
-                                "--executor", "process"]) == 0
-        sharded = capsys.readouterr().out
-        assert sharded == unsharded
-
-    def test_stats_reports_per_backend_and_per_shard(self, data_dir,
-                                                     monkeypatch, capsys):
-        """Regression: ``\\stats`` must break counters down, not aggregate.
-
-        The pre-PR 4 report only showed whole-service cache totals; a
-        sharded columnar service now also reports which backend served the
-        requests (with its plan-cache hits/misses) and what each shard did.
-        """
+    def test_stats_report_the_backend(self, data_dir, monkeypatch, capsys):
+        """``\\stats`` breaks the counters down by backend."""
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            self.JOIN_SQL + "\n" + self.JOIN_SQL + "\n\\stats\n\\quit\n"))
-        assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--backend", "columnar",
-                     "--shards", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "backend" in output
-        assert "columnar" in output
-        assert "plan-hits" in output
-        assert "shard[0]" in output
-        assert "shard[1]" in output
-        assert "part-hits" in output
-
-    def test_rows_backend_reports_no_shard_lines(self, data_dir, monkeypatch,
-                                                 capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            "SELECT * FROM Market LIMIT 2\n\\stats\n\\quit\n"))
-        assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--shards", "2",
-                     "--backend", "rows"]) == 0
-        output = capsys.readouterr().out
-        assert "rows" in output
-        assert "shard[" not in output  # rows engine never shards
-
-    def test_invalid_shards_rejected(self, data_dir, capsys):
-        assert main(["annotate", "--data", str(data_dir),
-                     "--query-name", "unfair_discount", "--shards", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_unknown_executor_rejected_by_argparse(self, data_dir):
-        with pytest.raises(SystemExit):
-            main(["annotate", "--data", str(data_dir), "--sql",
-                  "SELECT * FROM Market", "--executor", "greenlet"])
-
-
-class TestFusionFlags:
-    QUERY = ["annotate", "--query-name", "competitive_advantage",
-             "--epsilon", "0.15", "--seed", "6"]
-
-    def test_fusion_output_is_bit_identical(self, data_dir, capsys):
-        query = self.QUERY + ["--data", str(data_dir)]
-        assert main(query) == 0
-        solo = capsys.readouterr().out
-        assert main(query + ["--fusion", "8"]) == 0
-        fused = capsys.readouterr().out
-        assert fused == solo
-
-    def test_negative_fusion_rejected(self, data_dir, capsys):
-        assert main(["annotate", "--data", str(data_dir),
-                     "--query-name", "unfair_discount", "--fusion", "-1"]) == 2
-        assert "fusion" in capsys.readouterr().err
-
-    def test_serve_stats_report_fused_kernels(self, data_dir, monkeypatch,
-                                              capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            "SELECT P.id FROM Products P WHERE P.rrp <= 20\n"
+            "SELECT * FROM Market LIMIT 2\nSELECT * FROM Market LIMIT 2\n"
             "\\stats\n\\quit\n"))
         assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--fusion", "8"]) == 0
+                     "--seed", "0", "--backend", "columnar"]) == 0
         output = capsys.readouterr().out
-        assert "fused kernels" in output
+        assert "columnar" in output
+        assert "plan-hits" in output
 
 
 class TestCliObservability:

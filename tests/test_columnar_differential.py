@@ -28,6 +28,7 @@ from repro.certainty.measure import certainty_from_translation
 from repro.datagen.generic import ColumnSpec, TableSpec, generate_database
 from repro.engine.candidates import enumerate_candidates
 from repro.engine.sql.parser import parse_sql
+from repro.engine.vectorized import FRONTIER_PATHS
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service.canonical import canonicalise_lineage
 
@@ -157,19 +158,12 @@ def _assert_case_equal(case_index: int, sql: str, reference, columnar) -> None:
 
 class TestColumnarDifferential:
     def test_random_cases_agree(self):
-        """Candidates, order, witnesses and lineage agree on random cases.
-
-        Every case also runs the columnar engine under a random shard count
-        (1 keeps the unsharded path in rotation), so the sharded partition/
-        merge machinery faces the same random schemas, null rates, LIMITs
-        and witness semantics as the engines themselves.
-        """
+        """Candidates, order, witnesses and lineage agree on random cases."""
         rng = np.random.default_rng(20200614)
         annotated = 0
         for case_index in range(CASES):
             schema, specs, sql, group_witnesses = _random_case(rng)
             seed = int(rng.integers(0, 2**31))
-            shards = int(rng.choice((1, 2, 3, 5, 16)))
             database = generate_database(schema, specs, rng=seed)
             columnar_database = database.with_backend("columnar")
             select = parse_sql(sql)
@@ -178,10 +172,12 @@ class TestColumnarDifferential:
             reference = enumerate_candidates(select, database,
                                              group_witnesses=group_witnesses,
                                              max_witnesses=4000)
+            sink: dict = {}
             columnar = enumerate_candidates(select, columnar_database,
                                             group_witnesses=group_witnesses,
                                             max_witnesses=4000,
-                                            shards=shards)
+                                            frontier_stats=sink)
+            assert sink["frontier"] in FRONTIER_PATHS, f"case {case_index}"
             _assert_case_equal(case_index, sql, reference, columnar)
 
             # Bit-identical probabilities: the estimate is a pure function of
@@ -248,7 +244,6 @@ class TestColumnarDifferential:
         rng = np.random.default_rng(123)
         for _ in range(10):
             schema, specs, sql, group_witnesses = _random_case(rng)
-            shards = int(rng.choice((1, 2, 4)))
             database = generate_database(schema, specs, rng=5)
             columnar_database = database.with_backend("columnar")
             select = parse_sql(sql)
@@ -258,5 +253,5 @@ class TestColumnarDifferential:
                     group_witnesses=group_witnesses)
                 columnar = enumerate_candidates(
                     select, columnar_database, max_witnesses=cap,
-                    group_witnesses=group_witnesses, shards=shards)
+                    group_witnesses=group_witnesses)
                 _assert_case_equal(-1, sql, reference, columnar)

@@ -163,3 +163,21 @@ class TestLowering:
         formula = Atom(Constraint(Polynomial.variable("z0"), Comparison.LT))
         assert compile_formula(formula, VARIABLES) is compile_formula(formula, VARIABLES)
         assert isinstance(compile_formula(formula, VARIABLES), CompiledFormula)
+
+    def test_digest_keyed_compile_hit_skips_canonicalisation(self):
+        # A caller holding the canonical digest (the service's schedule
+        # groups) gets the same artefact the plain path caches.
+        from repro.compile import compile_cache_stats
+        from repro.service import canonicalise
+
+        formula = Atom(Constraint(
+            Polynomial.variable("memo_x") - Polynomial.constant(0.25),
+            Comparison.LE))
+        plain = compile_formula(formula, ("memo_x",))
+        digest = canonicalise(formula, ("memo_x",)).digest
+        before = compile_cache_stats()
+        keyed = compile_formula(formula, ("memo_x",), digest=digest)
+        after = compile_cache_stats()
+        assert keyed is plain
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses

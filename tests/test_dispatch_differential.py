@@ -1,19 +1,18 @@
-"""Property-based differential harness: fused execution vs the per-group path.
+"""Property-based differential harness: every dispatch vs the serial path.
 
-Block-diagonal kernel fusion (:mod:`repro.service.fused`) promises to be
-*observationally invisible*: at a fixed seed, a request answered through
-fused kernel launches -- under any fusion batch size, job count, executor,
-method resolution, and with the adaptive epsilon ladder on or off -- must
+The service's Monte-Carlo phase promises to be *scheduling-invisible*: at
+a fixed seed, a request answered under any job count, executor, method
+resolution, tracing, and with the adaptive epsilon ladder on or off, must
 return bit-identical certainties, intervals, adaptive traces, and lineage
-digests to the historical per-group path.
+digests to a serial, untraced run.
 
 This harness reuses the random (schema, data, query) generator of
 tests/test_columnar_differential.py and runs every case through two
-:class:`AnnotationService` instances over the same database -- one with the
-per-group reference configuration, one with a rotating fused
-configuration -- comparing answers field for field, and the request's
-work accounting (groups computed and served from cache, certainty-cache
-hits and misses).  Set ``REPRO_FUSED_CASES`` to scale the case count.
+:class:`AnnotationService` instances over the same database -- one serial
+reference, one with a rotating configuration -- comparing answers field
+for field, and the request's work accounting (groups computed and served
+from cache, certainty-cache hits and misses).  Set
+``REPRO_DISPATCH_CASES`` to scale the case count.
 """
 
 from __future__ import annotations
@@ -27,29 +26,25 @@ from repro.datagen.generic import generate_database
 from repro.service import AnnotationService
 from test_columnar_differential import _random_case
 
-#: Service-level submits are heavier than bare enumeration, so the fused
+#: Service-level submits are heavier than bare enumeration, so this
 #: harness defaults lower than the columnar one; nightly scales it up.
 DEFAULT_CASES = 48
 
-CASES = int(os.environ.get("REPRO_FUSED_CASES", DEFAULT_CASES))
+CASES = int(os.environ.get("REPRO_DISPATCH_CASES", DEFAULT_CASES))
 
 #: Rotating candidate configurations, covering every dispatch combination:
-#: fused and solo units, thread and process executors, result reuse on and
-#: off, traced and untraced.  ``process`` appears sparingly: the pool is
-#: shared across cases, but shipping payloads still costs more than the
-#: thread cases, which run the same content-payload functions.
-#: ``adaptive``, ``method`` and ``reuse_results`` apply to both sides.
+#: thread and process executors, result reuse on and off, traced and
+#: untraced.  ``process`` appears sparingly: the pool is shared across
+#: cases, but shipping payloads still costs more than the thread cases,
+#: which run the same content-payload functions.  ``adaptive``, ``method``
+#: and ``reuse_results`` apply to both sides.
 CONFIGURATIONS = (
-    {"fusion": 8},
-    {"fusion": 2},
-    {"fusion": 8, "adaptive": True},
-    {"fusion": 3, "jobs": 3},
-    {"fusion": 8, "method": "auto"},
-    {"fusion": 4, "adaptive": True, "jobs": 2},
-    {"fusion": 8, "jobs": 2, "executor": "process"},
+    {"jobs": 2},
+    {"adaptive": True, "jobs": 3},
+    {"method": "auto", "jobs": 2},
     {"jobs": 2, "executor": "process"},
-    {"fusion": 8, "reuse_results": False},
-    {"fusion": 4, "method": "auto", "trace": True},
+    {"reuse_results": False, "jobs": 2},
+    {"method": "auto", "trace": True},
     {"adaptive": True, "trace": True},
 )
 
@@ -72,9 +67,9 @@ def _submit_counted(service, sql, **request):
                       after_hits - hits, after_misses - misses)
 
 
-def _assert_answers_identical(context: str, reference, fused) -> None:
-    assert len(reference.answers) == len(fused.answers), context
-    for expected, actual in zip(reference.answers, fused.answers):
+def _assert_answers_identical(context: str, reference, candidate) -> None:
+    assert len(reference.answers) == len(candidate.answers), context
+    for expected, actual in zip(reference.answers, candidate.answers):
         assert expected.values == actual.values, context
         assert expected.columns == actual.columns, context
         assert expected.witnesses == actual.witnesses, context
@@ -89,12 +84,10 @@ def _assert_answers_identical(context: str, reference, fused) -> None:
             context
 
 
-class TestFusedDifferential:
+class TestDispatchDifferential:
     def test_random_cases_agree(self):
-        """Fused answers are bit-identical to per-group answers on random cases."""
+        """Every dispatch answers bit-identically to serial on random cases."""
         rng = np.random.default_rng(20200807)
-        fused_kernels = 0
-        fused_tuples = 0
         for case_index in range(CASES):
             schema, specs, sql, group_witnesses = _random_case(rng)
             seed = int(rng.integers(0, 2**31))
@@ -118,21 +111,15 @@ class TestFusedDifferential:
             # Same work accounting: groups computed vs served from cache,
             # and exactly one counted cache probe per group either way.
             assert candidate_counts == reference_counts, context
-            fused_kernels += candidate.stats.kernels_launched
-            fused_tuples += candidate.stats.tuples_fused
-        # The harness must actually exercise the fused path, not vacuously
-        # compare two per-group runs.
-        assert fused_kernels > 0
-        assert fused_tuples > 0
 
     def test_case_count_meets_floor(self):
         """CI runs enough cases to cover every configuration several times."""
-        if "REPRO_FUSED_CASES" in os.environ and CASES < DEFAULT_CASES:
+        if "REPRO_DISPATCH_CASES" in os.environ and CASES < DEFAULT_CASES:
             pytest.skip(f"case count deliberately scaled down to {CASES}")
         assert CASES >= len(CONFIGURATIONS) * 4
 
     def test_adaptive_traces_match_stage_by_stage(self):
-        """The fused epsilon ladder replays the unfused ladder exactly.
+        """A parallel epsilon ladder replays the serial ladder exactly.
 
         Beyond final-answer equality (covered above), the streamed updates
         themselves must match: same stages, same per-stage values and
@@ -150,15 +137,15 @@ class TestFusedDifferential:
                     log.append((group.canonical.digest, update))
                 return on_update
 
-            solo_log, fused_log = [], []
+            serial_log, parallel_log = [], []
             AnnotationService(database, epsilon=0.3).submit(
                 sql, seed=seed, adaptive=True,
                 group_witnesses=group_witnesses,
-                on_update=capture(solo_log))
+                on_update=capture(serial_log))
             AnnotationService(database, epsilon=0.3).submit(
-                sql, seed=seed, adaptive=True, fusion=8,
+                sql, seed=seed, adaptive=True, jobs=2,
                 group_witnesses=group_witnesses,
-                on_update=capture(fused_log))
+                on_update=capture(parallel_log))
             # Concurrent workers may interleave groups differently; compare
             # each group's ordered update stream, not the global order.
             def by_group(log):
@@ -166,6 +153,6 @@ class TestFusedDifferential:
                 for digest, update in log:
                     streams.setdefault(digest, []).append(update)
                 return streams
-            assert by_group(solo_log) == by_group(fused_log), sql
-            compared += len(by_group(solo_log))
+            assert by_group(serial_log) == by_group(parallel_log), sql
+            compared += len(by_group(serial_log))
         assert compared > 0

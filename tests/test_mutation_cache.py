@@ -144,7 +144,7 @@ class TestDeltaDrivenInvalidation:
 
     def test_frontier_cache_counters_track_eligibility(self):
         service = _service(_database())
-        service.submit(Q_T)  # miss: cold, the select is seen once
+        service.submit(Q_T)  # miss: cold, and version 0 admits nothing
         service.submit(Q_T)  # plan-cache hit: no enumeration
         service.mutate("INSERT INTO t VALUES ('z', 7)")
         service.submit(Q_T)  # miss: re-enumerated cold, and admitted
@@ -300,7 +300,6 @@ class TestPinnedSnapshot:
         # on N: the stored frontier's indices are shifted for N+1.
         service = _sales_service()
         victim = service.database.relation("Orders").tuples()[0][0]
-        service.submit(UNFAIR_DISCOUNT, limit=5)  # seen once: next admits
         pinned = _sales_service().submit(UNFAIR_DISCOUNT, limit=10).answers
         plan = service._plan
 
@@ -349,19 +348,44 @@ class TestFrontierCache:
         sealed, _ = self._delete(parent, 0)
         select = parse_sql(UNFAIR_DISCOUNT)
         cache = FrontierCache()
-        for _ in range(2):  # the second enumeration admits the frontier
-            enumerate_candidates(select, sealed, frontier_cache=cache)
+        enumerate_candidates(select, sealed, frontier_cache=cache)
         assert cache.lookup(select, sealed) is not None
         assert cache.lookup(select, parent) is None
         warm = enumerate_candidates(select, parent, frontier_cache=cache)
         _assert_same_candidates(warm, enumerate_candidates(select, parent))
 
-    def test_advance_carries_a_frontier_past_deletes_and_an_update(self):
+    def test_a_version_zero_snapshot_is_never_admitted(self):
         database = self._sales()
-        select = parse_sql(NEVER_KNOWINGLY_UNDERSOLD)
+        select = parse_sql(UNFAIR_DISCOUNT)
         cache = FrontierCache()
         for _ in range(2):
             enumerate_candidates(select, database, frontier_cache=cache)
+        assert len(cache._cache) == 0
+
+    def test_a_two_version_insert_chain_misses_once(self):
+        # The first enumeration after a commit is admitted, so the next
+        # version's enumeration appends instead of running cold again.
+        select = parse_sql(UNFAIR_DISCOUNT)
+        cache = FrontierCache()
+        database = self._sales()
+        paths = []
+        for row in (("o9000", "p1", 3.0, 0.5), ("o9001", "p2", 4.0, 0.5)):
+            mutation = database.begin_mutation()
+            mutation.insert("Orders", row)
+            database, _ = mutation.commit()
+            sink: dict = {}
+            enumerate_candidates(select, database, frontier_stats=sink,
+                                 frontier_cache=cache)
+            paths.append(sink["frontier"])
+        assert paths == ["cold", "appended"]
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 1)
+
+    def test_advance_carries_a_frontier_past_deletes_and_an_update(self):
+        database, _ = self._delete(self._sales(), 0)  # a moved chain admits
+        select = parse_sql(NEVER_KNOWINGLY_UNDERSOLD)
+        cache = FrontierCache()
+        enumerate_candidates(select, database, frontier_cache=cache)
         for statement in ("DELETE FROM Orders WHERE q > 5",
                           "UPDATE Orders SET q = 2 WHERE id = 'o6'"):
             parent = database
@@ -370,7 +394,7 @@ class TestFrontierCache:
             assert any(delta.deleted_indices for delta in deltas.values())
             cache.advance(parent, database, deltas)
             sink: dict = {}
-            warm = enumerate_candidates(select, database, shard_stats=sink,
+            warm = enumerate_candidates(select, database, frontier_stats=sink,
                                         frontier_cache=cache)
             assert sink["frontier"] == "advanced", statement
             cold = enumerate_candidates(
@@ -378,11 +402,11 @@ class TestFrontierCache:
             _assert_same_candidates(warm, cold)
 
     def test_advance_drops_entries_the_parent_cannot_use(self):
-        database = self._sales()
+        database, _ = self._delete(self._sales(), 0)
         select = parse_sql(UNFAIR_DISCOUNT)
         cache = FrontierCache()
-        for _ in range(2):
-            enumerate_candidates(select, database, frontier_cache=cache)
+        enumerate_candidates(select, database, frontier_cache=cache)
+        assert len(cache._cache) == 1
         stranger = _fresh(database, "columnar")  # another version chain
         sealed, deltas = self._delete(stranger, 0)
         cache.advance(stranger, sealed, deltas)
@@ -399,17 +423,18 @@ class TestFrontierCache:
 
         def enumerate_on(target: Database) -> None:
             sink: dict = {}
-            enumerate_candidates(select, target, shard_stats=sink,
+            enumerate_candidates(select, target, frontier_stats=sink,
                                  frontier_cache=cache)
             if sink["frontier"] not in paths:
                 paths.append(sink["frontier"])
 
-        enumerate_on(database)
-        enumerate_on(database)  # admitted, still cold
-        mutation = database.begin_mutation()
-        mutation.insert("Orders", ("o9000", "p1", 3.0, 0.5))
-        grown, _ = mutation.commit()
-        enumerate_on(grown)
+        enumerate_on(database)  # version 0: cold, not admitted
+        for row in (("o9000", "p1", 3.0, 0.5), ("o9001", "p2", 4.0, 0.5)):
+            mutation = database.begin_mutation()
+            mutation.insert("Orders", row)
+            grown, _ = mutation.commit()
+            enumerate_on(grown)  # cold and admitted, then appended
+            database = grown
         parent, (database, deltas) = grown, self._delete(grown, 0)
         cache.advance(parent, database, deltas)
         enumerate_on(database)

@@ -13,8 +13,7 @@ intermediate version against
 * the incremental **rows** snapshot chain,
 * the incremental **columnar** chain under a persistent
   :class:`~repro.engine.vectorized.FrontierCache` -- advanced past every
-  commit, as the service does -- and a random shard count from
-  {1, 2, 5}, and
+  commit, as the service does -- and
 * a from-scratch :meth:`~repro.relational.database.Database.from_dict`
   rebuild of the same content (fresh version chain, no caches),
 
@@ -43,7 +42,7 @@ from repro.datagen.mutations import random_mutation_script
 from repro.engine.candidates import enumerate_candidates
 from repro.engine.mutate import execute_mutation
 from repro.engine.sql.parser import parse_sql, parse_statement
-from repro.engine.vectorized import FrontierCache
+from repro.engine.vectorized import FRONTIER_PATHS, FrontierCache
 from repro.relational.database import Database
 from repro.relational.mutation import MutationError
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -57,7 +56,6 @@ CASES = int(os.environ.get("REPRO_DIFFERENTIAL_CASES", DEFAULT_CASES))
 
 BASE_POOL = ("red", "green", "blue", "amber")
 NULL_RATES = (0.0, 0.1, 0.3)
-SHARD_CHOICES = (1, 2, 5)
 
 
 def _random_case(rng: np.random.Generator):
@@ -158,7 +156,6 @@ class TestMutationDifferential:
         for case_index in range(CASES):
             schema, specs, pool, queries = _random_case(rng)
             seed = int(rng.integers(0, 2**31))
-            shards = int(rng.choice(SHARD_CHOICES))
             rows_chain = generate_database(schema, specs, rng=seed)
             columnar_chain = rows_chain.with_backend("columnar")
             frontier_cache = FrontierCache()
@@ -169,8 +166,7 @@ class TestMutationDifferential:
 
             for step in range(len(script) + 1):
                 for select, sql, grouped in selects:
-                    context = (f"case {case_index} step {step} "
-                               f"shards {shards}: {sql!r}")
+                    context = f"case {case_index} step {step}: {sql!r}"
                     reference = enumerate_candidates(
                         select, _rebuild_from_scratch(rows_chain, "rows"),
                         group_witnesses=grouped, max_witnesses=4000)
@@ -180,9 +176,12 @@ class TestMutationDifferential:
                     sink: dict = {}
                     incremental_columnar = enumerate_candidates(
                         select, columnar_chain, group_witnesses=grouped,
-                        max_witnesses=4000, shards=shards,
-                        shard_stats=sink, frontier_cache=frontier_cache)
-                    path = sink.get("frontier", "sharded")
+                        max_witnesses=4000, frontier_stats=sink,
+                        frontier_cache=frontier_cache)
+                    # Every columnar enumeration goes through the cache
+                    # and names the frontier path it took.
+                    path = sink["frontier"]
+                    assert path in FRONTIER_PATHS, context
                     frontier_paths[path] = frontier_paths.get(path, 0) + 1
                     _assert_equal(context, reference, incremental_rows)
                     _assert_equal(context, reference, incremental_columnar)

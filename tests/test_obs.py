@@ -5,7 +5,7 @@ The acceptance-critical properties:
 * the metrics registry renders valid Prometheus text exposition that its
   own parser (used by ``repro top``) reads back losslessly;
 * request tracing never perturbs answers -- traced runs are **bit
-  identical** to untraced runs on the plain, fused, and adaptive paths;
+  identical** to untraced runs on the plain and adaptive paths;
 * concurrent submits never expose torn or decreasing counters to a
   stats/metrics poller;
 * the operator console renders frames and windowed quantiles from canned
@@ -293,7 +293,7 @@ class TestServiceTracing:
         assert service.submit(SIMPLE, seed=3).trace is None
 
     @pytest.mark.parametrize("overrides", [
-        {}, {"fusion": 4}, {"adaptive": True}, {"fusion": 4, "adaptive": True},
+        {}, {"adaptive": True}, {"jobs": 2}, {"jobs": 2, "adaptive": True},
     ])
     def test_tracing_never_perturbs_answers(self, shop, overrides):
         baseline = AnnotationService(

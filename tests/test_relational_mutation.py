@@ -3,9 +3,8 @@
 The differential harness (:mod:`tests.test_mutation_differential`) proves
 the end-to-end equivalence claim statistically; these tests pin the
 individual contracts it rests on: snapshot immutability, the version
-chain bookkeeping, typed staging errors, incremental shard-cache
-carryover, and the executor's three-valued WHERE and deterministic
-fresh-null naming.
+chain bookkeeping, typed staging errors, and the executor's three-valued
+WHERE and deterministic fresh-null naming.
 """
 
 from __future__ import annotations
@@ -85,8 +84,6 @@ class TestMvccSnapshots:
         assert parent.with_backend("rows").version_token \
             is not parent.version_token
         assert parent.copy().version_token is not parent.version_token
-        # Re-sharding shares storage, so it keeps the chain.
-        assert parent.with_shards(4).version_token is parent.version_token
 
     def test_touched_nulls_reports_deleted_rows_nulls(self):
         parent = _database()
@@ -146,39 +143,6 @@ class TestStagingErrors:
             mutation.commit()
         with pytest.raises(MutationValidationError):
             mutation.insert("t", ("e", 5.0))
-
-
-class TestShardCacheCarryover:
-    def test_append_extends_only_touched_shards(self):
-        parent = _database()
-        before, hit = parent.table_shards("t", "key", 2)
-        assert not hit
-        mutation = parent.begin_mutation()
-        mutation.insert("t", ("d", 4.0))
-        sealed, _ = mutation.commit()
-
-        after, hit = sealed.table_shards("t", "key", 2)
-        assert hit, "append-only commit must carry the partition over"
-        assert sum(len(shard.offsets) for shard in after) == 4
-        # Offsets stay ascending per shard and cover exactly rows 0..3.
-        covered = sorted(offset for shard in after
-                         for offset in shard.offsets)
-        assert covered == [0, 1, 2, 3]
-        for shard in after:
-            offsets = list(shard.offsets)
-            assert offsets == sorted(offsets)
-
-    def test_delete_drops_the_tables_partitions(self):
-        parent = _database()
-        parent.table_shards("t", "key", 2)
-        parent.table_shards("u", "key", 2)
-        mutation = parent.begin_mutation()
-        mutation.delete("t", 0)
-        sealed, _ = mutation.commit()
-        _, hit_t = sealed.table_shards("t", "key", 2)
-        _, hit_u = sealed.table_shards("u", "key", 2)
-        assert not hit_t, "deletes shift row indices; must recompute"
-        assert hit_u, "untouched tables keep their partitions"
 
 
 class TestExecuteMutation:

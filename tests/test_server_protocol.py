@@ -82,17 +82,20 @@ class TestParseQueryRequest:
 
 
 class TestResultEvent:
-    def test_result_event_carries_fusion_counters(self):
+    def test_result_event_carries_the_request_stats(self):
         schema = DatabaseSchema.of(RelationSchema.of("T", key="base", x="num"))
         database = Database.from_dict(schema, {"T": [
             ("a", NumNull("n0")), ("b", NumNull("n1")), ("c", 1.0)]})
         response = AnnotationService(database, epsilon=0.2).submit(
-            "SELECT T.key FROM T WHERE T.x * 2 <= 5", seed=5, fusion=8)
-        assert response.stats.kernels_launched > 0
+            "SELECT T.key FROM T WHERE T.x * 2 <= 5", seed=5)
         stats = result_event("r1", response)["stats"]
-        assert stats["kernels_launched"] == response.stats.kernels_launched
-        assert stats["tuples_fused"] == response.stats.tuples_fused
-        assert stats["fusion_batches"] == response.stats.fusion_batches
+        assert stats == {
+            "candidates": response.stats.candidates,
+            "groups": response.stats.groups,
+            "groups_from_cache": response.stats.groups_from_cache,
+            "groups_computed": response.stats.groups_computed,
+            "tuples_batched": response.stats.tuples_batched,
+            "elapsed_seconds": response.stats.elapsed_seconds}
 
 
 class TestRequestKey:

@@ -276,17 +276,16 @@ class TestServiceStats:
         assert payload["estimates_reused"] >= 1
         assert {cache["name"] for cache in payload["caches"]} >= {"certainty"}
 
-    def test_fused_auto_counts_one_cache_probe_per_group(
+    def test_auto_counts_one_cache_probe_per_group(
             self, tiny_sales_database):
-        """Every group is probed once, whichever unit later decides it.
+        """Every group is probed once, whichever backend later decides it.
 
-        Under ``fusion`` with ``method="auto"`` most groups resolve to the
-        exact backend and run as solo units next to the fused batches;
-        each must count exactly one certainty-cache miss, not one per
-        dispatch layer it passes through.
+        With ``method="auto"`` most groups resolve to the exact backend and
+        the rest sample; each must count exactly one certainty-cache miss,
+        not one per dispatch layer it passes through.
         """
         service = AnnotationService(tiny_sales_database, epsilon=0.1, seed=3,
-                                    fusion=8, method="auto")
+                                    method="auto")
         for sql in EXPERIMENT_QUERIES.values():
             service.submit(sql)
             service.submit(sql)
@@ -303,36 +302,12 @@ class TestServiceStats:
         with pytest.raises(ValueError, match="unknown method"):
             AnnotationService(shop).submit(SIMPLE, method="simulate")
 
-    def test_negative_fusion_rejected(self, shop):
-        with pytest.raises(ValueError, match="fusion"):
-            AnnotationService(shop, fusion=-1)
-        with pytest.raises(ValueError, match="fusion"):
-            AnnotationService(shop).submit(ADVANTAGE, fusion=-1)
-
-
-class TestFusion:
-    def test_fusion_counters_flow_to_stats(self, shop):
-        service = AnnotationService(shop, epsilon=0.2)
-        response = service.submit(ADVANTAGE, seed=5, fusion=8)
-        assert response.stats.kernels_launched > 0
-        assert response.stats.tuples_fused > 0
-        assert response.stats.fusion_batches > 0
-        stats = service.stats()
-        assert stats.fusion.kernels_launched == response.stats.kernels_launched
-        assert stats.fusion.tuples_fused == response.stats.tuples_fused
-        assert stats.fusion.batches == response.stats.fusion_batches
-        assert stats.fusion.batch_sizes
-        assert "fused kernels" in stats.report()
-        as_dict = stats.as_dict()
-        assert as_dict["fusion"]["kernels_launched"] > 0
-
-    def test_fused_requests_still_fill_the_result_cache(self, shop):
-        service = AnnotationService(shop, epsilon=0.2)
-        cold = service.submit(ADVANTAGE, seed=5, fusion=8)
-        warm = service.submit(ADVANTAGE, seed=5)
-        assert warm.stats.groups_from_cache == warm.stats.groups
-        assert [a.certainty for a in cold.answers] == \
-            [a.certainty for a in warm.answers]
+    @pytest.mark.parametrize("option", ["shards", "fusion"])
+    def test_removed_options_rejected(self, shop, option):
+        with pytest.raises(TypeError, match=option):
+            AnnotationService(shop, **{option: 2})
+        with pytest.raises(TypeError, match=option):
+            AnnotationService(shop).submit(ADVANTAGE, **{option: 2})
 
 
 class TestWrapperCompatibility:
