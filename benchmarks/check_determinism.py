@@ -6,7 +6,7 @@ Process-parallel execution is exactly the kind of change that introduces
 nondeterminism quietly -- scheduling-order dependence, hash-salted dict
 iteration, worker-local RNG state.  This script runs a fixed, seeded
 workload through the full stack (columnar generation and enumeration,
-process-executor Monte-Carlo estimates, adaptive refinement) and folds
+process-pool Monte-Carlo estimates, adaptive refinement) and folds
 everything observable -- answer values, witness order, lineage digests,
 certainty floats at full precision -- into one SHA-256 digest.
 
@@ -71,9 +71,9 @@ def run_workload() -> dict[str, str]:
     configure_compile_cache(clear=True)
     database = build_database()
     service = AnnotationService(database, ServiceOptions(
-        epsilon=0.25, seed=97, jobs=2, executor="process"))
+        epsilon=0.25, seed=97, jobs=2))
     adaptive_service = AnnotationService(database, ServiceOptions(
-        epsilon=0.25, seed=97, jobs=2, executor="process", adaptive=True))
+        epsilon=0.25, seed=97, jobs=2, adaptive=True))
     digests: dict[str, str] = {}
     for name, sql in QUERIES:
         for mode, server in (("single", service), ("adaptive", adaptive_service)):

@@ -60,8 +60,7 @@ def _spawn_cluster(data_dir: str) -> tuple[subprocess.Popen, int, int]:
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "cluster", "start",
          "--data", data_dir, "--workers", "2", "--port", "0",
-         "--epsilon", "0.1", "--seed", "5", "--backend", "columnar",
-         "--health-interval", "0.3"],
+         "--epsilon", "0.1", "--seed", "5", "--health-interval", "0.3"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=_env())
     announce = process.stdout.readline().strip()

@@ -99,7 +99,7 @@ def main() -> int:
             [sys.executable, "-m", "repro.cli", "cluster", "start",
              "--data", data_dir, "--workers", str(args.workers),
              "--port", "0", "--no-http", "--seed", "0",
-             "--backend", "columnar", "--health-interval", "0.5"],
+             "--health-interval", "0.5"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         announce = process.stdout.readline().strip()
         assert announce.startswith("listening tcp="), announce

@@ -460,7 +460,8 @@ def bench_mutations(quick: bool) -> dict:
 
     Both sides answer the identical query at every committed version and
     must return bit-identical candidates.  The incremental side pays
-    ``execute_mutation`` plus a delta-maintained enumeration per version;
+    ``execute_mutation``, ``FrontierCache.advance`` (as the service's
+    commit does) and a delta-maintained enumeration per version;
     the rebuild side pays a from-scratch :meth:`Database.from_dict` of
     the same content plus a cold enumeration -- which is exactly what a
     data plane without MVCC snapshots would have to do.  Statements are
@@ -490,7 +491,11 @@ def bench_mutations(quick: bool) -> dict:
         chain = base
         results = []
         for statement in statements:
-            chain, _, _ = execute_mutation(statement, chain)
+            parent = chain
+            chain, deltas, _ = execute_mutation(statement, parent)
+            # As the service does on commit: carry the cached frontiers
+            # past the statement's deletes before the next enumeration.
+            frontier_cache.advance(parent, chain, deltas)
             results.append(enumerate_candidates(
                 select, chain, limit=config["limit"],
                 frontier_cache=frontier_cache))
@@ -571,8 +576,7 @@ def bench_cluster(quick: bool) -> dict:
     curve = []
     with tempfile.TemporaryDirectory() as tmp:
         save_database(database, tmp)
-        argv = worker_argv(tmp, ["--seed", "0", "--backend", "columnar",
-                                 "--epsilon", "0.1"])
+        argv = worker_argv(tmp, ["--seed", "0", "--epsilon", "0.1"])
         defaults = defaults_from_options(ServiceOptions(epsilon=0.1, seed=0))
         for workers in sorted({1, config["workers"]}):
             with EmbeddedCluster(worker_argv=argv, workers=workers,

@@ -40,8 +40,7 @@ def _spawn_server(data_dir: str) -> tuple[subprocess.Popen, int, int]:
     env["PYTHONPATH"] = SRC + (os.pathsep + existing if existing else "")
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "server", "--data", data_dir,
-         "--port", "0", "--epsilon", "0.1", "--seed", "5",
-         "--backend", "columnar"],
+         "--port", "0", "--epsilon", "0.1", "--seed", "5"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     announce = process.stdout.readline().strip()
     assert announce.startswith("listening tcp="), \

@@ -73,7 +73,7 @@ def main() -> int:
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "server", "--data", data_dir,
              "--port", "0", "--no-http", "--seed", "0",
-             "--backend", "columnar", "--workers", str(args.connections)],
+             "--workers", str(args.connections)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         announce = process.stdout.readline().strip()
         assert announce.startswith("listening tcp="), announce

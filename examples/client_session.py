@@ -19,7 +19,7 @@ Run with::
 Equivalent shell session::
 
     python -m repro.cli generate --out /tmp/sales --products 120 --orders 120
-    python -m repro.cli server --data /tmp/sales --backend columnar &
+    python -m repro.cli server --data /tmp/sales &
     python -m repro.cli client --port 7464 --sql "SELECT ..." --adaptive
     python -m repro.cli client --port 7464 --probe stats
     kill -TERM %1      # graceful drain, exit 0

@@ -64,8 +64,8 @@ class LruCache:
     """Least-recently-used cache with a fixed capacity and usage counters.
 
     Lookups and insertions are O(1) (an :class:`~collections.OrderedDict`
-    keeps recency order) and guarded by a lock so the service's parallel
-    executor can share one instance across worker threads.
+    keeps recency order) and guarded by a lock so the network server's
+    worker threads can share one instance.
     """
 
     def __init__(self, capacity: int, name: str = "cache") -> None:

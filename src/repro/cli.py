@@ -12,8 +12,8 @@ without writing any Python:
     print every candidate answer with its measure of certainty.
     ``--query-name`` can be used instead of ``--sql`` to run one of the
     paper's three decision-support queries by name; ``--jobs N`` spreads the
-    Monte-Carlo estimates over worker threads (bit-identical to serial at a
-    fixed ``--seed``), and ``--adaptive`` streams coarse estimates first.
+    Monte-Carlo estimates over worker processes (bit-identical to serial at
+    a fixed ``--seed``), and ``--adaptive`` streams coarse estimates first.
 
 ``python -m repro.cli serve --data data/``
     Start a long-lived annotation service and read queries from stdin (a
@@ -104,12 +104,7 @@ from repro.obs.logsetup import LOG_FORMATS, LOG_LEVELS, configure_logging
 from repro.engine.translate_sql import SqlTranslationError
 from repro.relational.csv_io import load_database, save_database
 from repro.relational.schema import SchemaError
-from repro.service import (
-    EXECUTORS,
-    SERVICE_METHODS,
-    AnnotationService,
-    ServiceOptions,
-)
+from repro.service import SERVICE_METHODS, AnnotationService, ServiceOptions
 
 #: Exit code when the data directory holds no tuples (kept at 1 for
 #: backwards compatibility with pre-service scripts).
@@ -171,29 +166,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="root seed; fixed seeds make runs "
                                     "(including --jobs N) reproducible")
         subparser.add_argument("--jobs", type=int, default=1,
-                               help="workers for the Monte-Carlo phase "
-                                    "(0 = one per CPU; results are identical "
-                                    "to --jobs 1 at a fixed seed)")
-        subparser.add_argument("--executor", default="thread",
-                               choices=EXECUTORS,
-                               help="what --jobs spans for the Monte-Carlo "
-                                    "phase: 'thread' shares the process, "
-                                    "'process' spans cores; answers are "
-                                    "bit-identical either way")
+                               help="worker processes for the Monte-Carlo "
+                                    "phase (0 = one per CPU; requests that "
+                                    "stream --adaptive refinements run "
+                                    "inline; results are identical to "
+                                    "--jobs 1 at a fixed seed)")
         subparser.add_argument("--adaptive", action="store_true",
                                help="serve coarse estimates first and refine "
                                     "toward --epsilon; refinement stages "
                                     "stream on stderr, the final table gains "
                                     "an interval column")
-        subparser.add_argument("--backend", default="columnar",
-                               choices=("rows", "columnar"),
-                               help="storage/execution backend for candidate "
-                                    "enumeration: 'columnar' joins whole "
-                                    "NumPy columns at once (default), 'rows' "
-                                    "is the row-at-a-time reference engine "
-                                    "the differential tests check it "
-                                    "against; answers are identical either "
-                                    "way")
 
     annotate_parser = subparsers.add_parser(
         "annotate", aliases=["query"],
@@ -397,14 +379,14 @@ def _run_generate(args: argparse.Namespace) -> int:
 
 
 def _load_service(args: argparse.Namespace) -> AnnotationService:
+    """The service every serving verb runs, over the columnar layout."""
     database = load_database(sales_schema(), Path(args.data))
     if database.total_tuples() == 0:
         raise _EmptyDataError(f"no data found in {args.data}")
     options = ServiceOptions(epsilon=args.epsilon, method=args.method,
-                             jobs=args.jobs, executor=args.executor,
-                             adaptive=args.adaptive,
-                             seed=args.seed, backend=args.backend)
-    return AnnotationService(database, options)
+                             jobs=args.jobs, adaptive=args.adaptive,
+                             seed=args.seed)
+    return AnnotationService(database.with_backend("columnar"), options)
 
 
 def _print_answers(answers: Sequence, adaptive: bool) -> None:
@@ -555,8 +537,7 @@ def _run_server(args: argparse.Namespace) -> int:
 def _worker_serving_flags(args: argparse.Namespace) -> list[str]:
     """The serving flags ``repro cluster start`` forwards to each worker."""
     flags = ["--epsilon", str(args.epsilon), "--method", args.method,
-             "--seed", str(args.seed), "--jobs", str(args.jobs),
-             "--executor", args.executor, "--backend", args.backend]
+             "--seed", str(args.seed), "--jobs", str(args.jobs)]
     if args.limit is not None:
         flags += ["--limit", str(args.limit)]
     if args.adaptive:

@@ -52,7 +52,6 @@ def annotate_query(select: SelectQuery, database: Database,
                    limit: Optional[int] = None,
                    rng: RngLike = None,
                    candidates: Optional[Sequence[CandidateAnswer]] = None,
-                   reuse_lineage_results: bool = True,
                    jobs: int = 1,
                    adaptive: bool = False) -> list[AnnotatedAnswer]:
     """Annotate the candidate answers of a parsed SELECT query with confidences.
@@ -63,20 +62,18 @@ def annotate_query(select: SelectQuery, database: Database,
 
     Distinct output rows frequently share a lineage formula -- ungrouped
     (bag-semantics) runs emit one row per witness, and different tuples often
-    hit the same constraint pattern even after renaming their nulls.  With
-    ``reuse_lineage_results`` (default on) the service's batch scheduler
-    computes each distinct *canonical* lineage once and reuses the result,
-    which on top of the compiled-kernel cache makes repeated lineages nearly
-    free.  Disable it to force an independent Monte-Carlo run per row.
+    hit the same constraint pattern even after renaming their nulls.  The
+    service's batch scheduler computes each distinct *canonical* lineage
+    once and reuses the result, which on top of the compiled-kernel cache
+    makes repeated lineages nearly free.
 
     ``jobs`` spreads the per-lineage estimates over that many worker
-    threads; results are bit-identical to the serial run at a fixed seed.
+    processes; results are bit-identical to the serial run at a fixed seed.
     ``adaptive`` serves each estimate through the coarse-to-fine refinement
     schedule (the final precision still meets ``epsilon``).
     """
     service = AnnotationService(database, epsilon=epsilon, delta=delta,
-                                method=method, jobs=jobs, adaptive=adaptive,
-                                reuse_results=reuse_lineage_results)
+                                method=method, jobs=jobs, adaptive=adaptive)
     if candidates is None:
         candidates = enumerate_candidates(select, database, limit=limit)
     response = service.submit(select, candidates=candidates,

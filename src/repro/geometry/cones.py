@@ -11,18 +11,27 @@ whose volume the FPRAS estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.bodies import EPSILON, Ball, HalfSpace, Intersection
 
-try:  # scipy is an optional accelerator for interior-point detection.
-    from scipy.optimize import linprog
 
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - exercised only on scipy-free installs
-    _HAVE_SCIPY = False
+@lru_cache(maxsize=None)
+def _scipy_linprog():
+    """scipy's ``linprog``, or ``None`` on installs without scipy.
+
+    scipy is an optional accelerator for interior-point detection.  It is
+    imported on first use, not at module load: the import costs most of a
+    cold ``import repro.cli``, and only the FPRAS/volume paths reach it.
+    """
+    try:
+        from scipy.optimize import linprog
+    except Exception:  # pragma: no cover - exercised only on scipy-free installs
+        return None
+    return linprog
 
 
 @dataclass(frozen=True)
@@ -135,7 +144,7 @@ class PolyhedralCone:
         inequalities = np.vstack([self.strict, self.weak])
         if inequalities.shape[0] == 0:
             return np.zeros(self.dimension)
-        if _HAVE_SCIPY:
+        if _scipy_linprog() is not None:
             return self._interior_point_lp(inequalities)
         return self._interior_point_random(inequalities)
 
@@ -147,7 +156,8 @@ class PolyhedralCone:
         a_ub = np.hstack([inequalities, np.ones((rows, 1))])
         b_ub = np.zeros(rows)
         bounds = [(-1.0, 1.0)] * dimension + [(0.0, 1.0)]
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        result = _scipy_linprog()(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
+                                  method="highs")
         if not result.success:
             return None
         slack = float(result.x[-1])

@@ -528,15 +528,6 @@ def render_stats_tables(stats: dict) -> str:
               str(cache.get("size", 0)), str(cache.get("hits", 0)),
               str(cache.get("misses", 0)), str(cache.get("evictions", 0)))
              for cache in caches]))
-    backends = service.get("backends", [])
-    if backends:
-        out.append("")
-        out.extend(render_table(
-            ("backend", "requests", "plan hits", "plan misses"),
-            [(backend.get("backend", "?"), str(backend.get("requests", 0)),
-              str(backend.get("plan_hits", 0)),
-              str(backend.get("plan_misses", 0)))
-             for backend in backends]))
     flight = service.get("single_flight")
     if flight:
         out.append("")

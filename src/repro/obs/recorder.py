@@ -128,8 +128,8 @@ def service_stats_collector(service) -> "callable":
     """A registry collector exporting a service's lifetime counters.
 
     Reads :meth:`AnnotationService.stats` at scrape time and renders the
-    existing counter structures -- requests, caches, backends,
-    single-flight -- as Prometheus families.  Nothing is
+    existing counter structures -- requests, caches, single-flight --
+    as Prometheus families.  Nothing is
     double-counted on the hot path; the source of truth stays the service's
     ``_counters_lock``-guarded integers.
     """
@@ -171,11 +171,6 @@ def service_stats_collector(service) -> "callable":
                     "Entries currently held per cache layer",
                     cache_rows["size"]),
         ])
-        families.append(_family(
-            "repro_backend_requests_total", "counter",
-            "Requests executed per storage backend",
-            [({"backend": backend.backend}, backend.requests)
-             for backend in stats.backends]))
         if stats.single_flight is not None:
             flight = stats.single_flight
             families.append(_family(

@@ -2,10 +2,9 @@
 
 A :class:`Trace` is one request's span tree: ``parse -> enumerate ->
 schedule -> estimate (per group / per adaptive rung) -> serialize``.
-Spans are created with explicit parents (the service passes its
-request-root span into worker closures, so spans recorded on executor
-threads still attach to the right tree -- no context-variable propagation
-to get wrong), carry a small attribute map (plan-cache misses, frontier
+Spans are created with explicit parents (callers pass the parent span,
+so spans recorded on another thread still attach to the right tree -- no
+context-variable propagation to get wrong), carry a small attribute map (plan-cache misses, frontier
 path, sample counts), and record wall-clock anchored ``perf_counter``
 timestamps.
 

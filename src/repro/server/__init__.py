@@ -23,9 +23,8 @@ for callers inside the process; this package is the network layer on top:
 
 The compute layers are untouched underneath: requests run through the
 ordinary ``AnnotationService.submit`` on a thread pool, so ``jobs``,
-``backend``, ``executor``, ``adaptive`` and ``seed`` behave
-exactly as they do in-process, and served answers are bit-identical to
-local ones.
+``adaptive`` and ``seed`` behave exactly as they do in-process, and
+served answers are bit-identical to local ones.
 """
 
 from repro.server.app import ServerApp

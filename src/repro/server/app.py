@@ -7,8 +7,8 @@ class adds is how a flight is led and how a mutation commits over one
 :class:`~repro.service.AnnotationService`:
 
 * **leading a flight** -- ``submit`` runs on a dedicated thread pool via
-  ``run_in_executor``; the service's own ``jobs``/``executor``
-  options apply unchanged inside each call.  (The service additionally
+  ``run_in_executor``; the service's own ``jobs`` option applies
+  unchanged inside each call.  (The service additionally
   single-flights *estimates* on the canonical lineage digest, which
   coalesces structurally identical work across different query texts.)
 * **streaming** -- ``adaptive`` requests push every tightened interval to

@@ -11,7 +11,7 @@ scratch, :class:`AnnotationService` amortises each stage:
   a formula skeleton into one kernel invocation;
 * :mod:`repro.service.rng` -- ``SeedSequence``-spawned per-task streams
   keyed by lineage digest, making parallel runs bit-identical to serial;
-* :mod:`repro.service.executor` -- the ``--jobs N`` thread pool;
+* :mod:`repro.service.executor` -- the ``--jobs N`` process pool;
 * :mod:`repro.service.adaptive` -- coarse-to-fine estimation streaming
   monotonically tightening confidence intervals;
 * :mod:`repro.service.service` -- the :class:`AnnotationService` façade
@@ -35,19 +35,12 @@ from repro.service.canonical import (
     canonicalise,
     canonicalise_lineage,
 )
-from repro.service.executor import (
-    EXECUTORS,
-    available_cpus,
-    process_map,
-    run_tasks,
-    shutdown_pools,
-)
+from repro.service.executor import available_cpus, process_map, shutdown_pools
 from repro.service.rng import root_sequence, spawn_stream
 from repro.service.scheduler import TaskGroup, build_schedule
 from repro.service.service import (
     SERVICE_METHODS,
     AnnotationService,
-    BackendStats,
     RequestStats,
     ServiceOptions,
     ServiceResponse,
@@ -55,12 +48,10 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "SERVICE_METHODS",
     "AdaptiveUpdate",
     "AnnotatedAnswer",
     "AnnotationService",
-    "BackendStats",
     "CacheStats",
     "CanonicalLineage",
     "CanonicalisationError",
@@ -81,7 +72,6 @@ __all__ = [
     "intersect_intervals",
     "process_map",
     "root_sequence",
-    "run_tasks",
     "shutdown_pools",
     "spawn_stream",
 ]

@@ -1,21 +1,15 @@
-"""Parallel task execution with serial-identical results.
+"""Process-parallel task execution with serial-identical results.
 
-Two pools live here, for the two shapes of parallelism the service uses:
+The service's Monte-Carlo work units are CPU-bound Python+NumPy mixes
+whose Python share the GIL serialises, so with ``jobs > 1`` they run in a
+``ProcessPoolExecutor`` (:func:`process_map`) that spans cores.  Tasks
+must be module-level functions over picklable payloads.
 
-* **threads** (:func:`run_tasks`) -- the PR 2 executor.  The service's
-  Monte-Carlo work units run as closures over its shared caches; NumPy
-  kernels release the GIL, so threads overlap them without any pickling.
-* **processes** (:func:`process_map`) -- the same work units when the
-  service is configured with ``executor="process"``.  They are CPU-bound
-  Python+NumPy mixes whose Python share the GIL serialises; a
-  ``ProcessPoolExecutor`` spans cores instead.  Process tasks must be
-  module-level functions over picklable payloads.
-
-Determinism is preserved by construction in both pools: every task derives
-its own random stream from a content-keyed ``SeedSequence`` spawn
+Determinism is preserved by construction: every task derives its own
+random stream from a content-keyed ``SeedSequence`` spawn
 (:mod:`repro.service.rng`), so a task's result is independent of *which*
-worker runs it and *when*, and both pools return results in task order.
-``jobs=N`` is therefore bit-identical to ``jobs=1`` under either executor.
+worker runs it and *when*, and results come back in task order.
+``jobs=N`` is therefore bit-identical to ``jobs=1``.
 
 The process pool is created lazily, prefers the ``fork`` start method where
 available (workers inherit the parent's imports; start-up is milliseconds,
@@ -30,15 +24,12 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 P = TypeVar("P")
-
-#: Executor kinds the service accepts for its Monte-Carlo phase.
-EXECUTORS = ("thread", "process")
 
 
 def available_cpus() -> int:
@@ -60,21 +51,6 @@ def available_cpus() -> int:
 def default_jobs() -> int:
     """A sensible worker count for ``jobs=0`` ("use all cores") requests."""
     return available_cpus()
-
-
-def run_tasks(tasks: Sequence[Callable[[], T]], jobs: int = 1) -> list[T]:
-    """Run ``tasks`` and return their results in task order.
-
-    ``jobs <= 1`` runs inline (no pool, no thread switches); ``jobs == 0``
-    uses one worker per CPU.  Exceptions propagate to the caller either way.
-    """
-    if jobs == 0:
-        jobs = default_jobs()
-    if jobs <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
 
 
 # -- the shared process pool -------------------------------------------------
@@ -131,7 +107,7 @@ def process_map(function: Callable[[P], T], payloads: Sequence[P],
     ``jobs <= 1`` (or a single payload) runs inline without touching the
     pool; ``jobs == 0`` uses one worker per CPU.  Payloads are split
     evenly over the workers, one round-trip per worker.  The first worker
-    exception propagates, as with the thread executor.
+    exception propagates.
     """
     if jobs == 0:
         jobs = default_jobs()

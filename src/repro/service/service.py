@@ -18,11 +18,11 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
    probed once in the certainty cache, keyed by
    ``(lineage digest, ε, δ, method, adaptive, seed)``, so structurally
    repeated requests skip the Monte-Carlo phase entirely; each miss is
-   estimated as one task, and one executor call runs the tasks over
-   ``jobs`` threads or processes.  Every task draws from streams spawned
-   off the request's ``SeedSequence`` under a key derived from the
-   lineage digest (:mod:`repro.service.rng`), which makes parallel runs
-   bit-identical to serial ones;
+   estimated as one task, inline or, with ``jobs > 1``, in the shared
+   process pool.  Every task draws from streams spawned off the
+   request's ``SeedSequence`` under a key derived from the lineage digest
+   (:mod:`repro.service.rng`), which makes parallel runs bit-identical to
+   serial ones;
 5. **estimate** -- either single-shot at the requested ε, or adaptively
    (coarse first, streamed refinement; :mod:`repro.service.adaptive`);
    fresh results land in the certainty cache.
@@ -38,7 +38,6 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,14 +48,9 @@ from repro.certainty.result import CertaintyResult
 from repro.compile import compile_cache_stats
 from repro.constraints.translate import TranslationResult
 from repro.geometry.montecarlo import DEFAULT_DELTA
-from repro.service.adaptive import (
-    DEFAULT_COARSE_EPSILON,
-    DEFAULT_REFINEMENT_FACTOR,
-    AdaptiveUpdate,
-    adaptive_certainty,
-)
+from repro.service.adaptive import AdaptiveUpdate, adaptive_certainty
 from repro.service.answers import AnnotatedAnswer
-from repro.service.executor import EXECUTORS, process_map, run_tasks
+from repro.service.executor import default_jobs, process_map
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACE, Trace
 from repro.service.rng import SeedLike, root_sequence, spawn_stream
@@ -68,40 +62,29 @@ SERVICE_METHODS = ("auto", "exact", "afpras", "fpras")
 #: Callback receiving streamed adaptive refinements: ``(group, update)``.
 GroupUpdateCallback = Callable[[TaskGroup, AdaptiveUpdate], None]
 
+#: Entries held by the parse, plan and certainty caches.
+PARSE_CACHE_SIZE = 256
+PLAN_CACHE_SIZE = 128
+RESULT_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class ServiceOptions:
-    """Request defaults and cache sizing of an :class:`AnnotationService`."""
+    """Request defaults of an :class:`AnnotationService`."""
 
     epsilon: float = 0.05
     delta: float = DEFAULT_DELTA
     method: str = "afpras"
-    #: Workers per request; 1 = serial, 0 = one per CPU.
-    jobs: int = 1
-    #: What ``jobs`` spans: ``"thread"`` workers share the process (the
-    #: PR 2 executor; caches shared, zero shipping cost), ``"process"``
-    #: workers span cores for the CPU-bound Monte-Carlo phase.  Results are
+    #: Workers per request; 1 = inline, 0 = one per CPU.  More than one
+    #: ships the Monte-Carlo phase to the shared process pool, except for
+    #: requests that stream refinements, which run inline.  Results are
     #: bit-identical either way -- streams are content-keyed, not
     #: scheduling-keyed.
-    executor: str = "thread"
+    jobs: int = 1
     #: Serve coarse estimates first and refine toward the requested epsilon.
     adaptive: bool = False
-    adaptive_coarse: float = DEFAULT_COARSE_EPSILON
-    adaptive_factor: float = DEFAULT_REFINEMENT_FACTOR
     #: Root seed used when a request does not carry its own.
     seed: SeedLike = None
-    #: Storage/execution backend for candidate enumeration: ``"rows"``
-    #: (row-at-a-time reference engine), ``"columnar"`` (vectorized engine
-    #: over NumPy column arrays), or ``None`` to follow the database's own
-    #: backend.  The service converts its database snapshot once at
-    #: construction, so every request runs on the chosen layout.
-    backend: Optional[str] = None
-    #: Reuse certainty results across tuples and requests with the same
-    #: canonical lineage (the PR 1 ad-hoc annotate-loop reuse, generalised).
-    reuse_results: bool = True
-    parse_cache_size: int = 256
-    plan_cache_size: int = 128
-    result_cache_size: int = 4096
 
 
 @dataclass(frozen=True)
@@ -133,16 +116,6 @@ class ServiceResponse:
 
 
 @dataclass(frozen=True)
-class BackendStats:
-    """Request and plan-cache counters attributed to one execution backend."""
-
-    backend: str
-    requests: int
-    plan_hits: int
-    plan_misses: int
-
-
-@dataclass(frozen=True)
 class ServiceStats:
     """Lifetime counters and per-cache snapshots for the stats report."""
 
@@ -152,7 +125,6 @@ class ServiceStats:
     estimates_reused: int
     tuples_batched: int
     caches: tuple[CacheStats, ...] = field(default_factory=tuple)
-    backends: tuple[BackendStats, ...] = field(default_factory=tuple)
     #: Cross-request estimate coalescing (concurrent identical lineages
     #: joining one computation); ``None`` on snapshots predating the server.
     single_flight: Optional[SingleFlightStats] = None
@@ -195,11 +167,6 @@ class ServiceStats:
                 f"{cache.name:<18} {cache.capacity:>5} {cache.size:>7} "
                 f"{cache.hits:>6} {cache.misses:>7} {cache.evictions:>6} "
                 f"{cache.hit_rate:>9.1%}")
-        lines.append("backend            requests   plan-hits  plan-misses")
-        for backend in self.backends:
-            lines.append(
-                f"{backend.backend:<18} {backend.requests:>8} "
-                f"{backend.plan_hits:>11} {backend.plan_misses:>12}")
         if self.slow_queries:
             lines.append("slow queries        elapsed  hottest-phase  sql")
             for entry in self.slow_queries:
@@ -220,11 +187,6 @@ class ServiceStats:
             "estimates_reused": self.estimates_reused,
             "tuples_batched": self.tuples_batched,
             "caches": [cache.as_dict() for cache in self.caches],
-            "backends": [
-                {"backend": backend.backend, "requests": backend.requests,
-                 "plan_hits": backend.plan_hits,
-                 "plan_misses": backend.plan_misses}
-                for backend in self.backends],
             "single_flight": (None if self.single_flight is None
                               else self.single_flight.as_dict()),
             "slow_queries": [dict(entry) for entry in self.slow_queries],
@@ -262,14 +224,11 @@ def normalise_sql(sql: str) -> str:
     return "\x00".join(parts)
 
 
-def _validate(method: str, executor: str) -> None:
-    """Reject unknown options, as service defaults or per-request overrides."""
+def _validate(method: str) -> None:
+    """Reject unknown methods, as service defaults or per-request overrides."""
     if method not in SERVICE_METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {SERVICE_METHODS}")
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}")
 
 
 def _seed_token(root: np.random.SeedSequence) -> tuple:
@@ -350,11 +309,7 @@ class AnnotationService:
             options = ServiceOptions()
         if overrides:
             options = replace(options, **overrides)
-        _validate(options.method, options.executor)
-        if options.backend is not None:
-            # One conversion at construction; the snapshot then serves every
-            # request under the requested layout.
-            database = database.with_backend(options.backend)
+        _validate(options.method)
         self._snapshot = _Snapshot(database,
                                    len(database.num_nulls_ordered()))
         self._options = options
@@ -364,9 +319,9 @@ class AnnotationService:
         # the certainty cache (a per-request fresh root would make every
         # cache key unique and silently disable cross-request reuse).
         self._default_root = root_sequence(options.seed)
-        self._parse_cache = LruCache(options.parse_cache_size, name="parsed sql")
-        self._plan_cache = LruCache(options.plan_cache_size, name="candidates")
-        self._result_cache = LruCache(options.result_cache_size, name="certainty")
+        self._parse_cache = LruCache(PARSE_CACHE_SIZE, name="parsed sql")
+        self._plan_cache = LruCache(PLAN_CACHE_SIZE, name="candidates")
+        self._result_cache = LruCache(RESULT_CACHE_SIZE, name="certainty")
         # Incremental join-frontier maintenance for the columnar path: a
         # commit carries cached frontiers past its deletes, and
         # re-enumeration delta-joins only the appended rows (see
@@ -430,10 +385,8 @@ class AnnotationService:
                limit: Optional[int] = None,
                seed: SeedLike = None,
                jobs: Optional[int] = None,
-               executor: Optional[str] = None,
                adaptive: Optional[bool] = None,
                group_witnesses: bool = True,
-               reuse_results: Optional[bool] = None,
                trace: Union[bool, Trace, None] = None,
                on_update: Optional[GroupUpdateCallback] = None) -> ServiceResponse:
         """Run one annotation request through the full service lifecycle.
@@ -454,10 +407,10 @@ class AnnotationService:
         delta = options.delta if delta is None else delta
         method = options.method if method is None else method
         jobs = options.jobs if jobs is None else jobs
-        executor = options.executor if executor is None else executor
+        if jobs == 0:
+            jobs = default_jobs()
         adaptive = options.adaptive if adaptive is None else adaptive
-        reuse = options.reuse_results if reuse_results is None else reuse_results
-        _validate(method, executor)
+        _validate(method)
         root = self._default_root if seed is None else root_sequence(seed)
         seed_token = _seed_token(root)
 
@@ -494,24 +447,14 @@ class AnnotationService:
         candidates = entry.candidates
 
         with tr.span("schedule") as schedule_span:
-            if reuse:
-                schedule = entry.schedule
-            else:
-                # Independent estimates per tuple: one single-member group per
-                # candidate, each with a distinct replica token in its stream.
-                schedule = [TaskGroup(canonical=group.canonical,
-                                      members=(index,))
-                            for group in entry.schedule
-                            for index in group.members]
+            schedule = entry.schedule
             schedule_span.set("groups", len(schedule))
 
-        keys: list[Optional[tuple]] = [None] * len(schedule)
-        if reuse:
-            keys = [(group.canonical.digest, epsilon, delta, method, adaptive,
-                     seed_token) for group in schedule]
-            # Record which marked nulls each group's lineages touch, so a
-            # later mutation can evict exactly the affected cache entries.
-            self._record_provenance(keys, entry.provenance)
+        keys = [(group.canonical.digest, epsilon, delta, method, adaptive,
+                 seed_token) for group in schedule]
+        # Record which marked nulls each group's lineages touch, so a later
+        # mutation can evict exactly the affected cache entries.
+        self._record_provenance(keys, entry.provenance)
 
         # The Monte-Carlo phase is one pipeline under every configuration.
         # 1. Probe: one counted certainty-cache get per group; hits are
@@ -519,7 +462,7 @@ class AnnotationService:
         outcomes: list = [None] * len(schedule)
         misses: list[int] = []
         for position, key in enumerate(keys):
-            cached = None if key is None else self._result_cache.get(key)
+            cached = self._result_cache.get(key)
             if cached is None:
                 misses.append(position)
             else:
@@ -529,19 +472,15 @@ class AnnotationService:
         # 2. Work: each miss is one content payload (the group's canonical
         #    translation, the request parameters, the root seed), so it is
         #    decided unchanged in this process or in a worker process.
-        coarse, factor = options.adaptive_coarse, options.adaptive_factor
         payloads = [
             (_EstimateTask(
                 translation=schedule[position].canonical.translation(),
-                digest=schedule[position].canonical.digest,
-                replica=() if reuse else (schedule[position].members[0],)),
-             epsilon, delta, method, adaptive, root, coarse, factor)
+                digest=schedule[position].canonical.digest),
+             epsilon, delta, method, adaptive, root)
             for position in misses]
 
         def run_here(position: int, payload: tuple) -> tuple:
             group = schedule[position]
-            # Spans from executor worker threads attach via the explicit
-            # parent handle, so the tree survives thread fan-out.
             with tr.span("estimate", lineage=group.canonical.digest.hex()[:12],
                          tuples=group.size) as span:
                 callback = _rung_callback(tr, span, on_update, group)
@@ -550,22 +489,24 @@ class AnnotationService:
                 span.set("reused", reused)
                 return result, reused
 
-        # 3. Execute: one executor call.  Streaming callbacks must run in
-        #    this process, so the process executor only takes callback-free
-        #    requests; answers are bit-identical either way (streams are
-        #    content-keyed).
-        if executor == "process" and jobs > 1 and on_update is None:
+        # 3. Execute: with more than one worker and more than one miss the
+        #    misses ship to the process pool; everything else runs inline.
+        #    Streaming callbacks must run in this process, so a request
+        #    with one stays inline too.  Answers are bit-identical either
+        #    way (streams are content-keyed).
+        if jobs > 1 and len(misses) > 1 and on_update is None:
             # Worker processes cannot carry the trace; one umbrella span
-            # stands in for the per-task breakdown.
+            # stands in for the per-task breakdown.  Shipped tasks skip
+            # the cross-request single-flight: a concurrent request racing
+            # on the same cold lineage computes it again, bit-identically.
             with tr.span("estimate", mode="process", groups=len(misses)):
                 shipped = process_map(_estimate_task, payloads, jobs=jobs)
             decided = [(self._land(schedule[position], keys[position], result,
                                    dimension), False)
                        for position, result in zip(misses, shipped)]
         else:
-            decided = run_tasks([partial(run_here, position, payload)
-                                 for position, payload
-                                 in zip(misses, payloads)], jobs=jobs)
+            decided = [run_here(position, payload)
+                       for position, payload in zip(misses, payloads)]
         for position, outcome in zip(misses, decided):
             outcomes[position] = outcome
 
@@ -616,7 +557,6 @@ class AnnotationService:
 
     def stats(self) -> ServiceStats:
         """Lifetime counters plus snapshots of every cache layer."""
-        plan_stats = self._plan_cache.stats()
         with self._counters_lock:
             requests = self._requests
             answers_served = self._answers_served
@@ -626,11 +566,6 @@ class AnnotationService:
             mutations_applied = self._mutations_applied
             results_evicted = self._results_evicted
         database = self._snapshot.database
-        # One row: every request runs on the service's one layout.
-        backend = BackendStats(backend=getattr(database, "backend", "rows"),
-                               requests=requests,
-                               plan_hits=plan_stats.hits,
-                               plan_misses=plan_stats.misses)
         slow_queries: tuple = ()
         if self._recorder.enabled and self._recorder.slow_log is not None:
             slow_queries = tuple(
@@ -644,12 +579,11 @@ class AnnotationService:
             tuples_batched=tuples_batched,
             caches=(
                 self._parse_cache.stats(),
-                plan_stats,
+                self._plan_cache.stats(),
                 self._result_cache.stats(),
                 self._frontier_cache.stats(),
                 compile_cache_stats(),
             ),
-            backends=(backend,),
             single_flight=self._estimate_flights.stats(),
             slow_queries=slow_queries,
             data_version=getattr(database, "data_version", 0),
@@ -826,21 +760,17 @@ class AnnotationService:
         key = (normalise_sql(query), limit, group_witnesses, versions)
         return self._plan_cache.get_or_compute(key, enumerate_)
 
-    def _decide_solo(self, group: TaskGroup, key: Optional[tuple],
-                     payload: tuple, dimension: int, on_update=None
+    def _decide_solo(self, group: TaskGroup, key: tuple, payload: tuple,
+                     dimension: int, on_update=None
                      ) -> tuple[CertaintyResult, bool]:
         """One cold group estimated in this process; ``(result, reused)``.
 
-        With result reuse on (``key`` set), the estimate runs under
-        single-flight on the canonical lineage digest: a concurrent request
-        racing on the same cold lineage joins this estimate rather than
-        recomputing it, and joined results are accounted as reuse --
-        exactly one computation and one cache fill happen.
+        The estimate runs under single-flight on the certainty-cache key: a
+        concurrent request racing on the same cold lineage joins this
+        estimate rather than recomputing it, and joined results are
+        accounted as reuse -- exactly one computation and one cache fill
+        happen.
         """
-        if key is None:
-            return self._land(group, None, self._estimate(payload, on_update),
-                              dimension), False
-
         def compute() -> tuple[CertaintyResult, bool]:
             # Re-probe under flight leadership: a racing request may have
             # filled the cache between our counted miss and winning this
@@ -863,19 +793,18 @@ class AnnotationService:
         """The in-process call of :func:`_estimate_task` (a patchable seam)."""
         return _estimate_task(payload, on_update)
 
-    def _land(self, group: TaskGroup, key: Optional[tuple],
-              result: CertaintyResult, dimension: int) -> CertaintyResult:
+    def _land(self, group: TaskGroup, key: tuple, result: CertaintyResult,
+              dimension: int) -> CertaintyResult:
         """Stamp a fresh estimate with snapshot metadata and cache it.
 
         The canonical translation deliberately forgets the database's
         ambient dimension; the request's pinned ``dimension`` is patched
         back here for faithful result metadata, before the result fills
-        the cache under ``key`` (when results are reused).
+        the cache under ``key``.
         """
         result = replace(result, dimension=dimension,
                          relevant_dimension=group.canonical.dimension)
-        if key is not None:
-            self._result_cache.put(key, result)
+        self._result_cache.put(key, result)
         return result
 
 
@@ -885,30 +814,28 @@ class _EstimateTask:
 
     translation: TranslationResult
     digest: bytes
-    replica: tuple[int, ...] = ()
 
 
 def _estimate_task(payload: tuple, on_update=None) -> CertaintyResult:
     """One group's estimate from content alone (module-level, so it pickles).
 
-    ``payload`` is ``(task, epsilon, delta, method, adaptive, root, coarse,
-    factor)`` with ``task`` an :class:`_EstimateTask`; the stream is
-    derived from the root seed and the lineage digest (plus the replica
-    token), so the result is the same in any process.  ``on_update``
-    receives each adaptive rung's update.  Dimension metadata is the
-    canonical translation's; the service patches it back.
+    ``payload`` is ``(task, epsilon, delta, method, adaptive, root)`` with
+    ``task`` an :class:`_EstimateTask`; the stream is derived from the
+    root seed and the lineage digest, so the result is the same in any
+    process.  ``on_update`` receives each adaptive rung's update.
+    Dimension metadata is the canonical translation's; the service
+    patches it back.
     """
-    task, epsilon, delta, method, adaptive, root, coarse, factor = payload
+    task, epsilon, delta, method, adaptive, root = payload
     if adaptive:
         return adaptive_certainty(
             task.translation, epsilon=epsilon, delta=delta, method=method,
             stream_factory=lambda stage: spawn_stream(
-                root, task.digest, *task.replica, stage),
-            on_update=on_update,
-            coarse=coarse, factor=factor)
+                root, task.digest, stage),
+            on_update=on_update)
     return certainty_from_translation(
         task.translation, epsilon=epsilon, delta=delta, method=method,
-        rng=spawn_stream(root, task.digest, *task.replica))
+        rng=spawn_stream(root, task.digest))
 
 
 def _rung_callback(trace, span, on_update: Optional[GroupUpdateCallback],

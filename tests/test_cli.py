@@ -6,7 +6,10 @@ import io
 
 import pytest
 
-from repro.cli import _build_parser, main
+from repro.cli import _build_parser, _load_service, _print_answers, main
+from repro.datagen.experiments import sales_schema
+from repro.relational.csv_io import load_database
+from repro.service import AnnotationService, ServiceOptions
 
 
 @pytest.fixture
@@ -97,12 +100,12 @@ class TestCliHardening:
                  "--epsilon", "0.2", "--seed", "0"]
         assert main(query) == 0
         serial = capsys.readouterr().out
-        assert main(query + ["--jobs", "2", "--executor", "process"]) == 0
+        assert main(query + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     @pytest.mark.parametrize("flag", [
-        ("--executor", "greenlet"), ("--shards", "2"), ("--fusion", "8")],
-        ids=["executor", "shards", "fusion"])
+        ("--executor", "process"), ("--backend", "rows"), ("--shards", "2"),
+        ("--fusion", "8")], ids=["executor", "backend", "shards", "fusion"])
     def test_malformed_flag_exits_2(self, data_dir, flag):
         with pytest.raises(SystemExit) as raised:
             main(["annotate", "--data", str(data_dir), "--sql",
@@ -237,52 +240,44 @@ class TestNetworkVerbs:
         assert "Traceback" not in captured.err
 
 
+SERVING_VERBS = [
+    ["annotate", "--query-name", "unfair_discount"],
+    ["query", "--query-name", "unfair_discount"],
+    ["serve"], ["server"], ["cluster", "start"]]
+
+
 class TestBackendFlag:
     def test_backend_columnar_matches_rows_output(self, data_dir, capsys):
+        """``repro annotate`` prints what the rows engine, the reference
+        oracle, answers in-process."""
         sql = ("SELECT P.seg FROM Products P, Market M "
                "WHERE P.seg = M.seg AND P.rrp * P.dis <= M.rrp * M.dis LIMIT 5")
         assert main(["annotate", "--data", str(data_dir), "--sql", sql,
-                     "--epsilon", "0.2", "--seed", "0",
-                     "--backend", "rows"]) == 0
-        rows_output = capsys.readouterr().out
-        assert main(["annotate", "--data", str(data_dir), "--sql", sql,
-                     "--epsilon", "0.2", "--seed", "0",
-                     "--backend", "columnar"]) == 0
+                     "--epsilon", "0.2", "--seed", "0"]) == 0
         columnar_output = capsys.readouterr().out
-        assert columnar_output == rows_output
+        rows = load_database(sales_schema(), data_dir).with_backend("rows")
+        service = AnnotationService(rows, ServiceOptions(epsilon=0.2, seed=0))
+        _print_answers(service.submit(sql).answers, adaptive=False)
+        assert columnar_output == capsys.readouterr().out
 
-    @pytest.mark.parametrize("verb", [
-        ["annotate", "--query-name", "unfair_discount"],
-        ["query", "--query-name", "unfair_discount"],
-        ["serve"], ["server"], ["cluster", "start"]])
-    def test_every_serving_verb_defaults_to_columnar(self, verb):
-        args = _build_parser().parse_args(verb + ["--data", "data"])
-        assert args.backend == "columnar"
+    @pytest.mark.parametrize("verb", SERVING_VERBS)
+    def test_every_serving_verb_defaults_to_columnar(self, verb, data_dir):
+        args = _build_parser().parse_args(verb + ["--data", str(data_dir)])
+        assert _load_service(args).database.backend == "columnar"
+
+    @pytest.mark.parametrize("flag", [
+        ("--executor", "process"), ("--backend", "rows")],
+        ids=["executor", "backend"])
+    @pytest.mark.parametrize("verb", SERVING_VERBS)
+    def test_every_serving_verb_rejects_removed_flags(self, verb, flag):
+        with pytest.raises(SystemExit) as raised:
+            _build_parser().parse_args(verb + ["--data", "data", *flag])
+        assert raised.value.code == 2
 
     def test_unknown_backend_rejected_by_argparse(self, data_dir):
         with pytest.raises(SystemExit):
             main(["annotate", "--data", str(data_dir), "--sql",
                   "SELECT * FROM Market", "--backend", "arrow"])
-
-    def test_serve_accepts_backend(self, data_dir, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            "SELECT * FROM Market LIMIT 2\n\\stats\n\\quit\n"))
-        assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--backend", "columnar"]) == 0
-        output = capsys.readouterr().out
-        assert "confidence" in output
-        assert "requests" in output
-
-    def test_stats_report_the_backend(self, data_dir, monkeypatch, capsys):
-        """``\\stats`` breaks the counters down by backend."""
-        monkeypatch.setattr("sys.stdin", io.StringIO(
-            "SELECT * FROM Market LIMIT 2\nSELECT * FROM Market LIMIT 2\n"
-            "\\stats\n\\quit\n"))
-        assert main(["serve", "--data", str(data_dir), "--epsilon", "0.3",
-                     "--seed", "0", "--backend", "columnar"]) == 0
-        output = capsys.readouterr().out
-        assert "columnar" in output
-        assert "plan-hits" in output
 
 
 class TestCliObservability:

@@ -1,8 +1,8 @@
-"""The ``--jobs`` executors: the shared process pool and the service's
-thread/process dispatch of its Monte-Carlo phase.
+"""The ``--jobs`` executor: the shared process pool and the service's
+inline/process dispatch of its Monte-Carlo phase.
 
-Streams are keyed on lineage content, not on scheduling, so every
-executor and worker count must give answers bit-identical to a serial run.
+Streams are keyed on lineage content, not on scheduling, so every worker
+count must give answers bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.datagen.generic import ColumnSpec, TableSpec, generate_database
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service import AnnotationService, ServiceOptions, process_map
+from repro.service import executor
 
 JOIN_SQL = ("SELECT F.key FROM Fact F, Dim D "
             "WHERE F.key = D.key AND F.val * D.ref <= 25")
@@ -44,6 +45,20 @@ def _star_database(fact_rows=120, dim_rows=50, null_rate=0.2, seed=3,
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestLazyScipy:
+    """``import repro.cli`` leaves ``scipy.optimize`` unloaded: only the
+    cone interior-point check needs it, and it imports it on first use."""
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; "
+             "print('scipy.optimize' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, check=True)
+        assert completed.stdout.strip() == "False"
 
 
 class TestBlasThreadDefault:
@@ -96,44 +111,67 @@ class TestServiceExecutors:
         sql = JOIN_SQL + " LIMIT 15"
         reference = AnnotationService(
             database, ServiceOptions(epsilon=0.25, seed=11)).submit(sql)
-        for options in (
-                ServiceOptions(epsilon=0.25, seed=11, jobs=2),
-                ServiceOptions(epsilon=0.25, seed=11, jobs=2,
-                               executor="process"),
-        ):
-            response = AnnotationService(database, options).submit(sql)
-            assert [a.values for a in response.answers] == \
-                [a.values for a in reference.answers]
-            assert [a.certainty.value for a in response.answers] == \
-                [a.certainty.value for a in reference.answers]
+        response = AnnotationService(database, ServiceOptions(
+            epsilon=0.25, seed=11, jobs=2)).submit(sql, trace=True)
+        assert [span.attributes.get("mode") for span in response.trace.spans
+                if span.name == "estimate"] == ["process"]
+        assert [a.values for a in response.answers] == \
+            [a.values for a in reference.answers]
+        assert [a.certainty for a in response.answers] == \
+            [a.certainty for a in reference.answers]
 
-    def test_adaptive_process_matches_thread(self):
+    def test_adaptive_process_matches_inline(self):
         database = _star_database(null_rate=0.3)
         sql = JOIN_SQL + " LIMIT 10"
-        thread = AnnotationService(database, ServiceOptions(
-            epsilon=0.3, seed=2, adaptive=True, jobs=2)).submit(sql)
+        inline = AnnotationService(database, ServiceOptions(
+            epsilon=0.3, seed=2, adaptive=True)).submit(sql)
         process = AnnotationService(database, ServiceOptions(
-            epsilon=0.3, seed=2, adaptive=True, jobs=2,
-            executor="process")).submit(sql)
-        assert [a.certainty.value for a in process.answers] == \
-            [a.certainty.value for a in thread.answers]
+            epsilon=0.3, seed=2, adaptive=True, jobs=2)).submit(sql)
+        assert [a.certainty for a in process.answers] == \
+            [a.certainty for a in inline.answers]
+
+    def test_streaming_request_runs_inline(self, monkeypatch):
+        """``jobs=2`` with an ``on_update`` callback creates no process pool,
+        streams every rung of every group, and answers like ``jobs=1``."""
+        database = _star_database(null_rate=0.3)
+        sql = JOIN_SQL + " LIMIT 10"
+
+        def streamed(jobs: int):
+            log: list = []
+            response = AnnotationService(database, ServiceOptions(
+                epsilon=0.05, seed=2, adaptive=True, jobs=jobs)).submit(
+                    sql, on_update=lambda group, update: log.append(
+                        (group.canonical.digest, update)))
+            return response, log
+
+        serial, serial_log = streamed(jobs=1)
+        executor.shutdown_pools()
+        monkeypatch.setattr(executor, "_shared_pool", _no_pool)
+        parallel, parallel_log = streamed(jobs=2)
+        assert executor._pool is None
+        assert parallel_log == serial_log
+        assert [a.certainty for a in parallel.answers] == \
+            [a.certainty for a in serial.answers]
+        # Every rung of every group reached the callback, the final last.
+        for answer in parallel.answers:
+            updates = [update for digest, update in parallel_log
+                       if digest == answer.lineage_digest]
+            ladder = answer.certainty.details["adaptive"]
+            assert [update.value for update in updates] == \
+                [stage["value"] for stage in ladder]
+            assert [update.final for update in updates] == \
+                [False] * (len(ladder) - 1) + [True]
+        assert any(len(answer.certainty.details["adaptive"]) > 1
+                   for answer in parallel.answers)
 
     def test_unknown_executor_rejected(self):
         database = _star_database(fact_rows=4, dim_rows=2)
-        with pytest.raises(ValueError):
-            AnnotationService(database, ServiceOptions(executor="fiber"))
+        for executor_name in ("thread", "process"):
+            with pytest.raises(TypeError, match="executor"):
+                ServiceOptions(executor=executor_name)
+            with pytest.raises(TypeError, match="executor"):
+                AnnotationService(database, executor=executor_name)
 
-    def test_stats_report_backends(self):
-        database = _star_database()
-        service = AnnotationService(
-            database, ServiceOptions(epsilon=0.3, seed=0))
-        service.submit(JOIN_SQL + " LIMIT 5")
-        service.submit(JOIN_SQL + " LIMIT 5")
-        stats = service.stats()
-        assert [b.backend for b in stats.backends] == ["columnar"]
-        assert stats.backends[0].requests == 2
-        assert stats.backends[0].plan_hits == 1
-        assert stats.backends[0].plan_misses == 1
-        report = stats.report()
-        assert "backend" in report and "columnar" in report
-        assert stats.as_dict()["backends"][0]["backend"] == "columnar"
+
+def _no_pool(workers: int):
+    raise AssertionError("a streaming request must not create a process pool")

@@ -323,8 +323,8 @@ class TestPinnedSnapshot:
 def _sales_service() -> AnnotationService:
     database = generate_sales_database(
         ExperimentScale(60, 60, 6, null_rate=0.1), rng=3)
-    return AnnotationService(database, ServiceOptions(
-        seed=7, epsilon=0.2, backend="columnar"))
+    return AnnotationService(database.with_backend("columnar"),
+                             ServiceOptions(seed=7, epsilon=0.2))
 
 
 class TestFrontierCache:

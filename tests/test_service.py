@@ -125,14 +125,6 @@ class TestBatchScheduler:
                        for index in group.members}
             assert len(digests) == 1
 
-    def test_reuse_disabled_gives_independent_estimates(self, shop):
-        service = AnnotationService(shop, epsilon=0.05)
-        response = service.submit(ADVANTAGE, seed=0, reuse_results=False)
-        by_id = {a.values[0]: a for a in response.answers}
-        assert by_id["p2"].certainty.value != by_id["p3"].certainty.value
-        assert by_id["p2"].certainty.value == pytest.approx(0.5, abs=0.1)
-        assert by_id["p3"].certainty.value == pytest.approx(0.5, abs=0.1)
-
 
 class TestWarmPath:
     def test_warm_requests_do_no_per_candidate_work(self, shop, monkeypatch):
@@ -178,12 +170,9 @@ class TestWarmPath:
 
 
 class TestParallelExecution:
-    @pytest.mark.parametrize("reuse", [True, False])
-    def test_jobs_4_bit_identical_to_jobs_1(self, shop, reuse):
-        serial = AnnotationService(shop).submit(
-            ADVANTAGE, seed=11, jobs=1, reuse_results=reuse)
-        parallel = AnnotationService(shop).submit(
-            ADVANTAGE, seed=11, jobs=4, reuse_results=reuse)
+    def test_jobs_4_bit_identical_to_jobs_1(self, shop):
+        serial = AnnotationService(shop).submit(ADVANTAGE, seed=11, jobs=1)
+        parallel = AnnotationService(shop).submit(ADVANTAGE, seed=11, jobs=4)
         assert [a.certainty.value for a in serial.answers] == \
             [a.certainty.value for a in parallel.answers]
         assert [a.values for a in serial.answers] == \
@@ -302,7 +291,10 @@ class TestServiceStats:
         with pytest.raises(ValueError, match="unknown method"):
             AnnotationService(shop).submit(SIMPLE, method="simulate")
 
-    @pytest.mark.parametrize("option", ["shards", "fusion"])
+    @pytest.mark.parametrize("option", [
+        "shards", "fusion", "executor", "backend", "reuse_results",
+        "adaptive_coarse", "adaptive_factor", "parse_cache_size",
+        "plan_cache_size", "result_cache_size"])
     def test_removed_options_rejected(self, shop, option):
         with pytest.raises(TypeError, match=option):
             AnnotationService(shop, **{option: 2})
@@ -327,7 +319,7 @@ class TestBackendWiring:
     def test_columnar_backend_serves_identical_answers(self, shop):
         reference = AnnotationService(shop, epsilon=0.05).submit(ADVANTAGE, seed=7)
         columnar = AnnotationService(
-            shop, options=ServiceOptions(epsilon=0.05, backend="columnar")
+            shop.with_backend("columnar"), options=ServiceOptions(epsilon=0.05)
         ).submit(ADVANTAGE, seed=7)
         assert [a.values for a in reference.answers] == \
             [a.values for a in columnar.answers]
@@ -336,14 +328,6 @@ class TestBackendWiring:
         # Same canonical lineage + same seed => bit-identical certainties.
         assert [a.certainty.value for a in reference.answers] == \
             [a.certainty.value for a in columnar.answers]
-
-    def test_backend_option_converts_the_snapshot_once(self, shop):
-        service = AnnotationService(shop, backend="columnar")
-        assert service.database.backend == "columnar"
-        assert service.database is not shop
-        # A matching backend leaves the snapshot alone.
-        same = AnnotationService(service.database, backend="columnar")
-        assert same.database is service.database
 
     def test_columnar_database_is_served_natively(self, shop):
         columnar = shop.with_backend("columnar")
