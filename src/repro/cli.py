@@ -694,7 +694,8 @@ def _run_client(args: argparse.Namespace) -> int:
     try:
         with ReproClient(args.host, args.port) as client:
             if args.probe == "ping":
-                print("pong" if client.ping() else "no pong")
+                client.ping()
+                print("pong")
                 return 0
             if args.probe == "metrics":
                 print(client.metrics(), end="")

@@ -289,31 +289,24 @@ class ReproClient:
     # -- auxiliary ops -------------------------------------------------------
 
     def stats(self) -> dict:
-        request_id = self._roundtrip_id()
-        self._send({"op": "stats", "id": request_id})
-        return self._recv(request_id)["stats"]
+        return self._typed_op({"op": "stats"}, "stats")["stats"]
 
     def metrics(self) -> str:
         """The server's Prometheus text exposition (the ``metrics`` op)."""
-        request_id = self._roundtrip_id()
-        self._send({"op": "metrics", "id": request_id})
-        return self._recv(request_id)["metrics"]
+        return self._typed_op({"op": "metrics"}, "metrics")["metrics"]
 
     def health(self) -> dict:
-        request_id = self._roundtrip_id()
-        self._send({"op": "health", "id": request_id})
-        event = self._recv(request_id)
-        return {key: value for key, value in event.items()
-                if key not in ("id", "type")}
+        return self._typed_op({"op": "health"}, "health")
 
     def ping(self) -> bool:
-        request_id = self._roundtrip_id()
-        self._send({"op": "ping", "id": request_id})
-        return self._recv(request_id).get("type") == "pong"
+        self._typed_op({"op": "ping"}, "pong")
+        return True
 
     # -- observability ops ---------------------------------------------------
 
     def _typed_op(self, message: dict, expect: str) -> dict:
+        """Send one non-query op; its reply minus ``id``/``type``.  An
+        ``error`` reply raises :class:`ServerError`."""
         request_id = self._roundtrip_id()
         self._send({**message, "id": request_id})
         event = self._recv(request_id)
@@ -518,35 +511,18 @@ class AsyncReproClient:
         raise ClientError(f"unexpected event type {kind!r}")
 
     async def stats(self) -> dict:
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({"op": "stats", "id": request_id})
-            return (await self._recv(request_id))["stats"]
+        return (await self._typed_op({"op": "stats"}, "stats"))["stats"]
 
     async def metrics(self) -> str:
         """The server's Prometheus text exposition (the ``metrics`` op)."""
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({"op": "metrics", "id": request_id})
-            return (await self._recv(request_id))["metrics"]
+        return (await self._typed_op({"op": "metrics"}, "metrics"))["metrics"]
 
     async def health(self) -> dict:
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({"op": "health", "id": request_id})
-            event = await self._recv(request_id)
-            return {key: value for key, value in event.items()
-                    if key not in ("id", "type")}
+        return await self._typed_op({"op": "health"}, "health")
 
     async def ping(self) -> bool:
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({"op": "ping", "id": request_id})
-            return (await self._recv(request_id)).get("type") == "pong"
+        await self._typed_op({"op": "ping"}, "pong")
+        return True
 
     # -- observability ops ---------------------------------------------------
 

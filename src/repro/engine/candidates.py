@@ -209,7 +209,7 @@ def _order_conditions(select: SelectQuery, compiler: _ConditionCompiler) -> list
     """Assign each condition to the earliest join step at which it is checkable.
 
     Single-table conditions are *not* assigned to a step here: they are
-    pushed below the join entirely (:func:`_prefilter_tables`), pruning each
+    pushed below the join entirely (:func:`_prefilter_rows`), pruning each
     table before hash-join indexes are built or nested loops iterate it.
     Only genuinely multi-table conditions remain in the per-step lists.
     """
@@ -229,6 +229,9 @@ def _order_conditions(select: SelectQuery, compiler: _ConditionCompiler) -> list
 #: of its single-table conditions, evaluated once at scan time.
 _FilteredRow = tuple[tuple[Value, ...], tuple[ConstraintFormula, ...]]
 
+#: A pushdown survivor: the row's index in its table plus its residuals.
+_Survivor = tuple[int, tuple[ConstraintFormula, ...]]
+
 
 def _local_conditions(select: SelectQuery,
                       compiler: _ConditionCompiler) -> list[list[Condition]]:
@@ -246,7 +249,7 @@ def _local_conditions(select: SelectQuery,
 
 def _prefilter_rows(binding: str, rows: Sequence[tuple[Value, ...]],
                     conditions: Sequence[Condition],
-                    compiler: _ConditionCompiler) -> list[_FilteredRow]:
+                    compiler: _ConditionCompiler) -> list[_Survivor]:
     """Push one table's single-table conditions below the join.
 
     Rows with a certainly-false condition are dropped (they could never
@@ -255,13 +258,13 @@ def _prefilter_rows(binding: str, rows: Sequence[tuple[Value, ...]],
     when the row joins.  Selective filters therefore prune both the
     hash-join build side and the nested-loop scans, and each single-table
     condition is evaluated once per row instead of once per partial join
-    visiting the row.
+    visiting the row.  Returns the survivors' indices into ``rows``.
     """
     if not conditions:
-        return [(row, ()) for row in rows]
+        return [(index, ()) for index in range(len(rows))]
     scratch = _Row()
-    filtered: list[_FilteredRow] = []
-    for row in rows:
+    filtered: list[_Survivor] = []
+    for index, row in enumerate(rows):
         scratch.tuples = {binding: row}
         residual: list[ConstraintFormula] = []
         rejected = False
@@ -273,7 +276,7 @@ def _prefilter_rows(binding: str, rows: Sequence[tuple[Value, ...]],
             if not isinstance(formula, TrueFormula):
                 residual.append(formula)
         if not rejected:
-            filtered.append((row, tuple(residual)))
+            filtered.append((index, tuple(residual)))
     return filtered
 
 
@@ -386,9 +389,10 @@ def enumerate_candidates(select: SelectQuery, database: Database,
     def filtered_for(step: int) -> list[_FilteredRow]:
         if filtered_tables[step] is None:
             reference = select.tables[step]
-            filtered_tables[step] = _prefilter_rows(
-                reference.binding, database.relation(reference.table).tuples(),
-                local_conditions[step], compiler)
+            rows = database.relation(reference.table).tuples()
+            filtered_tables[step] = [
+                (rows[index], residual) for index, residual in _prefilter_rows(
+                    reference.binding, rows, local_conditions[step], compiler)]
         return filtered_tables[step]
 
     # Build hash indexes lazily per (table index, column), over the rows

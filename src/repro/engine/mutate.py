@@ -11,11 +11,16 @@ Two semantics decisions worth stating:
 
 **Three-valued WHERE.**  Rows may carry marked nulls, so a predicate can
 be certainly true, certainly false, or unknown.  A mutation's WHERE
-matches a row only when *every* condition is **certainly true** (the
-condition's constraint formula simplifies to ``TrueFormula``): deleting a
-row whose membership in the predicate depends on a null's valuation
-would silently pick one possible world, which is exactly what this
-engine exists to avoid.  Unknown rows are left in place.
+matches a row exactly when ``SELECT * FROM t WHERE ...`` would call the
+row certain (its lineage is ``TrueFormula``): deleting a row whose
+membership in the predicate depends on a null's valuation would silently
+pick one possible world, which is exactly what this engine exists to
+avoid.  Unknown rows are left in place.  Matching runs the SELECT
+engine's own single-table selection pushdown -- the row oracle on rows
+storage, the vectorized evaluator on columnar storage -- so a statement
+and its SELECT cannot disagree on a row, and a WHERE the SELECT rejects
+(an unknown column, an order comparison on base values) rejects the
+statement with a :class:`MutationValidationError`.
 
 **Deterministic fresh nulls.**  ``NULL`` in a VALUES row or SET
 assignment creates a *fresh* marked null named ``m<V>_<k>`` where ``V``
@@ -32,8 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.constraints.formula import TrueFormula
-from repro.engine.candidates import _ConditionCompiler, _Row
+import numpy as np
+
+from repro.engine.candidates import (
+    _ConditionCompiler,
+    _local_conditions,
+    _order_conditions,
+    _prefilter_rows,
+    _Row,
+)
 from repro.engine.sql.ast import (
     BinaryExpression,
     ColumnExpression,
@@ -48,6 +60,7 @@ from repro.engine.sql.ast import (
     UpdateStatement,
 )
 from repro.engine.translate_sql import SqlTranslationError
+from repro.engine.vectorized import _apply_conditions, _VectorizedEvaluator
 from repro.relational.mutation import MutationValidationError
 from repro.relational.values import (
     BaseNull,
@@ -99,122 +112,43 @@ class _FreshNulls:
         return NumNull(name) if numeric else BaseNull(name)
 
 
-def _single_table_compiler(database, table: str) -> _ConditionCompiler:
-    """A condition compiler whose only binding is ``table`` itself."""
+def _single_table_compiler(database, table: str,
+                           conditions=()) -> _ConditionCompiler:
+    """A condition compiler for ``SELECT * FROM table WHERE conditions``."""
     select = SelectQuery(select=(), select_star=True,
-                         tables=(TableReference(table=table),))
-    try:
-        return _ConditionCompiler(database, select)
-    except KeyError as error:
-        raise MutationValidationError(f"unknown relation {table!r}") from error
-
-
-_NUMERIC_COMPARE = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _fast_condition(condition, columns):
-    """A per-tuple predicate for ``column op literal``, or ``None``.
-
-    The fast path mirrors :meth:`_ConditionCompiler.condition_formula`'s
-    certainly-true semantics exactly for the overwhelmingly common shape
-    (one column against one literal, either order):
-
-    * a numeric comparison is certainly true only when the stored value
-      is a concrete number satisfying it -- a marked null leaves an open
-      constraint atom, never ``TrueFormula``;
-    * a base equality folds immediately: a base null equals only itself,
-      so ``null = 'lit'`` is certainly false and ``null <> 'lit'`` is
-      certainly **true**.
-
-    Anything else (column-vs-column, arithmetic, type mismatches -- which
-    must keep raising their translation errors) returns ``None`` and
-    takes the generic formula path.
-    """
-    left, right = condition.left, condition.right
-    if isinstance(right, ColumnExpression) and not isinstance(left, ColumnExpression):
-        left, right = right, left
-        operator = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(
-            condition.operator, condition.operator)
-    else:
-        operator = condition.operator
-    if not isinstance(left, ColumnExpression) or left.column not in columns:
-        return None
-    position, numeric = columns[left.column]
-    if numeric and isinstance(right, NumberLiteral):
-        compare = _NUMERIC_COMPARE.get(operator)
-        if compare is None:
-            return None
-        bound = right.value
-
-        def numeric_predicate(values) -> bool:
-            value = values[position]
-            return is_numeric_constant(value) and compare(float(value), bound)
-
-        return numeric_predicate
-    if not numeric and isinstance(right, StringLiteral) and \
-            operator in ("=", "<>"):
-        literal = right.value
-        want_equal = operator == "="
-
-        def base_predicate(values) -> bool:
-            value = values[position]
-            equal = (not is_base_null(value)) and value == literal
-            return equal if want_equal else not equal
-
-        return base_predicate
-    return None
+                         tables=(TableReference(table=table),),
+                         conditions=conditions)
+    return _ConditionCompiler(database, select)
 
 
 def _matching_rows(database, table: str, conditions) -> list[int]:
-    """Indices of rows every condition is *certainly true* for.
+    """Indices of the rows ``SELECT * FROM table WHERE conditions`` calls
+    certain: those that survive its selection pushdown with no residual.
 
     Evaluated against the parent snapshot: a DELETE/UPDATE sees the
     table as it was before the statement, never its own effects.
-    Simple ``column op literal`` conditions run through a direct
-    per-tuple predicate first (pruning the scan); only the residual
-    conditions pay the full constraint-formula machinery.
     """
-    if not conditions:
-        return list(range(len(database.relation(table))))
-    relation = database.relation(table)
-    tuples = relation.tuples()
-    schema = database.relation_schema(table)
-    columns = {attribute.name: (position, attribute.is_numeric)
-               for position, attribute in enumerate(schema.attributes)}
-    candidates = range(len(tuples))
-    residual = []
-    for condition in conditions:
-        predicate = _fast_condition(condition, columns)
-        if predicate is None:
-            residual.append(condition)
-        else:
-            candidates = [index for index in candidates
-                          if predicate(tuples[index])]
-    if not residual:
-        return list(candidates)
-    compiler = _single_table_compiler(database, table)
-    matched: list[int] = []
     try:
-        for index in candidates:
-            row = _Row(tuples={table: tuples[index]})
-            certain = True
-            for condition in residual:
-                formula = compiler.condition_formula(condition, row).simplify()
-                if not isinstance(formula, TrueFormula):
-                    certain = False
-                    break
-            if certain:
-                matched.append(index)
+        compiler = _single_table_compiler(database, table, conditions)
+        select = compiler._select
+        # SELECT pushes the single-table conditions below its join and
+        # checks the constant ones (no column) at its first join step.
+        conditions = (_local_conditions(select, compiler)[0]
+                      + _order_conditions(select, compiler)[0])
+        relation = database.relation(table)
+        if database.backend == "columnar":
+            residuals = [()] * len(relation)
+            alive = _apply_conditions(
+                conditions, _VectorizedEvaluator(database, compiler), compiler,
+                {table: np.arange(len(relation), dtype=np.int64)}, residuals,
+                compiler.condition_bindings)
+            return [index for index in np.flatnonzero(alive).tolist()
+                    if not residuals[index]]
+        return [index for index, residual in _prefilter_rows(
+                    table, relation.tuples(), conditions, compiler)
+                if not residual]
     except SqlTranslationError as error:
         raise MutationValidationError(str(error)) from error
-    return matched
 
 
 def _literal_value(expression: Expression, numeric: bool,
@@ -323,9 +257,9 @@ def execute_mutation(statement, database):
         matched = _matching_rows(database, statement.table,
                                  statement.conditions)
         compiler = _single_table_compiler(database, statement.table)
-        tuples = database.relation(statement.table).tuples()
+        relation = database.relation(statement.table)
         for index in matched:
-            old_values = tuples[index]
+            old_values = relation.row(index)
             row = _Row(tuples={statement.table: old_values})
             new_values = list(old_values)
             for assignment in statement.assignments:

@@ -302,14 +302,14 @@ def _holds(operator: str, values: np.ndarray, tolerance: float) -> np.ndarray:
 
 def _apply_conditions(conditions: Sequence[Condition], evaluator, compiler,
                       frame_rows: dict[str, np.ndarray],
-                      residual_slots: Optional[list],
+                      residual_slots: list,
                       condition_bindings) -> np.ndarray:
     """Classify+fallback one condition list over a frontier; returns keep mask.
 
     ``frame_rows`` maps bindings to original-row index arrays, all of one
-    length.  ``residual_slots`` (when given) is a Python list of per-row
-    residual tuples that unknown-but-alive rows append their symbolic
-    formulas to, preserving the reference path's per-condition order.
+    length.  ``residual_slots`` is a Python list of per-row residual tuples
+    that unknown-but-alive rows append their symbolic formulas to,
+    preserving the reference path's per-condition order.
     Conditions are evaluated in order over the still-alive subset only, so
     structural errors surface under exactly the circumstances the row-at-a-
     time loop would raise them.
@@ -341,9 +341,7 @@ def _apply_conditions(conditions: Sequence[Condition], evaluator, compiler,
             if isinstance(formula, FalseFormula):
                 alive[position] = False
             elif not isinstance(formula, TrueFormula):
-                if residual_slots is not None:
-                    residuals = residual_slots[position]
-                    residual_slots[position] = residuals + (formula,)
+                residual_slots[position] = residual_slots[position] + (formula,)
     return alive
 
 

@@ -174,10 +174,7 @@ class Mutation:
         if row_index in edit.deleted:
             raise MutationConflictError(
                 f"row {row_index} of {table!r} deleted twice in one mutation")
-        if isinstance(edit.relation, ColumnarRelation):
-            row = edit.relation.row(row_index)
-        else:
-            row = edit.relation.tuples()[row_index]
+        row = edit.relation.row(row_index)
         edit.deleted[row_index] = row
         edit.seen.discard(row)
         return row

@@ -80,6 +80,10 @@ class Relation:
         """All tuples, in insertion order."""
         return tuple(self._tuples)
 
+    def row(self, index: int) -> tuple[Value, ...]:
+        """The tuple at position ``index`` in insertion order."""
+        return self._tuples[index]
+
     def column(self, name: str) -> tuple[Value, ...]:
         """All values of the named column, in insertion order."""
         index = self._schema.position(name)

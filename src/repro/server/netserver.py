@@ -207,47 +207,55 @@ class NetworkServer:
             return
         request_id = message.get("id")
         op = message.get("op", "query")
+        if op == "query":
+            async for event in self.app.query_events(message):
+                stamped = dict(event)
+                stamped["id"] = request_id
+                await self._send(writer, stamped)
+            return
+        try:
+            event = await self._op_event(op, message)
+        except Exception as error:  # noqa: BLE001 - reported, not hidden
+            event = self.app._internal(error)
+        stamped = dict(event)
+        stamped["id"] = request_id
+        await self._send(writer, stamped)
+
+    async def _op_event(self, op: str, message: dict) -> dict:
+        """The one reply event of a non-query op (its ``id`` is stamped by
+        the caller); a handler that raises becomes a typed ``internal``
+        error there."""
         if op == "ping":
-            await self._send(writer, {"id": request_id, "type": "pong"})
-        elif op == "health":
-            health = await maybe_await(self.app.health())
-            await self._send(writer, {"id": request_id, "type": "health",
-                                      **health})
-        elif op == "stats":
-            stats = await maybe_await(self.app.stats())
-            await self._send(writer, {"id": request_id, "type": "stats",
-                                      "stats": stats})
-        elif op == "metrics":
-            metrics = await maybe_await(self.app.metrics_text())
-            await self._send(writer, {"id": request_id, "type": "metrics",
-                                      "metrics": metrics})
-        elif op == "history":
+            return {"type": "pong"}
+        if op == "health":
+            return {"type": "health", **await maybe_await(self.app.health())}
+        if op == "stats":
+            return {"type": "stats",
+                    "stats": await maybe_await(self.app.stats())}
+        if op == "metrics":
+            return {"type": "metrics",
+                    "metrics": await maybe_await(self.app.metrics_text())}
+        if op == "history":
             seconds = message.get("seconds")
             if seconds is not None and (not isinstance(seconds, (int, float))
                                         or isinstance(seconds, bool)):
-                await self._send(writer, error_event(
-                    request_id, "bad_request", "'seconds' must be a number"))
-            else:
-                payload = await maybe_await(self.app.history(seconds))
-                await self._send(writer, {"id": request_id, "type": "history",
-                                          **payload})
-        elif op == "profile":
+                return error_event(None, "bad_request",
+                                   "'seconds' must be a number")
+            payload = await maybe_await(self.app.history(seconds))
+            return {"type": "history", **payload}
+        if op == "profile":
             seconds = message.get("seconds", 1.0)
             if not isinstance(seconds, (int, float)) \
                     or isinstance(seconds, bool) or seconds <= 0:
-                await self._send(writer, error_event(
-                    request_id, "bad_request",
-                    "'seconds' must be a positive number"))
-            else:
-                payload = await maybe_await(
-                    self.app.profile(seconds=float(seconds)))
-                await self._send(writer, {"id": request_id, "type": "profile",
-                                          **payload})
-        elif op == "alerts":
-            payload = await maybe_await(self.app.alerts_report())
-            await self._send(writer, {"id": request_id, "type": "alerts",
-                                      **payload})
-        elif op in ("trace", "trace_export"):
+                return error_event(None, "bad_request",
+                                   "'seconds' must be a positive number")
+            payload = await maybe_await(
+                self.app.profile(seconds=float(seconds)))
+            return {"type": "profile", **payload}
+        if op == "alerts":
+            return {"type": "alerts",
+                    **await maybe_await(self.app.alerts_report())}
+        if op in ("trace", "trace_export"):
             trace_id = message.get("trace_id")
             fetch = (self.app.trace_payload if op == "trace"
                      else self.app.trace_export)
@@ -255,31 +263,17 @@ class NetworkServer:
                 fetch(trace_id if isinstance(trace_id, str) else None))
             if payload is None:
                 detail = f" {trace_id!r}" if trace_id else ""
-                await self._send(writer, error_event(
-                    request_id, "bad_request", f"no stored trace{detail}"))
-            else:
-                await self._send(writer, {"id": request_id, "type": op,
-                                          **payload})
-        elif op == "query":
-            async for event in self.app.query_events(message):
-                stamped = dict(event)
-                stamped["id"] = request_id
-                await self._send(writer, stamped)
-        elif op == "mutate":
-            event = dict(await self.app.mutate(message))
-            event["id"] = request_id
-            await self._send(writer, event)
-        else:
-            # Apps may export extra (admin) ops -- the coordinator's
-            # cluster / cluster_drain / cluster_scale verbs arrive here.
-            handler = getattr(self.app, "admin_ops", {}).get(op)
-            if handler is not None:
-                event = dict(await handler(message))
-                event["id"] = request_id
-                await self._send(writer, event)
-            else:
-                await self._send(writer, error_event(
-                    request_id, "bad_request", f"unknown op {op!r}"))
+                return error_event(None, "bad_request",
+                                   f"no stored trace{detail}")
+            return {"type": op, **payload}
+        if op == "mutate":
+            return await self.app.mutate(message)
+        # Apps may export extra (admin) ops -- the coordinator's
+        # cluster / cluster_drain / cluster_scale verbs arrive here.
+        handler = getattr(self.app, "admin_ops", {}).get(op)
+        if handler is not None:
+            return await handler(message)
+        return error_event(None, "bad_request", f"unknown op {op!r}")
 
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
         writer.write(dump_line(message))

@@ -38,14 +38,21 @@ import pytest
 
 from repro.certainty.measure import certainty_from_translation
 from repro.datagen.generic import ColumnSpec, TableSpec, generate_database
-from repro.datagen.mutations import random_mutation_script
+from repro.constraints.formula import TrueFormula
+from repro.datagen.mutations import (
+    _COMPARATORS,
+    _where_clause,
+    random_mutation_script,
+)
 from repro.engine.candidates import enumerate_candidates
 from repro.engine.mutate import execute_mutation
 from repro.engine.sql.parser import parse_sql, parse_statement
+from repro.engine.translate_sql import SqlTranslationError
 from repro.engine.vectorized import FRONTIER_PATHS, FrontierCache
 from repro.relational.database import Database
-from repro.relational.mutation import MutationError
+from repro.relational.mutation import MutationError, MutationValidationError
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.values import is_numeric_constant
 from repro.service.canonical import canonicalise_lineage
 
 #: Default number of random (schema, data, script, query) cases; the
@@ -123,6 +130,34 @@ def _random_case(rng: np.random.Generator):
                     f"{float(rng.uniform(-2.0, 4.0)):.3f}")
         queries.append((sql, bool(rng.random() < 0.7)))
     return schema, specs, pool, queries
+
+
+#: Conditions the SELECT engine rejects once a row reaches them.
+_MALFORMED_CONDITIONS = ("nope = 1", "key < 'k0'", "key + 1 > 0")
+
+
+def _stored_value_condition(rng: np.random.Generator, database: Database,
+                            table: str) -> str:
+    """``column op literal`` with a literal built from a value the numeric
+    column stores: exact, 5e-10 above or below, or a two-term sum."""
+    relation = database.relation(table)
+    column = str(rng.choice([attribute.name for attribute
+                             in relation.schema.attributes
+                             if attribute.is_numeric]))
+    values = [float(value) for value in relation.column(column)
+              if is_numeric_constant(value)] or [0.1 + 0.2]
+    value = values[int(rng.integers(0, len(values)))]
+    form = int(rng.integers(0, 4))
+    if form == 0:
+        literal = repr(value)
+    elif form == 1:
+        literal = repr(value + 5e-10)
+    elif form == 2:
+        literal = repr(value - 5e-10)
+    else:
+        head = round(value, 1)
+        literal = f"{head!r} + {value - head!r}"
+    return f"{column} {rng.choice(_COMPARATORS)} {literal}"
 
 
 def _rebuild_from_scratch(database: Database, backend: str) -> Database:
@@ -236,6 +271,62 @@ class TestMutationDifferential:
         # ride along (conflicts on duplicate inserts mostly) but must not
         # dominate the script mix.
         assert statements_applied > statements_rejected
+
+    def test_where_matches_what_select_calls_certain(self):
+        """A DELETE removes exactly the rows ``SELECT *`` with its WHERE
+        gives a ``TrueFormula`` lineage, on both storage layouts, and
+        raises exactly when that SELECT raises.
+
+        The random WHERE comes from the script generator; the harness adds
+        conditions against values the table stores (exact, 5e-10 off, or
+        a two-term sum that rounds near it: the ``EVALUATION_EPS`` and
+        ``COEFFICIENT_EPS`` edges of the constant fold) and, now and then,
+        a malformed one (unknown column, base-typed order comparison or
+        arithmetic), placed anywhere in the conjunction.
+        """
+        rng = np.random.default_rng(20201019)
+        matched = raised = 0
+        for case_index in range(CASES):
+            schema, specs, pool, _ = _random_case(rng)
+            database = generate_database(schema, specs,
+                                         rng=int(rng.integers(0, 2**31)))
+            table = str(rng.choice(schema.names()))
+            where = _where_clause(rng, schema.relation(table), pool)
+            conditions = where[len(" WHERE "):].split(" AND ") if where else []
+            for _ in range(int(rng.integers(0, 3))):
+                conditions.insert(int(rng.integers(0, len(conditions) + 1)),
+                                  _stored_value_condition(rng, database, table))
+            if rng.random() < 0.15:
+                conditions.insert(int(rng.integers(0, len(conditions) + 1)),
+                                  str(rng.choice(_MALFORMED_CONDITIONS)))
+            where = " WHERE " + " AND ".join(conditions) if conditions else ""
+            for backend in ("rows", "columnar"):
+                snapshot = database.with_backend(backend)
+                context = f"case {case_index} {backend}: {where!r}"
+                try:
+                    certain = [
+                        candidate.values for candidate in enumerate_candidates(
+                            parse_sql(f"SELECT * FROM {table}{where}"),
+                            snapshot)
+                        if isinstance(candidate.lineage.formula, TrueFormula)]
+                except SqlTranslationError:
+                    certain = None
+                try:
+                    sealed, _, outcome = execute_mutation(
+                        parse_statement(f"DELETE FROM {table}{where}"),
+                        snapshot)
+                except MutationValidationError:
+                    assert certain is None, context
+                    raised += 1
+                    continue
+                assert certain is not None, context
+                kept = set(sealed.relation(table).tuples())
+                removed = [row for row in snapshot.relation(table).tuples()
+                           if row not in kept]
+                assert removed == certain, context
+                assert outcome.deleted == len(removed), context
+                matched += bool(removed)
+        assert matched > 0 and raised > 0
 
     def test_case_count_meets_floor(self):
         """Default and nightly runs cover the 200-case acceptance floor."""

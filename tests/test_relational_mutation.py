@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.constraints.formula import TrueFormula
+from repro.engine.candidates import enumerate_candidates
 from repro.engine.mutate import execute_mutation
-from repro.engine.sql.parser import parse_statement
+from repro.engine.sql.parser import parse_sql, parse_statement
+from repro.engine.translate_sql import SqlTranslationError
 from repro.relational.database import Database
 from repro.relational.mutation import (
     MutationConflictError,
@@ -184,34 +187,79 @@ class TestExecuteMutation:
             execute_mutation(statement, database)  # row c: null + 1
         assert database.data_version == 0
 
-    def test_fast_and_generic_matching_agree(self):
-        """``column op literal`` takes a direct predicate; adding a no-op
-        arithmetic term (``x + 0``) forces the generic constraint-formula
-        path.  Both must match exactly the same rows."""
+    def test_where_matches_what_select_calls_certain(self):
+        """A statement's WHERE matches exactly the rows ``SELECT *`` with
+        the same WHERE gives a ``TrueFormula`` lineage, on both storage
+        layouts, for DELETE and UPDATE alike -- including values a plain
+        float comparison misjudges (``0.1 + 0.2`` against ``0.3``, values
+        within the evaluation tolerance of a bound) -- and a WHERE the
+        SELECT rejects rejects the statement."""
         schema = DatabaseSchema.of(RelationSchema.of("t", key="base",
                                                      x="num"))
         contents = {"t": [("a", 1.0), ("b", 2.0), ("c", NumNull("n0")),
-                          (BaseNull("b0"), 3.0), ("a", 2.0)]}
-        pairs = [
-            ("x <= 2", "x + 0 <= 2"),
-            ("x > 1.5", "x + 0 > 1.5"),
-            ("x = 2", "x + 0 = 2"),
-            ("x <> 2", "x + 0 <> 2"),
-            ("2 >= x", "2 >= x + 0"),  # literal-first order swap
-            ("key = 'a' AND x < 3", "key = 'a' AND x + 0 < 3"),
-        ]
-        for fast_where, slow_where in pairs:
-            outcomes = []
-            for where in (fast_where, slow_where):
-                database = Database.from_dict(schema, contents,
-                                              backend="columnar")
-                sealed, _, outcome = execute_mutation(
-                    parse_statement(f"DELETE FROM t WHERE {where}"),
-                    database)
-                outcomes.append((outcome.deleted,
-                                 sealed.relation("t").tuples()))
-            assert outcomes[0] == outcomes[1], (fast_where, slow_where)
-            assert outcomes[0][0] > 0, f"{fast_where!r} must match rows"
+                          (BaseNull("b0"), 3.0), ("a", 2.0),
+                          ("e", 0.1 + 0.2), ("f", 5.0 - 1e-10),
+                          ("g", 5.0 + 1e-10)]}
+
+        def matched(where, backend, kind):
+            database = Database.from_dict(schema, contents, backend=backend)
+            sql = (f"DELETE FROM t WHERE {where}" if kind == "DELETE"
+                   else f"UPDATE t SET x = NULL WHERE {where}")
+            sealed, _, outcome = execute_mutation(parse_statement(sql),
+                                                  database)
+            kept = sealed.relation("t").tuples()
+            removed = [row for row in database.relation("t").tuples()
+                       if row not in kept]
+            assert outcome.deleted == len(removed)
+            return removed
+
+        def certain(where, backend):
+            database = Database.from_dict(schema, contents, backend=backend)
+            return [candidate.values for candidate in enumerate_candidates(
+                        parse_sql(f"SELECT * FROM t WHERE {where}"), database)
+                    if isinstance(candidate.lineage.formula, TrueFormula)]
+
+        expected = {
+            "x = 0.3": [("e", 0.1 + 0.2)],
+            "x + 0 = 0.3": [("e", 0.1 + 0.2)],
+            "x > 5.0": [],
+            "5.0 < x": [],
+            "x >= 5.0": [("f", 5.0 - 1e-10), ("g", 5.0 + 1e-10)],
+            "x < 5.0": [("a", 1.0), ("b", 2.0), (BaseNull("b0"), 3.0),
+                        ("a", 2.0), ("e", 0.1 + 0.2)],
+            "x <> 5.0": [("a", 1.0), ("b", 2.0), (BaseNull("b0"), 3.0),
+                         ("a", 2.0), ("e", 0.1 + 0.2)],
+            "x <= 2": [("a", 1.0), ("b", 2.0), ("a", 2.0), ("e", 0.1 + 0.2)],
+            "x + 0 <= 2": [("a", 1.0), ("b", 2.0), ("a", 2.0),
+                           ("e", 0.1 + 0.2)],
+            "2 >= x": [("a", 1.0), ("b", 2.0), ("a", 2.0), ("e", 0.1 + 0.2)],
+            "key = 'a' AND x < 3": [("a", 1.0), ("a", 2.0)],
+            "key <> 'a' AND x > 1.5": [("b", 2.0), (BaseNull("b0"), 3.0),
+                                       ("f", 5.0 - 1e-10),
+                                       ("g", 5.0 + 1e-10)],
+            "1 = 1 AND key = 'e'": [("e", 0.1 + 0.2)],
+        }
+        for backend in ("rows", "columnar"):
+            for where, rows in expected.items():
+                assert certain(where, backend) == rows, (where, backend)
+                for kind in ("DELETE", "UPDATE"):
+                    assert matched(where, backend, kind) == rows, \
+                        (where, backend, kind)
+
+        unknown = ("nope = 1", "nope = 1 AND key = 'zzz'",
+                   "key = 'zzz' AND nope = 1", "x + nope > 0",
+                   "t.nope = 1", "'a' = nope")
+        for backend in ("rows", "columnar"):
+            database = Database.from_dict(schema, contents, backend=backend)
+            for where in unknown:
+                with pytest.raises(SqlTranslationError):
+                    enumerate_candidates(
+                        parse_sql(f"SELECT * FROM t WHERE {where}"), database)
+                for sql in (f"DELETE FROM t WHERE {where}",
+                            f"UPDATE t SET x = 1 WHERE {where}"):
+                    with pytest.raises(MutationValidationError):
+                        execute_mutation(parse_statement(sql), database)
+            assert database.data_version == 0
 
     def test_base_null_is_certainly_distinct_from_literals(self):
         """A marked base null equals only itself: ``<>`` a concrete

@@ -559,6 +559,41 @@ class TestWireRobustness:
                                  "code": "bad_request",
                                  "message": "unknown op 'teleport'"}
 
+    def test_failing_auxiliary_op_is_typed_and_connection_survives(
+            self, database):
+        """A non-query op whose handler raises answers a typed
+        ``internal`` error on both clients, and the connection serves the
+        next request."""
+        def broken():
+            raise RuntimeError("stats backend exploded")
+
+        service = make_service(database)
+        with EmbeddedServer(service) as server:
+            for op in ("stats", "metrics_text", "health"):
+                setattr(server.app, op, broken)
+            with ReproClient(server.host, server.port) as client:
+                for probe in (client.stats, client.metrics, client.health):
+                    with pytest.raises(ServerError) as excinfo:
+                        probe()
+                    assert excinfo.value.code == "internal"
+                    assert "stats backend exploded" in excinfo.value.message
+                    assert client.ping()
+
+            async def run():
+                client = await AsyncReproClient.connect(server.host,
+                                                        server.port)
+                codes = []
+                async with client:
+                    for probe in (client.stats, client.metrics,
+                                  client.health):
+                        with pytest.raises(ServerError) as excinfo:
+                            await probe()
+                        codes.append(excinfo.value.code)
+                        assert await client.ping()
+                return codes
+
+            assert asyncio.run(run()) == ["internal"] * 3
+
     def test_typed_overload_error_reaches_sync_client(self, database):
         gated = GatedService(make_service(database))
         with EmbeddedServer(gated, max_pending=1, workers=1) as server:
