@@ -10,6 +10,12 @@ drain protocol ends the process with exit code 0:
   the result), a bad query (typed ``invalid_query`` error, connection
   stays usable), and a ``stats`` op whose report carries the single-flight
   counters;
+* raw TCP lines -- one Figure-1 query sent three times: the warm lines
+  (whose answers the server splices from their cached encoding) must
+  equal the cold one byte for byte once the per-request ``id``,
+  ``elapsed_seconds`` and ``trace_id`` are masked -- and, between the
+  cold and a warm line, the cache counters ``groups_from_cache`` and
+  ``groups_computed``, which differ by design;
 * HTTP -- ``GET /healthz``, ``GET /stats``, ``POST /query`` (200 with
   answers), and a malformed query (400).
 
@@ -22,7 +28,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -89,6 +97,46 @@ def _tcp_session(port: int) -> None:
     print("tcp session ok")
 
 
+#: Per-request fields of a result line, masked before lines are compared.
+_PER_REQUEST = (
+    (re.compile(rb'^\{"id":-?\d+,'), b'{"id":_,'),
+    (re.compile(rb'"elapsed_seconds":[^,}]+'), b'"elapsed_seconds":_'),
+    (re.compile(rb',"trace_id":"[0-9a-f]+"'), b''),
+)
+#: What a cold request's stats say differently from a warm one's.
+_CACHE_COUNTERS = re.compile(rb'"groups_(from_cache|computed)":\d+')
+
+
+def _masked(line: bytes, counters: bool = False) -> bytes:
+    for pattern, replacement in _PER_REQUEST:
+        line, count = pattern.subn(replacement, line)
+        assert count == 1, f"{pattern.pattern!r} not in {line[:120]!r}"
+    if counters:
+        line = _CACHE_COUNTERS.sub(rb'"groups_\1":_', line)
+    return line
+
+
+def _tcp_warm_lines(port: int) -> None:
+    from repro.datagen.experiments import EXPERIMENT_QUERIES
+
+    sql = EXPERIMENT_QUERIES["never_knowingly_undersold"]
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        reader = sock.makefile("rb")
+        lines = []
+        for request_id in (1, 2, 3):
+            sock.sendall(json.dumps({"op": "query", "id": request_id,
+                                     "sql": sql}).encode() + b"\n")
+            lines.append(reader.readline())
+    cold, warm, again = lines
+    message = json.loads(cold)
+    assert message["type"] == "result" and message["answers"], cold[:200]
+    assert json.loads(warm)["stats"]["groups_computed"] == 0
+    assert _masked(again) == _masked(warm), "warm result lines differ"
+    assert _masked(warm, counters=True) == _masked(cold, counters=True), \
+        "a warm result line differs from the cold one"
+    print("tcp warm lines ok")
+
+
 def _http_session(port: int) -> None:
     base = f"http://127.0.0.1:{port}"
     health = json.loads(urllib.request.urlopen(base + "/healthz").read())
@@ -129,6 +177,7 @@ def main() -> int:
         process, tcp_port, http_port = _spawn_server(data_dir)
         try:
             _tcp_session(tcp_port)
+            _tcp_warm_lines(tcp_port)
             _http_session(http_port)
         finally:
             process.send_signal(signal.SIGTERM)

@@ -168,7 +168,8 @@ async def _json_report(report) -> bytes:
 
 #: Read-only routes: path -> ``handler(app, params)``, awaited for the
 #: response bytes.  A malformed parameter (:class:`_BadParameter`) answers
-#: 400; any other exception is a server fault, never the client's error.
+#: 400; any other exception is a server fault, never the client's error,
+#: and answers 500 with a typed ``internal`` error event.
 _GET_ROUTES = {
     "/healthz": lambda app, params: _json_report(app.health()),
     "/stats": lambda app, params: _json_report(app.stats()),
@@ -211,6 +212,8 @@ async def handle_http_connection(server, reader: asyncio.StreamReader,
                 writer.write(await get(app, params))
             except _BadParameter as error:
                 writer.write(_json_response(400, {"error": str(error)}))
+            except Exception as error:  # noqa: BLE001 - reported, not hidden
+                writer.write(_json_response(500, app._internal(error)))
     elif target in _POST_ROUTES:
         if method != "POST":
             writer.write(_json_response(405, {"error": "use POST"}))

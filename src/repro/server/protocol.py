@@ -17,7 +17,10 @@ must agree on:
   an :class:`~repro.service.answers.AnnotatedAnswer` including its full
   :class:`~repro.certainty.result.CertaintyResult` and canonical-lineage
   digest, bit-exactly: floats are serialised by ``json`` via ``repr``
-  (shortest round-trip form), so a decoded certainty equals the served one;
+  (shortest round-trip form), so a decoded certainty equals the served one.
+  A result event's answers are encoded once per service answer memo
+  (:class:`EncodedAnswers`) and their JSON is spliced into every line
+  that carries them;
 * **coalescing keys** -- :func:`request_key` is the digest under which the
   server single-flights concurrent identical requests;
 * **trace context** -- query and mutation messages may carry an optional
@@ -338,13 +341,51 @@ def decode_answer(payload: Mapping) -> AnnotatedAnswer:
     )
 
 
+class EncodedAnswers(list):
+    """A result event's ``answers``: the encoded answer dicts, which
+    :func:`dump_line` writes as their cached JSON.
+
+    One instance is built per service answer memo and shared by every
+    event served from it -- coalesced followers and later warm requests
+    alike -- so it must be treated as read-only: ``wire`` caches the JSON
+    of the list as first written and would not follow a mutation.
+    """
+
+    __slots__ = ("wire",)
+
+    def __init__(self, answers) -> None:
+        super().__init__(answers)
+        #: UTF-8 JSON of the list, filled by the first :func:`dump_line`.
+        self.wire: Optional[bytes] = None
+
+
 # -- framing -----------------------------------------------------------------
+
+#: The wire's JSON encoder (compact separators, UTF-8 rather than escapes).
+_encode_json = json.JSONEncoder(separators=(",", ":"),
+                                ensure_ascii=False).encode
 
 
 def dump_line(message: Mapping) -> bytes:
-    """One wire message as an NDJSON line (UTF-8, trailing newline)."""
-    return (json.dumps(message, separators=(",", ":"),
-                       ensure_ascii=False) + "\n").encode("utf-8")
+    """One wire message as an NDJSON line (UTF-8, trailing newline).
+
+    Byte-identical to ``json.dumps(message, separators=(",", ":"),
+    ensure_ascii=False)`` plus a newline.  When the message carries
+    :class:`EncodedAnswers`, their cached JSON is spliced in between the
+    per-request fields (wire messages have string keys, written in order)
+    instead of being encoded again.
+    """
+    answers = message.get("answers")
+    if type(answers) is not EncodedAnswers:
+        return (_encode_json(message) + "\n").encode("utf-8")
+    wire = answers.wire
+    if wire is None:
+        wire = answers.wire = _encode_json(answers).encode("utf-8")
+    fields = [_encode_json(key).encode("utf-8") + b":"
+              + (wire if value is answers
+                 else _encode_json(value).encode("utf-8"))
+              for key, value in message.items()]
+    return b"{" + b",".join(fields) + b"}\n"
 
 
 def load_line(line: bytes) -> dict:
@@ -375,13 +416,15 @@ def result_event(request_id: Any, response) -> dict:
     Coalesced followers receive the leader's event verbatim (only the
     ``id`` is rewritten per subscriber), so duplicate in-flight requests
     observe byte-identical payloads -- including ``elapsed_seconds``, which
-    is the one computation's cost, not the follower's wait.
+    is the one computation's cost, not the follower's wait.  ``answers``
+    is the :class:`EncodedAnswers` of the response's answer memo, encoded
+    by the first event built from that memo and shared read-only after.
     """
     stats = response.stats
     return {
         "id": request_id,
         "type": "result",
-        "answers": [encode_answer(answer) for answer in response.answers],
+        "answers": _encoded_answers(response),
         "stats": {
             "candidates": stats.candidates,
             "groups": stats.groups,
@@ -391,3 +434,14 @@ def result_event(request_id: Any, response) -> dict:
             "elapsed_seconds": stats.elapsed_seconds,
         },
     }
+
+
+def _encoded_answers(response) -> EncodedAnswers:
+    """The encoded answers of ``response``, cached on its answer memo."""
+    memo = response.memo
+    if memo is None or memo.answers is not response.answers:
+        # No memo, or a response rebuilt around other answers.
+        return EncodedAnswers(map(encode_answer, response.answers))
+    if memo.encoded is None:
+        memo.encoded = EncodedAnswers(map(encode_answer, memo.answers))
+    return memo.encoded

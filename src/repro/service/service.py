@@ -12,8 +12,9 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
    canonical form of their lineage (:mod:`repro.service.scheduler`), so one
    compiled-kernel estimate decides a whole group.  The schedule and each
    group's lineage nulls (its provenance) are built with the candidates
-   and stored in the same plan-cache entry, so a warm request does no
-   per-candidate work before assembling its answers;
+   and stored in the same plan-cache entry, which also keeps the answers
+   it last served: while every group's result is the same object, a warm
+   request reuses those answers and does no per-candidate work at all;
 4. **execute** -- one pipeline under every configuration: each group is
    probed once in the certainty cache, keyed by
    ``(lineage digest, ε, δ, method, adaptive, seed)``, so structurally
@@ -34,6 +35,7 @@ alongside the service's own caches.
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
 import time
@@ -104,6 +106,34 @@ class RequestStats:
     seed_entropy: int
 
 
+class AnswerMemo:
+    """The answers one plan last served and the results they were built
+    from, shared by every request the plan serves until a result changes.
+
+    ``encoded`` is a slot for the wire layer: the first response reusing
+    this memo stores its encoded answers here, and later ones reuse them.
+    Everything in a memo is shared across requests and threads, so
+    nothing in it may be mutated.
+    """
+
+    __slots__ = ("results", "dimension", "answers", "encoded")
+
+    def __init__(self, results: tuple[CertaintyResult, ...], dimension: int,
+                 answers: tuple[AnnotatedAnswer, ...]) -> None:
+        self.results = results
+        self.dimension = dimension
+        self.answers = answers
+        self.encoded = None
+
+    def serves(self, results: tuple[CertaintyResult, ...],
+               dimension: int) -> bool:
+        """Whether these answers are the ones ``results`` would build:
+        every group's result is the very object the memo was built from,
+        at the same pinned dimension."""
+        return dimension == self.dimension and all(
+            map(operator.is_, results, self.results))
+
+
 @dataclass(frozen=True)
 class ServiceResponse:
     """Annotated answers plus the request's amortisation accounting."""
@@ -113,6 +143,11 @@ class ServiceResponse:
     #: The request's span tree, populated only when the caller asked for
     #: tracing (``submit(..., trace=True)`` or by passing a ``Trace``).
     trace: Optional[Trace] = None
+    #: The plan's memo when ``answers`` were reused from it (its
+    #: ``answers`` is this response's); the wire layer caches the encoded
+    #: answers on it.  ``None`` when the answers were built fresh.
+    memo: Optional[AnswerMemo] = field(default=None, compare=False,
+                                       repr=False)
 
 
 @dataclass(frozen=True)
@@ -258,7 +293,7 @@ class _Snapshot:
     dimension: int
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _PlanEntry:
     """A planned query: its candidates and what every request derives from
     them, built once per plan-cache fill by :func:`_plan_entry`.
@@ -266,11 +301,31 @@ class _PlanEntry:
     ``provenance[i]`` names the marked nulls the lineages of
     ``schedule[i]``'s members mention: the rows whose deletion could, as a
     matter of provenance policy, affect that group's certainty entry.
+    ``memo`` holds the answers the entry last served; ``submit`` replaces
+    it with one attribute store, so concurrent requests read either the
+    old memo or the new one, never a torn one.
     """
 
     candidates: tuple
     schedule: tuple[TaskGroup, ...]
     provenance: tuple[frozenset[str], ...]
+    memo: Optional[AnswerMemo] = None
+
+
+def _build_answers(candidates: tuple, schedule: tuple[TaskGroup, ...],
+                   results: tuple[CertaintyResult, ...]
+                   ) -> tuple[AnnotatedAnswer, ...]:
+    """Each candidate annotated with its group's result, in candidate order."""
+    by_candidate: dict[int, tuple[CertaintyResult, bytes]] = {}
+    for group, result in zip(schedule, results):
+        for member in group.members:
+            by_candidate[member] = (result, group.canonical.digest)
+    return tuple(
+        AnnotatedAnswer(values=candidate.values, columns=candidate.columns,
+                        certainty=by_candidate[index][0],
+                        witnesses=candidate.witnesses,
+                        lineage_digest=by_candidate[index][1])
+        for index, candidate in enumerate(candidates))
 
 
 def _plan_entry(candidates: Sequence) -> _PlanEntry:
@@ -510,24 +565,22 @@ class AnnotationService:
         for position, outcome in zip(misses, decided):
             outcomes[position] = outcome
 
+        from_cache = sum(1 for _, cached in outcomes if cached)
         with tr.span("serialize") as serialize_span:
-            by_candidate: dict[int, CertaintyResult] = {}
-            digest_by_candidate: dict[int, bytes] = {}
-            from_cache = 0
-            for group, (result, cached) in zip(schedule, outcomes):
-                if cached:
-                    from_cache += 1
-                for member in group.members:
-                    by_candidate[member] = result
-                    digest_by_candidate[member] = group.canonical.digest
-
-            answers = tuple(
-                AnnotatedAnswer(values=candidate.values,
-                                columns=candidate.columns,
-                                certainty=by_candidate[index],
-                                witnesses=candidate.witnesses,
-                                lineage_digest=digest_by_candidate[index])
-                for index, candidate in enumerate(candidates))
+            # Estimates are content-addressed, so while every group's
+            # result is the object the plan last served, so are the
+            # answers: a warm request reuses them (and their encoding).
+            # Only a reused memo rides on the response, so only answers
+            # served twice keep their encoding: a plan served once (a
+            # re-plan after every write) holds no encoded bytes.
+            results = tuple(result for result, _ in outcomes)
+            memo = entry.memo
+            if memo is not None and memo.serves(results, dimension):
+                answers = memo.answers
+            else:
+                answers = _build_answers(candidates, schedule, results)
+                entry.memo = AnswerMemo(results, dimension, answers)
+                memo = None
             serialize_span.set("answers", len(answers))
 
         computed = len(schedule) - from_cache
@@ -553,7 +606,7 @@ class AnnotationService:
                 sql_text, stats.elapsed_seconds, trace=tr,
                 candidates=len(candidates), groups=len(schedule))
         return ServiceResponse(answers=answers, stats=stats,
-                               trace=tr if return_trace else None)
+                               trace=tr if return_trace else None, memo=memo)
 
     def stats(self) -> ServiceStats:
         """Lifetime counters plus snapshots of every cache layer."""

@@ -502,6 +502,27 @@ class TestHttpAdapter:
             urllib.request.urlopen(self._base(server) + "/healthz")
         assert getattr(excinfo.value, "code", None) != 400
 
+    def test_failing_get_route_answers_500_internal(self, database):
+        """A GET route whose handler raises answers a typed ``internal``
+        error with status 500 instead of closing the connection, and the
+        server keeps serving."""
+        def broken():
+            raise RuntimeError("stats backend exploded")
+
+        with EmbeddedServer(make_service(database)) as server:
+            server.app.stats = broken
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(self._base(server) + "/stats")
+            with excinfo.value as error:
+                assert error.code == 500
+                body = json.loads(error.read())
+            assert body["type"] == "error" and body["code"] == "internal"
+            assert "stats backend exploded" in body["message"]
+            assert server.app._counters()["internal_errors"] == 1
+            with urllib.request.urlopen(self._base(server) + "/healthz") \
+                    as response:
+                assert json.loads(response.read())["status"] == "ok"
+
     def test_overload_maps_to_503(self, database):
         gated = GatedService(make_service(database))
         with EmbeddedServer(gated, max_pending=1, workers=1) as server:

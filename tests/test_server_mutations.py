@@ -18,12 +18,18 @@ import threading
 import pytest
 
 from repro.client import ReproClient
+from repro.datagen.experiments import (
+    EXPERIMENT_QUERIES,
+    ExperimentScale,
+    generate_sales_database,
+)
 from repro.engine.mutate import execute_mutation
 from repro.engine.sql.parser import parse_statement
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import NumNull
 from repro.server import EmbeddedServer, ServerApp
+from repro.server.protocol import encode_answer, result_event
 from repro.service import AnnotationService, ServiceOptions
 
 
@@ -301,3 +307,73 @@ class TestWireConcurrency:
         # The mutation really happened while readers were mid-stream: the
         # writer waited for two rounds, and four more rounds followed it.
         assert all(len(observed[sql]) == rounds for sql in READER_QUERIES)
+
+
+QUERY_NAMES = sorted(EXPERIMENT_QUERIES)
+
+
+class TestAnswerMemoStaleness:
+    """A warm read reuses its plan's last served answers only while every
+    group's result is the same object at the same dimension: after each
+    change below, the next served answers equal a fresh service's."""
+
+    #: The Figure-1 queries, plus one over Products alone: its plan entry
+    #: (and answer memo) survives Orders writes while the dimension moves.
+    QUERIES = tuple(EXPERIMENT_QUERIES[name] for name in QUERY_NAMES) + (
+        "SELECT P.id FROM Products P WHERE P.rrp * P.dis <= 60 LIMIT 12",)
+
+    @staticmethod
+    def _sales() -> AnnotationService:
+        database = generate_sales_database(
+            ExperimentScale(60, 60, 6, null_rate=0.1), rng=3)
+        return _service(database.with_backend("columnar"))
+
+    def _served(self, service: AnnotationService) -> list:
+        """Each query's answers as the wire carries them, read twice (the
+        second read is a memo hit) and required to agree."""
+        served = []
+        for sql in self.QUERIES:
+            first = result_event(None, service.submit(sql))["answers"]
+            again = service.submit(sql)
+            assert again.stats.groups_computed == 0
+            assert result_event(None, again)["answers"] == first
+            served.append(list(first))
+        return served
+
+    def _fresh(self, service: AnnotationService) -> list:
+        fresh = _service(_rebuild(service.database))
+        return [[encode_answer(answer) for answer in fresh.submit(sql).answers]
+                for sql in self.QUERIES]
+
+    def test_writes_and_invalidate_never_serve_stale_answers(self):
+        service = self._sales()
+        before = self._served(service)
+        assert before == self._fresh(service)
+        dimension = service._snapshot.dimension
+        products_only = service.submit(self.QUERIES[-1])
+
+        # An INSERT with a NULL moves the ambient dimension: an order of
+        # unknown quantity for a never_knowingly_undersold answer (the row
+        # the write_mix benchmark inserts for its product p0).
+        product = before[QUERY_NAMES.index("never_knowingly_undersold")][0]
+        service.mutate("INSERT INTO Orders VALUES "
+                       f"('o_memo', '{product['values'][0]}', NULL, 5.0)")
+        assert service._snapshot.dimension == dimension + 1
+        after_insert = self._served(service)
+        assert after_insert == self._fresh(service)
+        moved = service.submit(self.QUERIES[-1])
+        assert moved.memo is not products_only.memo
+        assert {answer["certainty"]["dimension"]
+                for answer in after_insert[-1]} == {dimension + 1}
+
+        # Deleting the row evicts the certainty its lineage was cached under.
+        evicted = service.stats().results_evicted
+        service.mutate("DELETE FROM Orders WHERE id = 'o_memo'")
+        assert service.stats().results_evicted > evicted
+        assert self._served(service) == self._fresh(service) == before
+
+        warm = service.submit(self.QUERIES[0])
+        assert warm.memo is not None
+        service.invalidate()
+        assert service.submit(self.QUERIES[0]).answers is not warm.answers
+        assert self._served(service) == self._fresh(service) == before

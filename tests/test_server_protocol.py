@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.certainty.result import CertaintyResult
 from repro.server.protocol import (
     MAX_LINE_BYTES,
+    EncodedAnswers,
     OverloadError,
     ProtocolError,
     decode_answer,
@@ -27,8 +29,9 @@ from repro.server.protocol import (
 )
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.service import AnnotationService
+from repro.service import AnnotationService, RequestStats, ServiceResponse
 from repro.service.answers import AnnotatedAnswer
+from repro.service.service import AnswerMemo
 from repro.relational.values import BaseNull, NumNull
 
 DEFAULTS = {"epsilon": 0.05, "delta": 0.05, "method": "afpras",
@@ -226,3 +229,97 @@ class TestFraming:
 
     def test_line_limit_is_generous(self):
         assert MAX_LINE_BYTES >= 1024 * 1024
+
+
+def _plain_line(event: dict) -> bytes:
+    """``event`` fully materialised (plain answer list) and encoded the
+    way the wire always encoded it, without any splice."""
+    plain = dict(event, answers=[dict(answer) for answer in event["answers"]])
+    return (json.dumps(plain, separators=(",", ":"), ensure_ascii=False)
+            + "\n").encode("utf-8")
+
+
+def _awkward_answer(index: int) -> AnnotatedAnswer:
+    """An answer whose wire form exercises escapes, nulls and floats."""
+    certainty = CertaintyResult(
+        value=0.1 + 0.2, method="afpras", guarantee="additive",
+        epsilon=1e-7, delta=5e-324, samples=10 ** 17, dimension=3,
+        relevant_dimension=1,
+        details={"névé": "⊤ quoted \"x\" and \\ tab\t", "bound": float("inf"),
+                 "trace": [1e16, -0.0, 1.7976931348623157e308, 2.5e-8],
+                 "digest": b"\x00\xff"})
+    return AnnotatedAnswer(
+        values=(f"ünïcödé-{index} 数据", NumNull(f"n{index}"),
+                BaseNull(f"b{index}"), 123456789.00000001, -0.0, True, None),
+        columns=("名前", "x", "seg", "rrp", "dis", "flag", "none"),
+        certainty=certainty, witnesses=index, lineage_digest=bytes([index]) * 32)
+
+
+def _served(answers) -> ServiceResponse:
+    """A response served from an answer memo, as ``submit`` returns it."""
+    answers = tuple(answers)
+    memo = AnswerMemo(tuple(answer.certainty for answer in answers), 3, answers)
+    stats = RequestStats(candidates=len(answers), groups=len(answers),
+                         groups_from_cache=0, groups_computed=len(answers),
+                         tuples_batched=0, elapsed_seconds=1.0000000000000002e-05,
+                         seed_entropy=0)
+    return ServiceResponse(answers=answers, stats=stats, memo=memo)
+
+
+class TestSplicedResultLines:
+    """``dump_line`` splices a result's cached answer JSON; the line must
+    equal a plain ``json.dumps`` of the fully materialised event."""
+
+    @pytest.mark.parametrize("request_id",
+                             [None, 7, 'q"1\\ ⊤:ünï "quoted"'])
+    @pytest.mark.parametrize("trace_id",
+                             [None, "4bf92f3577b34da6a3ce929d0e0e4736"])
+    def test_awkward_answers_splice_byte_identically(self, request_id,
+                                                     trace_id):
+        event = result_event(request_id,
+                             _served(_awkward_answer(i) for i in range(3)))
+        if trace_id is not None:
+            event["trace_id"] = trace_id
+        assert type(event["answers"]) is EncodedAnswers
+        line = dump_line(event)
+        assert line == _plain_line(event)
+        decoded = load_line(line)
+        assert decoded["id"] == request_id
+        assert decoded.get("trace_id") == trace_id
+        assert decode_answer(decoded["answers"][0]).values[1:3] == \
+            (NumNull("n0"), BaseNull("b0"))
+        # The cached bytes serve the next line too.
+        assert event["answers"].wire is not None
+        assert dump_line(event) == line
+
+    def test_empty_answer_list(self):
+        event = result_event(3, _served(()))
+        assert event["answers"] == []
+        assert dump_line(event) == _plain_line(event)
+
+    def test_cold_and_warm_requests_of_one_query(self):
+        schema = DatabaseSchema.of(RelationSchema.of("T", key="base", x="num"))
+        database = Database.from_dict(schema, {"T": [
+            ("ä", NumNull("n0")), ("b\"", NumNull("n1")), ("c", 1.0)]})
+        service = AnnotationService(database, epsilon=0.2, seed=5)
+        sql = "SELECT T.key FROM T WHERE T.x * 2 <= 5"
+        cold, warm, warmer = (service.submit(sql) for _ in range(3))
+        assert cold.stats.groups_computed and not warm.stats.groups_computed
+        assert cold.memo is None and warm.memo is warmer.memo is not None
+        assert warm.answers is cold.answers
+        cold_event = result_event(1, cold)
+        warm_event = dict(result_event("wärm", warm), trace_id="ab" * 16)
+        warmer_event = result_event(None, warmer)
+        assert warmer_event["answers"] is warm_event["answers"]
+        for event in (cold_event, warm_event, warmer_event, warm_event):
+            assert dump_line(event) == _plain_line(event)
+        assert cold_event["answers"] == warm_event["answers"] == \
+            [encode_answer(answer) for answer in warm.answers]
+
+    def test_rebuilt_response_is_encoded_from_its_own_answers(self):
+        response = _served([_awkward_answer(1)])
+        result_event(1, response)  # fills the memo's encoding
+        other = replace(response, answers=(_awkward_answer(2),))
+        event = result_event(2, other)
+        assert event["answers"] == [encode_answer(_awkward_answer(2))]
+        assert dump_line(event) == _plain_line(event)

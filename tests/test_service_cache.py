@@ -1,7 +1,9 @@
-"""Tests for the LRU cache, the compile-formula memo, and canonicalisation."""
+"""Tests for the LRU cache, the compile-formula memo, canonicalisation and
+the service's answer memo."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -17,6 +19,13 @@ from repro.compile import (
 from repro.constraints.atoms import Comparison, Constraint
 from repro.constraints.formula import And, Atom, Or
 from repro.constraints.polynomials import Polynomial
+from repro.datagen.experiments import (
+    EXPERIMENT_QUERIES,
+    ExperimentScale,
+    generate_sales_database,
+)
+from repro.server.protocol import dump_line, load_line, result_event
+from repro.service import AnnotationService, ServiceOptions
 from repro.service.canonical import CanonicalisationError, canonicalise
 from repro.service.rng import root_sequence, spawn_stream
 
@@ -279,3 +288,85 @@ class TestSpawnedStreams:
         first = spawn_stream(root_sequence(1), 0).integers(0, 1 << 30, 8)
         second = spawn_stream(root_sequence(2), 0).integers(0, 1 << 30, 8)
         assert list(first) != list(second)
+
+
+class TestAnswerMemo:
+    """Warm requests share their plan's answers and encoding; per-request
+    fields never leak between the responses built from them."""
+
+    SQL = EXPERIMENT_QUERIES["never_knowingly_undersold"]
+
+    @staticmethod
+    def _service() -> AnnotationService:
+        database = generate_sales_database(
+            ExperimentScale(60, 60, 6, null_rate=0.1), rng=3)
+        return AnnotationService(database.with_backend("columnar"),
+                                 ServiceOptions(seed=7, epsilon=0.2))
+
+    def test_warm_requests_reuse_the_answers_and_their_encoding(self):
+        service = self._service()
+        cold, warm, warmer = (service.submit(self.SQL) for _ in range(3))
+        assert warm.stats.groups_from_cache == warm.stats.groups > 0
+        assert warm.answers is cold.answers is warmer.answers
+        # Only a reused memo rides on the response and keeps an encoding.
+        assert cold.memo is None and warm.memo is warmer.memo is not None
+        assert result_event(1, warm)["answers"] is \
+            result_event(2, warmer)["answers"]
+        assert result_event(3, cold)["answers"] == warm.memo.encoded
+        # Another request seed is another set of results: a fresh build
+        # replaces the memo, and the next reuse starts a new one.
+        assert service.submit(self.SQL, seed=8).answers is not cold.answers
+        again = service.submit(self.SQL)
+        assert again.memo is None and again.answers is not cold.answers
+        assert service.submit(self.SQL).memo is not warm.memo
+
+    def test_concurrent_warm_submits_agree_and_stamps_stay_private(self):
+        """Four threads read one warm query under two request seeds, so
+        the plan's memo is replaced concurrently; every line carries its
+        own seed's answers and only its own ``id`` and ``trace_id``."""
+        service = self._service()
+        expected = {}
+        for seed in (7, 8):
+            service.submit(self.SQL, seed=seed)
+            expected[seed] = load_line(dump_line(result_event(
+                None, service.submit(self.SQL, seed=seed))))["answers"]
+        assert expected[7] != expected[8]
+        rounds = 25
+        lines: dict[int, list] = {}
+        barrier = threading.Barrier(4)
+
+        def read(worker: int) -> None:
+            barrier.wait(timeout=30)
+            own = lines[worker] = []
+            for round_index in range(rounds):
+                seed = 7 + (worker + round_index) % 2
+                event = result_event(f"{worker}-{round_index}",
+                                     service.submit(self.SQL, seed=seed))
+                event["trace_id"] = f"trace-{worker}-{round_index}"
+                own.append((seed, dump_line(event)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(worker,))
+                       for worker in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        for worker, own in lines.items():
+            assert len(own) == rounds
+            for round_index, (seed, line) in enumerate(own):
+                message = load_line(line)
+                assert message["id"] == f"{worker}-{round_index}"
+                assert message["trace_id"] == f"trace-{worker}-{round_index}"
+                assert message["answers"] == expected[seed]
+                assert message["stats"]["groups_computed"] == 0
+        # Stamping never reached the shared answers.
+        shared = result_event(None, service.submit(self.SQL, seed=7))
+        assert "trace_id" not in shared and shared["id"] is None
+        assert load_line(dump_line(shared))["answers"] == expected[7]
