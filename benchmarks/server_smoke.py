@@ -15,7 +15,8 @@ drain protocol ends the process with exit code 0:
   equal the cold one byte for byte once the per-request ``id``,
   ``elapsed_seconds`` and ``trace_id`` are masked -- and, between the
   cold and a warm line, the cache counters ``groups_from_cache`` and
-  ``groups_computed``, which differ by design;
+  ``groups_computed``, which differ by design; and a ``profile`` op with
+  a NaN window, which must answer ``bad_request`` within 5 s;
 * HTTP -- ``GET /healthz``, ``GET /stats``, ``POST /query`` (200 with
   answers), and a malformed query (400).
 
@@ -137,6 +138,16 @@ def _tcp_warm_lines(port: int) -> None:
     print("tcp warm lines ok")
 
 
+def _tcp_nan_profile(port: int) -> None:
+    # A NaN window must be refused at once; it used to pin a sampler
+    # thread and never answer.
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(b'{"op":"profile","id":1,"seconds":NaN}\n')
+        reply = json.loads(sock.makefile("rb").readline())
+    assert (reply["type"], reply["code"]) == ("error", "bad_request"), reply
+    print("tcp nan profile ok")
+
+
 def _http_session(port: int) -> None:
     base = f"http://127.0.0.1:{port}"
     health = json.loads(urllib.request.urlopen(base + "/healthz").read())
@@ -178,6 +189,7 @@ def main() -> int:
         try:
             _tcp_session(tcp_port)
             _tcp_warm_lines(tcp_port)
+            _tcp_nan_profile(tcp_port)
             _http_session(http_port)
         finally:
             process.send_signal(signal.SIGTERM)

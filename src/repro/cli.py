@@ -511,9 +511,22 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serving_ports(args: argparse.Namespace) -> tuple[int, Optional[int]]:
+    """The TCP port and the HTTP port (None without HTTP) to listen on."""
+    from repro.server import DEFAULT_PORT
+
+    port = DEFAULT_PORT if args.port is None else args.port
+    if args.no_http:
+        return port, None
+    if args.http_port is not None:
+        return port, args.http_port
+    # Ephemeral TCP ports take an ephemeral HTTP port alongside.
+    return port, port + 1 if port else 0
+
+
 def _run_server(args: argparse.Namespace) -> int:
     """The network front end: TCP NDJSON + HTTP around one service."""
-    from repro.server import DEFAULT_PORT, serve
+    from repro.server import serve
 
     configure_logging(level=args.log_level, format=args.log_format)
     if args.max_pending < 1:
@@ -521,14 +534,7 @@ def _run_server(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     service = _load_service(args)
-    port = DEFAULT_PORT if args.port is None else args.port
-    if args.no_http:
-        http_port = None
-    elif args.http_port is not None:
-        http_port = args.http_port
-    else:
-        # Ephemeral TCP ports take an ephemeral HTTP port alongside.
-        http_port = port + 1 if port else 0
+    port, http_port = _serving_ports(args)
     return serve(service, host=args.host, port=port, http_port=http_port,
                  max_pending=args.max_pending, workers=args.workers,
                  drain_timeout=args.drain_timeout)
@@ -555,7 +561,7 @@ def _run_cluster_start(args: argparse.Namespace) -> int:
         parse_worker_addr,
         worker_argv,
     )
-    from repro.server import DEFAULT_PORT, serve
+    from repro.server import serve
 
     configure_logging(level=args.log_level, format=args.log_format)
     if args.workers < 0:
@@ -591,13 +597,7 @@ def _run_cluster_start(args: argparse.Namespace) -> int:
                          health_interval=args.health_interval,
                          supervise=not args.no_supervise,
                          worker_template=template)
-    port = DEFAULT_PORT if args.port is None else args.port
-    if args.no_http:
-        http_port = None
-    elif args.http_port is not None:
-        http_port = args.http_port
-    else:
-        http_port = port + 1 if port else 0
+    port, http_port = _serving_ports(args)
     try:
         return serve(app=app, host=args.host, port=port, http_port=http_port,
                      drain_timeout=args.drain_timeout)

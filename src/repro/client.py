@@ -30,7 +30,8 @@ Mutations travel the same connection -- ``client.mutate("INSERT INTO
 :class:`ServerError` with that code.
 
 Asynchronous usage mirrors it one-to-one (``AsyncReproClient``, ``await
-client.query(...)``, ``async for event in client.stream(...)``).  One
+client.query(...)``, ``async for event in client.stream(...)``): every
+one-reply op is defined once, in a base class both clients share.  One
 client drives one connection and one request at a time; open more clients
 for concurrency -- the server coalesces duplicate in-flight queries across
 connections on its own.
@@ -41,6 +42,7 @@ from __future__ import annotations
 import asyncio
 import socket
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, AsyncIterator, Iterator, Optional, Union
 
 from repro.server.protocol import (
@@ -130,6 +132,9 @@ class MutationResult:
 #: What :meth:`stream` yields: updates while refining, the result last.
 StreamEvent = Union[AdaptiveUpdateEvent, QueryResult]
 
+#: Event types that end a request.
+_TERMINAL = ("result", "error")
+
 
 def _decode_update(event: dict) -> AdaptiveUpdateEvent:
     low, high = event["interval"]
@@ -166,7 +171,128 @@ def _decode_mutation(event: dict) -> MutationResult:
         data_version=event["data_version"], raw=event)
 
 
-class ReproClient:
+def _checked(line: bytes, expect_id: Any) -> dict:
+    """One received line as an event of request ``expect_id``."""
+    if not line:
+        raise ClientError("server closed the connection")
+    try:
+        event = load_line(line)
+    except ProtocolError as error:
+        raise ClientError(f"garbled response: {error}")
+    if event.get("id") != expect_id:
+        raise ClientError(
+            f"response id {event.get('id')!r} does not match "
+            f"request id {expect_id!r}")
+    return event
+
+
+def _reply(event: dict, expect: str) -> dict:
+    """``event`` if it is of type ``expect``; an ``error`` event raises
+    :class:`ServerError`, any other type :class:`ClientError`."""
+    kind = event.get("type")
+    if kind == "error":
+        raise _server_error(event)
+    if kind != expect:
+        raise ClientError(f"unexpected event type {kind!r}")
+    return event
+
+
+def _payload(event: dict) -> dict:
+    """A reply minus its ``id`` and ``type``."""
+    return {key: value for key, value in event.items()
+            if key not in ("id", "type")}
+
+
+def _message(op: str, **params) -> dict:
+    """An op message carrying the parameters that are not None."""
+    return {"op": op, **{key: value for key, value in params.items()
+                         if value is not None}}
+
+
+class _Ops:
+    """Every one-reply op, defined once for both clients.
+
+    Each method returns ``self._op(message, expect, decode)``: the decoded
+    reply on :class:`ReproClient`, a coroutine on :class:`AsyncReproClient`
+    (``await client.stats()``).  An ``error`` reply raises
+    :class:`ServerError` with the server's typed code.
+    """
+
+    def _op(self, message: dict, expect: str, decode):
+        raise NotImplementedError
+
+    def mutate(self, sql: str) -> MutationResult:
+        """Apply one INSERT/DELETE/UPDATE statement on the server.
+
+        Raises :class:`ServerError` with the server's typed code
+        (``validation``, ``conflict``, ``invalid_query``) when the
+        statement is rejected; the server's snapshot is untouched then.
+        """
+        return self._op({"op": "mutate", "sql": sql}, "mutation",
+                        _decode_mutation)
+
+    def stats(self) -> dict:
+        return self._op({"op": "stats"}, "stats", itemgetter("stats"))
+
+    def metrics(self) -> str:
+        """The server's Prometheus text exposition (the ``metrics`` op)."""
+        return self._op({"op": "metrics"}, "metrics", itemgetter("metrics"))
+
+    def health(self) -> dict:
+        return self._op({"op": "health"}, "health", _payload)
+
+    def ping(self) -> bool:
+        return self._op({"op": "ping"}, "pong", lambda event: True)
+
+    # -- observability ops ---------------------------------------------------
+
+    def history(self, seconds: Optional[float] = None) -> dict:
+        """The server-side metrics history window (tsdb snapshots)."""
+        return self._op(_message("history", seconds=seconds), "history",
+                        _payload)
+
+    def profile(self, seconds: float = 1.0) -> dict:
+        """Sample the server (fleet-wide through a coordinator) for
+        ``seconds``; the payload carries flamegraph-ready collapsed stacks."""
+        return self._op({"op": "profile", "seconds": seconds}, "profile",
+                        _payload)
+
+    def alerts(self) -> dict:
+        """SLO burn-rate alert states plus the rolled-up ``firing`` flag."""
+        return self._op({"op": "alerts"}, "alerts", _payload)
+
+    def trace(self, trace_id: Optional[str] = None) -> dict:
+        """One stored trace's raw spans (the latest without an id)."""
+        return self._op(_message("trace", trace_id=trace_id), "trace",
+                        _payload)
+
+    def trace_export(self, trace_id: Optional[str] = None) -> dict:
+        """One stored trace as a Chrome/Perfetto trace-event document
+        (stitched across the whole fleet when answered by a coordinator)."""
+        return self._op(_message("trace_export", trace_id=trace_id),
+                        "trace_export", _payload)
+
+    # -- cluster admin ops (answered by a coordinator front door) ------------
+
+    def cluster(self) -> dict:
+        """Cluster status: coordinator counters, per-worker states, ring."""
+        return self._op({"op": "cluster"}, "cluster", _payload)
+
+    def cluster_drain(self) -> dict:
+        """Rolling restart of the coordinator's local workers.
+
+        Blocks until every worker has drained, respawned and replayed the
+        mutation log -- give the client a generous timeout.
+        """
+        return self._op({"op": "cluster_drain"}, "cluster", _payload)
+
+    def cluster_scale(self, workers: int) -> dict:
+        """Grow or shrink the local worker pool to ``workers`` members."""
+        return self._op({"op": "cluster_scale", "workers": workers},
+                        "cluster", _payload)
+
+
+class ReproClient(_Ops):
     """Blocking client over one TCP connection."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 7464,
@@ -196,17 +322,12 @@ class ReproClient:
             line = self._file.readline(MAX_LINE_BYTES)
         except OSError as error:
             raise ClientError(f"connection lost while receiving: {error}")
-        if not line:
-            raise ClientError("server closed the connection")
-        try:
-            event = load_line(line)
-        except ProtocolError as error:
-            raise ClientError(f"garbled response: {error}")
-        if event.get("id") != expect_id:
-            raise ClientError(
-                f"response id {event.get('id')!r} does not match "
-                f"request id {expect_id!r}")
-        return event
+        return _checked(line, expect_id)
+
+    def _op(self, message: dict, expect: str, decode):
+        request_id = self._roundtrip_id()
+        self._send({**message, "id": request_id})
+        return decode(_reply(self._recv(request_id), expect))
 
     # -- queries -------------------------------------------------------------
 
@@ -220,7 +341,7 @@ class ReproClient:
         """
         try:
             for _ in range(100_000):  # bounded paranoia, not a real limit
-                if self._recv(request_id).get("type") in ("result", "error"):
+                if self._recv(request_id).get("type") in _TERMINAL:
                     return
         except ClientError:
             pass  # connection already gone; nothing left to protect
@@ -244,18 +365,12 @@ class ReproClient:
                 traceparent=traceparent))
             while True:
                 event = self._recv(request_id)
-                kind = event.get("type")
-                if kind == "update":
+                if event.get("type") == "update":
                     yield _decode_update(event)
-                elif kind == "result":
-                    terminal = True
-                    yield _decode_result(event)
-                    return
-                elif kind == "error":
-                    terminal = True
-                    raise _server_error(event)
-                else:
-                    raise ClientError(f"unexpected event type {kind!r}")
+                    continue
+                terminal = event.get("type") in _TERMINAL
+                yield _decode_result(_reply(event, "result"))
+                return
         finally:
             if not terminal:
                 self._drain_request(request_id)
@@ -268,116 +383,6 @@ class ReproClient:
             if on_update is not None:
                 on_update(event)
         raise ClientError("stream ended without a result")  # pragma: no cover
-
-    def mutate(self, sql: str) -> MutationResult:
-        """Apply one INSERT/DELETE/UPDATE statement on the server.
-
-        Raises :class:`ServerError` with the server's typed code
-        (``validation``, ``conflict``, ``invalid_query``) when the
-        statement is rejected; the server's snapshot is untouched then.
-        """
-        request_id = self._roundtrip_id()
-        self._send({"op": "mutate", "id": request_id, "sql": sql})
-        event = self._recv(request_id)
-        kind = event.get("type")
-        if kind == "mutation":
-            return _decode_mutation(event)
-        if kind == "error":
-            raise _server_error(event)
-        raise ClientError(f"unexpected event type {kind!r}")
-
-    # -- auxiliary ops -------------------------------------------------------
-
-    def stats(self) -> dict:
-        return self._typed_op({"op": "stats"}, "stats")["stats"]
-
-    def metrics(self) -> str:
-        """The server's Prometheus text exposition (the ``metrics`` op)."""
-        return self._typed_op({"op": "metrics"}, "metrics")["metrics"]
-
-    def health(self) -> dict:
-        return self._typed_op({"op": "health"}, "health")
-
-    def ping(self) -> bool:
-        self._typed_op({"op": "ping"}, "pong")
-        return True
-
-    # -- observability ops ---------------------------------------------------
-
-    def _typed_op(self, message: dict, expect: str) -> dict:
-        """Send one non-query op; its reply minus ``id``/``type``.  An
-        ``error`` reply raises :class:`ServerError`."""
-        request_id = self._roundtrip_id()
-        self._send({**message, "id": request_id})
-        event = self._recv(request_id)
-        kind = event.get("type")
-        if kind == "error":
-            raise _server_error(event)
-        if kind != expect:
-            raise ClientError(f"unexpected event type {kind!r}")
-        return {key: value for key, value in event.items()
-                if key not in ("id", "type")}
-
-    def history(self, seconds: Optional[float] = None) -> dict:
-        """The server-side metrics history window (tsdb snapshots)."""
-        message: dict = {"op": "history"}
-        if seconds is not None:
-            message["seconds"] = seconds
-        return self._typed_op(message, "history")
-
-    def profile(self, seconds: float = 1.0) -> dict:
-        """Sample the server (fleet-wide through a coordinator) for
-        ``seconds``; the payload carries flamegraph-ready collapsed stacks."""
-        return self._typed_op({"op": "profile", "seconds": seconds},
-                              "profile")
-
-    def alerts(self) -> dict:
-        """SLO burn-rate alert states plus the rolled-up ``firing`` flag."""
-        return self._typed_op({"op": "alerts"}, "alerts")
-
-    def trace(self, trace_id: Optional[str] = None) -> dict:
-        """One stored trace's raw spans (the latest without an id)."""
-        message: dict = {"op": "trace"}
-        if trace_id is not None:
-            message["trace_id"] = trace_id
-        return self._typed_op(message, "trace")
-
-    def trace_export(self, trace_id: Optional[str] = None) -> dict:
-        """One stored trace as a Chrome/Perfetto trace-event document
-        (stitched across the whole fleet when answered by a coordinator)."""
-        message: dict = {"op": "trace_export"}
-        if trace_id is not None:
-            message["trace_id"] = trace_id
-        return self._typed_op(message, "trace_export")
-
-    # -- cluster admin ops (answered by a coordinator front door) ------------
-
-    def _cluster_op(self, message: dict) -> dict:
-        request_id = self._roundtrip_id()
-        self._send({**message, "id": request_id})
-        event = self._recv(request_id)
-        if event.get("type") == "error":
-            raise _server_error(event)
-        if event.get("type") != "cluster":
-            raise ClientError(f"unexpected event type {event.get('type')!r}")
-        return {key: value for key, value in event.items()
-                if key not in ("id", "type")}
-
-    def cluster(self) -> dict:
-        """Cluster status: coordinator counters, per-worker states, ring."""
-        return self._cluster_op({"op": "cluster"})
-
-    def cluster_drain(self) -> dict:
-        """Rolling restart of the coordinator's local workers.
-
-        Blocks until every worker has drained, respawned and replayed the
-        mutation log -- give the client a generous timeout.
-        """
-        return self._cluster_op({"op": "cluster_drain"})
-
-    def cluster_scale(self, workers: int) -> dict:
-        """Grow or shrink the local worker pool to ``workers`` members."""
-        return self._cluster_op({"op": "cluster_scale", "workers": workers})
 
     def close(self) -> None:
         try:
@@ -392,7 +397,7 @@ class ReproClient:
         self.close()
 
 
-class AsyncReproClient:
+class AsyncReproClient(_Ops):
     """Asyncio client over one TCP connection; mirror of :class:`ReproClient`."""
 
     def __init__(self, reader: asyncio.StreamReader,
@@ -424,24 +429,22 @@ class AsyncReproClient:
             line = await self._reader.readline()
         except OSError as error:
             raise ClientError(f"connection lost while receiving: {error}")
-        if not line:
-            raise ClientError("server closed the connection")
-        try:
-            event = load_line(line)
-        except ProtocolError as error:
-            raise ClientError(f"garbled response: {error}")
-        if event.get("id") != expect_id:
-            raise ClientError(
-                f"response id {event.get('id')!r} does not match "
-                f"request id {expect_id!r}")
-        return event
+        return _checked(line, expect_id)
+
+    async def _op(self, message: dict, expect: str, decode):
+        async with self._lock:
+            self._next_id += 1
+            request_id = self._next_id
+            await self._send({**message, "id": request_id})
+            event = await self._recv(request_id)
+        return decode(_reply(event, expect))
 
     async def _drain_request(self, request_id: Any) -> None:
         """Async twin of :meth:`ReproClient._drain_request`."""
         try:
             for _ in range(100_000):  # bounded paranoia, not a real limit
                 event = await self._recv(request_id)
-                if event.get("type") in ("result", "error"):
+                if event.get("type") in _TERMINAL:
                     return
         except ClientError:
             pass  # connection already gone; nothing left to protect
@@ -469,18 +472,12 @@ class AsyncReproClient:
                 traceparent=traceparent))
             while True:
                 event = await self._recv(request_id)
-                kind = event.get("type")
-                if kind == "update":
+                if event.get("type") == "update":
                     yield _decode_update(event)
-                elif kind == "result":
-                    terminal = True
-                    yield _decode_result(event)
-                    return
-                elif kind == "error":
-                    terminal = True
-                    raise _server_error(event)
-                else:
-                    raise ClientError(f"unexpected event type {kind!r}")
+                    continue
+                terminal = event.get("type") in _TERMINAL
+                yield _decode_result(_reply(event, "result"))
+                return
         finally:
             try:
                 if not terminal:
@@ -495,80 +492,6 @@ class AsyncReproClient:
             if on_update is not None:
                 on_update(event)
         raise ClientError("stream ended without a result")  # pragma: no cover
-
-    async def mutate(self, sql: str) -> MutationResult:
-        """Async twin of :meth:`ReproClient.mutate`."""
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({"op": "mutate", "id": request_id, "sql": sql})
-            event = await self._recv(request_id)
-        kind = event.get("type")
-        if kind == "mutation":
-            return _decode_mutation(event)
-        if kind == "error":
-            raise _server_error(event)
-        raise ClientError(f"unexpected event type {kind!r}")
-
-    async def stats(self) -> dict:
-        return (await self._typed_op({"op": "stats"}, "stats"))["stats"]
-
-    async def metrics(self) -> str:
-        """The server's Prometheus text exposition (the ``metrics`` op)."""
-        return (await self._typed_op({"op": "metrics"}, "metrics"))["metrics"]
-
-    async def health(self) -> dict:
-        return await self._typed_op({"op": "health"}, "health")
-
-    async def ping(self) -> bool:
-        await self._typed_op({"op": "ping"}, "pong")
-        return True
-
-    # -- observability ops ---------------------------------------------------
-
-    async def _typed_op(self, message: dict, expect: str) -> dict:
-        async with self._lock:
-            self._next_id += 1
-            request_id = self._next_id
-            await self._send({**message, "id": request_id})
-            event = await self._recv(request_id)
-        kind = event.get("type")
-        if kind == "error":
-            raise _server_error(event)
-        if kind != expect:
-            raise ClientError(f"unexpected event type {kind!r}")
-        return {key: value for key, value in event.items()
-                if key not in ("id", "type")}
-
-    async def history(self, seconds: Optional[float] = None) -> dict:
-        """Async twin of :meth:`ReproClient.history`."""
-        message: dict = {"op": "history"}
-        if seconds is not None:
-            message["seconds"] = seconds
-        return await self._typed_op(message, "history")
-
-    async def profile(self, seconds: float = 1.0) -> dict:
-        """Async twin of :meth:`ReproClient.profile`."""
-        return await self._typed_op({"op": "profile", "seconds": seconds},
-                                    "profile")
-
-    async def alerts(self) -> dict:
-        """Async twin of :meth:`ReproClient.alerts`."""
-        return await self._typed_op({"op": "alerts"}, "alerts")
-
-    async def trace(self, trace_id: Optional[str] = None) -> dict:
-        """Async twin of :meth:`ReproClient.trace`."""
-        message: dict = {"op": "trace"}
-        if trace_id is not None:
-            message["trace_id"] = trace_id
-        return await self._typed_op(message, "trace")
-
-    async def trace_export(self, trace_id: Optional[str] = None) -> dict:
-        """Async twin of :meth:`ReproClient.trace_export`."""
-        message: dict = {"op": "trace_export"}
-        if trace_id is not None:
-            message["trace_id"] = trace_id
-        return await self._typed_op(message, "trace_export")
 
     async def close(self) -> None:
         self._writer.close()

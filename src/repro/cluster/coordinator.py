@@ -76,13 +76,12 @@ from repro.obs.propagate import (
 )
 from repro.obs.trace import Trace, TraceStore, spans_to_chrome
 from repro.obs.tsdb import TimeSeriesStore
-from repro.server.frontdoor import TERMINAL, Flight, FrontDoor
+from repro.server.frontdoor import TERMINAL, Flight, FrontDoor, reply_op
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
     defaults_from_options,
     dump_line,
-    error_event,
     load_line,
     request_key,
 )
@@ -962,28 +961,26 @@ class CoordinatorApp(FrontDoor):
 
     # -- admin ops (rolling restart, scale, status) --------------------------
 
-    @property
-    def admin_ops(self):
-        return {
-            "cluster": self._op_status,
-            "cluster_drain": self._op_rolling_restart,
-            "cluster_scale": self._op_scale,
-        }
+    OPS = {
+        **FrontDoor.OPS,
+        "cluster": reply_op("cluster",
+                            lambda door, message: door._cluster_status()),
+        "cluster_drain": reply_op(
+            "cluster", lambda door, message: door._rolling_restart()),
+        "cluster_scale": reply_op(
+            "cluster", lambda door, message: door._scale(
+                message.get("workers"))),
+    }
 
-    @property
-    def http_routes(self):
-        return {"/cluster": self._op_status}
-
-    async def _op_status(self, message: Mapping) -> dict:
+    def _cluster_status(self) -> dict:
         return {
-            "type": "cluster",
             "coordinator": self._coordinator_stats(),
             "workers": [link.describe() for link in self._workers.values()],
             "ring": {"replicas": self._ring.replicas,
                      "workers": sorted(self._ring.workers)},
         }
 
-    async def _op_rolling_restart(self, message: Mapping) -> dict:
+    async def _rolling_restart(self) -> dict:
         """Drain and respawn local workers one at a time.
 
         Each worker leaves the ring first (its families fail over to the
@@ -1025,22 +1022,19 @@ class CoordinatorApp(FrontDoor):
                     continue
                 restarted.append(link.id)
             if failures:
-                return error_event(None, "internal",
-                                   "rolling restart incomplete: "
-                                   + "; ".join(failures))
-            return {"id": None, "type": "cluster",
-                    "action": "rolling_restart",
+                raise ProtocolError("internal", "rolling restart incomplete: "
+                                    + "; ".join(failures))
+            return {"action": "rolling_restart",
                     "restarted": restarted, "skipped": skipped,
                     "barrier_version": self._barrier_version}
 
-    async def _op_scale(self, message: Mapping) -> dict:
-        """Grow or shrink the local worker pool to ``workers`` members."""
-        target = message.get("workers")
+    async def _scale(self, target) -> dict:
+        """Grow or shrink the local worker pool to ``target`` members."""
         if not isinstance(target, int) or isinstance(target, bool) \
                 or target < 1:
-            return error_event(None, "bad_request",
-                               f"cluster_scale needs a positive integer "
-                               f"'workers', got {target!r}")
+            raise ProtocolError("bad_request",
+                                f"cluster_scale needs a positive integer "
+                                f"'workers', got {target!r}")
         async with self._admin_gate:
             local_links = [w for w in self._workers.values()
                            if w.local is not None]
@@ -1050,8 +1044,8 @@ class CoordinatorApp(FrontDoor):
             loop = asyncio.get_running_loop()
             while len(local_links) + remote < target:
                 if self._worker_template is None:
-                    return error_event(
-                        None, "bad_request",
+                    raise ProtocolError(
+                        "bad_request",
                         "cannot scale up: the coordinator was started "
                         "without local workers to clone")
                 worker = LocalWorker(f"w{self._spawned}",
@@ -1060,7 +1054,7 @@ class CoordinatorApp(FrontDoor):
                 try:
                     await loop.run_in_executor(None, worker.spawn)
                 except WorkerSpawnError as error:
-                    return error_event(None, "internal", str(error))
+                    raise ProtocolError("internal", str(error)) from None
                 try:
                     link = await self.add_worker(
                         WorkerEndpoint(worker.worker_id, worker.host,
@@ -1068,7 +1062,7 @@ class CoordinatorApp(FrontDoor):
                         local=worker)
                 except WorkerUnavailable as error:
                     worker.kill()
-                    return error_event(None, "internal", str(error))
+                    raise ProtocolError("internal", str(error)) from None
                 local_links.append(link)
                 added.append(link.id)
             while len(local_links) + remote > target and local_links:
@@ -1080,7 +1074,7 @@ class CoordinatorApp(FrontDoor):
                 del self._workers[link.id]
                 self._routed.pop(link.id, None)
                 removed.append(link.id)
-            return {"id": None, "type": "cluster", "action": "scale",
+            return {"action": "scale",
                     "workers": len(self._workers),
                     "added": added, "removed": removed}
 

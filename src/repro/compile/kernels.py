@@ -151,10 +151,6 @@ class CompiledFormula:
         truths = np.where(identically_zero, self.zero_truth[None, :], truths)
         return self._run_program(truths, count)
 
-    def atom_values(self, points: np.ndarray) -> np.ndarray:
-        """Polynomial values of every distinct atom at every point, ``(m, A)``."""
-        return self._atom_values(self._check_points(points))
-
     # -- internals ---------------------------------------------------------
 
     def _check_points(self, points: np.ndarray) -> np.ndarray:

@@ -46,9 +46,6 @@ class LinearAtom:
             op=constraint.op,
         )
 
-    def is_homogeneous(self) -> bool:
-        return self.constant == 0.0
-
     def homogenise(self) -> "LinearAtom":
         """Drop the constant term (the Section 7 homogenisation step)."""
         return LinearAtom(coefficients=dict(self.coefficients), constant=0.0, op=self.op)

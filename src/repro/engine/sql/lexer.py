@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class SqlSyntaxError(ValueError):
@@ -88,8 +87,3 @@ def tokenize(sql: str) -> list[Token]:
             tokens.append(Token(TokenType.PUNCTUATION, text, match.start()))
     tokens.append(Token(TokenType.END, "", length))
     return tokens
-
-
-def iter_tokens(sql: str) -> Iterator[Token]:
-    """Iterator variant of :func:`tokenize`."""
-    return iter(tokenize(sql))

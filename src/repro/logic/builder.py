@@ -15,11 +15,10 @@ The examples and tests build queries like the paper writes them::
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from repro.logic.formulas import (
     Exists,
-    FOAnd,
     FONot,
     FOOr,
     Forall,
@@ -50,11 +49,6 @@ def num_var(name: str) -> Variable:
 def num(value: float) -> NumericConstant:
     """A numerical constant term."""
     return NumericConstant(float(value))
-
-
-def const(value: object) -> BaseConstant:
-    """A base-type constant term (e.g. a specific market segment)."""
-    return BaseConstant(value)
 
 
 def _coerce_term(value: Union[Term, int, float, str]) -> Term:
@@ -119,8 +113,3 @@ def exists(variables: Union[Variable, Sequence[Variable]], body: Formula) -> For
 def forall(variables: Union[Variable, Sequence[Variable]], body: Formula) -> Formula:
     """Universal quantification over one or several variables."""
     return _quantify(Forall, variables, body)
-
-
-def conjunction_of(parts: Iterable[Formula]) -> Formula:
-    """Conjunction of an iterable of formulae (must be non-empty)."""
-    return make_conjunction(list(parts))

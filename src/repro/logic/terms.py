@@ -93,15 +93,6 @@ class Term:
             return BaseEquality(self, other)
         return Comparison(self, ComparisonOperator.EQ, other)
 
-    def not_equals(self, other: "TermLike"):
-        """Inequality atom of the appropriate sort."""
-        from repro.logic.formulas import Comparison, ComparisonOperator, FONot
-
-        other = _coerce(other)
-        if self.sort is Sort.BASE or other.sort is Sort.BASE:
-            return FONot(self.equals(other))
-        return Comparison(self, ComparisonOperator.NE, other)
-
 
 TermLike = Union[Term, int, float, str]
 

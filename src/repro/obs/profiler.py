@@ -88,6 +88,14 @@ def sample_stacks(skip_threads: Iterable[int] = ()) -> Counter:
     return counts
 
 
+def _clamp(seconds: float, interval: float) -> tuple[float, float]:
+    """``seconds`` within ``[0, MAX_SECONDS]`` and ``interval`` at least
+    :data:`MIN_INTERVAL`; a NaN takes the bound (``max``/``min`` return
+    their first argument when a comparison with NaN is false)."""
+    return (min(MAX_SECONDS, max(0.0, float(seconds))),
+            max(MIN_INTERVAL, float(interval)))
+
+
 def collect_profile(seconds: float,
                     interval: float = DEFAULT_INTERVAL) -> Counter:
     """Sample every thread's stack for ``seconds``; collapsed-stack counts.
@@ -95,8 +103,7 @@ def collect_profile(seconds: float,
     Blocking -- callers on an event loop run this in an executor (which is
     exactly what the ``/profile`` handlers do).
     """
-    seconds = min(max(float(seconds), 0.0), MAX_SECONDS)
-    interval = max(float(interval), MIN_INTERVAL)
+    seconds, interval = _clamp(seconds, interval)
     own_thread = threading.get_ident()
     counts: Counter = Counter()
     deadline = time.monotonic() + seconds
@@ -144,8 +151,7 @@ def merge_collapsed(texts: Iterable[str]) -> Counter:
 def profile_payload(seconds: float,
                     interval: float = DEFAULT_INTERVAL) -> dict:
     """Run one profile and package it for the wire."""
-    seconds = min(max(float(seconds), 0.0), MAX_SECONDS)
-    interval = max(float(interval), MIN_INTERVAL)
+    seconds, interval = _clamp(seconds, interval)
     counts = collect_profile(seconds, interval)
     return {
         "seconds": seconds,

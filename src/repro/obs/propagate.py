@@ -46,14 +46,6 @@ def new_trace_id() -> str:
     return os.urandom(16).hex()
 
 
-def new_span_id() -> int:
-    """A fresh nonzero 64-bit span id (for remote parents)."""
-    value = 0
-    while value == 0:
-        value = int.from_bytes(os.urandom(8), "big")
-    return value
-
-
 def format_traceparent(trace_id: str, span_id: int) -> str:
     """Render ``00-<trace_id>-<span_id>-01`` for one outbound hop."""
     return f"{TRACEPARENT_VERSION}-{trace_id}-{span_id & (2 ** 64 - 1):016x}-01"

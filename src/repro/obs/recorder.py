@@ -2,7 +2,8 @@
 
 A :class:`Recorder` bundles the three observability sinks -- a
 :class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.obs.slowlog.SlowQueryLog`, and (optionally) span tracing --
+:class:`~repro.obs.slowlog.SlowQueryLog` and a
+:class:`~repro.obs.trace.TraceStore` of finished traces --
 behind the two calls the service makes per request: :meth:`start_trace`
 before work begins and :meth:`observe_request` after it ends.  The
 :data:`NULL_RECORDER` singleton is the disabled twin: ``enabled`` is
@@ -40,17 +41,12 @@ class Recorder:
 
     enabled = True
 
-    def __init__(self, *, metrics: Optional[MetricsRegistry] = None,
-                 tracing: bool = False,
-                 slow_log: Optional[SlowQueryLog] = None,
-                 trace_store: Optional[TraceStore] = None) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracing = tracing
-        self.slow_log = slow_log if slow_log is not None else SlowQueryLog()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+        self.slow_log = SlowQueryLog()
         #: Finished traces by trace id (``repro cluster trace`` fetches
         #: from here after the request is gone).
-        self.trace_store = trace_store if trace_store is not None \
-            else TraceStore()
+        self.trace_store = TraceStore()
         self._request_seconds = self.metrics.histogram(
             "repro_request_seconds",
             "End-to-end latency of AnnotationService.submit",
@@ -102,7 +98,6 @@ class NullRecorder:
     """The disabled recorder: every operation is free and does nothing."""
 
     enabled = False
-    tracing = False
     metrics = None
     slow_log = None
     trace_store = None

@@ -183,11 +183,6 @@ class Database:
         """Version of the last committed *non-append* mutation of ``name``."""
         return self._table_epochs.get(name, 0)
 
-    def version_info(self) -> dict:
-        """The snapshot's version metadata, for stats and wire reporting."""
-        return {"data_version": self._data_version,
-                "table_versions": dict(self._table_versions)}
-
     def begin_mutation(self):
         """Open a staged mutation against this snapshot.
 

@@ -23,10 +23,6 @@ from repro.relational.values import (
 )
 
 
-class ValuationError(ValueError):
-    """Raised when a valuation is asked about a null it does not cover."""
-
-
 @dataclass(frozen=True)
 class Valuation:
     """A pair of maps interpreting base and numerical nulls by constants."""

@@ -19,17 +19,25 @@ wire and the computation lives here once:
 * **drain** -- :meth:`begin_drain` stops admitting, :meth:`wait_idle`
   resolves once every flight and mutation has delivered its terminal event.
 
+Every other op (``ping``, ``health``, ``stats``, ``metrics``, ``history``,
+``profile``, ``alerts``, ``trace``, ``trace_export``, ``mutate``) is one
+entry of :attr:`FrontDoor.OPS`, answered by :meth:`FrontDoor.op_event`: the
+TCP transport, every HTTP ``GET`` route and the coordinator's own
+``cluster*`` ops all go through that one table.
+
 A subclass supplies only what differs between the doors: the flight key,
 how a flight is led (:meth:`_lead` returns the terminal event, publishing
 any streamed updates on the way), how a mutation commits (:meth:`_commit`),
-and its own ``stats``/``health``/metrics payloads.
+its own ``stats``/``health``/metrics payloads, and any ops it adds.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
+import math
 import time
-from typing import Any, AsyncIterator, Hashable, Mapping, Optional
+from typing import Any, AsyncIterator, Callable, Hashable, Mapping, Optional
 
 from repro import package_version
 from repro.obs.alerts import disabled_report
@@ -48,6 +56,55 @@ from repro.server.protocol import (
 TERMINAL = ("result", "error")
 
 logger = get_logger("server")
+
+
+async def maybe_await(value):
+    """Resolve an app payload: sync for :class:`ServerApp`, async for the
+    cluster coordinator aggregating over its fleet."""
+    if inspect.isawaitable(value):
+        return await value
+    return value
+
+
+def reply_op(kind: str, fetch: Callable, field: Optional[str] = None):
+    """An op whose reply is ``{"type": kind}`` plus the payload of
+    ``fetch(door, message)`` (sync or async): under ``field``, or spread
+    into the reply when ``field`` is None."""
+    async def op(door, message: Mapping) -> dict:
+        payload = await maybe_await(fetch(door, message))
+        if field is not None:
+            return {"type": kind, field: payload}
+        return {"type": kind, **payload}
+    return op
+
+
+def _seconds(message: Mapping, *, positive: bool) -> Optional[float]:
+    """The ``seconds`` parameter: a finite number -- for the profiler a
+    positive one, 1 when omitted; the history window may omit it."""
+    seconds = message.get("seconds", 1.0 if positive else None)
+    if seconds is None and not positive:
+        return None
+    # The chained comparison is false for NaN and for either infinity.
+    low = 0 if positive else -math.inf
+    if isinstance(seconds, bool) or not isinstance(seconds, (int, float)) \
+            or not low < seconds < math.inf:
+        raise ProtocolError("bad_request", "'seconds' must be a "
+                            + ("positive " if positive else "")
+                            + "finite number")
+    return seconds
+
+
+def _trace(method: str) -> Callable:
+    """Fetch one stored trace through ``door.<method>(trace_id)``."""
+    async def fetch(door, message: Mapping) -> dict:
+        trace_id = message.get("trace_id")
+        payload = await maybe_await(getattr(door, method)(
+            trace_id if isinstance(trace_id, str) else None))
+        if payload is None:
+            detail = f" {trace_id!r}" if trace_id else ""
+            raise ProtocolError("bad_request", f"no stored trace{detail}")
+        return payload
+    return fetch
 
 
 class Flight:
@@ -90,6 +147,28 @@ class FrontDoor:
     """
 
     name = "server"
+
+    #: Every non-query op: name -> ``handler(door, message)``, awaited for
+    #: the reply event.  A handler raises :class:`ProtocolError` to refuse
+    #: the request; a subclass extends the table with its own ops.
+    OPS: dict[str, Callable] = {
+        "ping": reply_op("pong", lambda door, message: {}),
+        "health": reply_op("health", lambda door, message: door.health()),
+        "stats": reply_op("stats", lambda door, message: door.stats(),
+                          "stats"),
+        "metrics": reply_op("metrics",
+                            lambda door, message: door.metrics_text(),
+                            "metrics"),
+        "history": reply_op("history", lambda door, message: door.history(
+            _seconds(message, positive=False))),
+        "profile": reply_op("profile", lambda door, message: door.profile(
+            seconds=float(_seconds(message, positive=True)))),
+        "alerts": reply_op("alerts",
+                           lambda door, message: door.alerts_report()),
+        "trace": reply_op("trace", _trace("trace_payload")),
+        "trace_export": reply_op("trace_export", _trace("trace_export")),
+        "mutate": lambda door, message: door.mutate(message),
+    }
 
     def __init__(self, defaults: Mapping[str, Any], *,
                  max_pending: int) -> None:
@@ -263,6 +342,24 @@ class FrontDoor:
         finally:
             self._mutations_inflight -= 1
             self._maybe_idle()
+
+    # -- every other op ------------------------------------------------------
+
+    async def op_event(self, op: Any, message: Mapping) -> dict:
+        """The one reply event of a non-query op, without its ``id``.
+
+        A refused request becomes its typed error event; a handler that
+        raises anything else becomes a typed ``internal`` error.
+        """
+        try:
+            handler = self.OPS.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise ProtocolError("bad_request", f"unknown op {op!r}")
+            return await handler(self, message)
+        except ProtocolError as error:
+            return error.as_event()
+        except Exception as error:  # noqa: BLE001 - reported, not hidden
+            return self._internal(error)
 
     # -- reports and lifecycle -----------------------------------------------
 

@@ -1,31 +1,35 @@
 """A minimal HTTP/1.1 adapter over the server app (no dependencies).
 
-The routes mirror the TCP wire protocol one-to-one:
+Every ``GET`` route is one row of :data:`_GET_ROUTES`: the TCP op it asks
+the app's op table (:meth:`~repro.server.frontdoor.FrontDoor.op_event`),
+the query parameters it forwards, and the reply field that forms the body.
+The op validates its parameters as it does over TCP; a refusal answers
+400 with ``{"error": ...}`` and a server fault answers 500 with the typed
+``internal`` error event.
 
-``GET /healthz``
-    Liveness: ``200`` with the app's health object (status turns
-    ``draining`` during shutdown).
-``GET /stats``
-    The server/service counter report as JSON -- the same payload as the
-    TCP ``stats`` op, including the single-flight coalescing counters the
-    acceptance criteria audit.
-``GET /metrics``
-    Prometheus text exposition (version 0.0.4): request/phase latency
-    histograms plus scrape-time exports of every server and service
-    lifetime counter.  Rendering happens only when scraped; the query hot
-    path pays nothing for it.
-``GET /history?seconds=N``
-    The tsdb window: periodic metrics snapshots kept server-side, the
-    data ``repro top`` renders sparklines and windowed quantiles from.
-``GET /profile?seconds=N``
-    Runs the sampling profiler for N seconds (default 1, capped at 60)
-    and answers ``text/plain`` collapsed stacks -- pipe straight into
-    ``flamegraph.pl`` or speedscope.
-``GET /trace?id=TRACE_ID``
-    One stored trace as a Chrome trace-event JSON document (the latest
-    trace when ``id`` is omitted); 404 when nothing is stored.
-``GET /alerts``
-    SLO burn-rate alert states plus a rolled-up ``firing`` flag.
+==================  ================  ==========================================
+route               op                body
+==================  ================  ==========================================
+``/healthz``        ``health``        the health object (``status`` turns
+                                      ``draining`` during shutdown)
+``/stats``          ``stats``         the counter report, including the
+                                      single-flight coalescing counters
+``/metrics``        ``metrics``       Prometheus text exposition (0.0.4),
+                                      rendered only when scraped
+``/history``        ``history``       the tsdb window (``?seconds=N``), the
+                                      data ``repro top`` renders from
+``/profile``        ``profile``       ``text/plain`` collapsed stacks after
+                                      sampling for ``?seconds=N`` (default
+                                      1, capped at 60) -- flamegraph-ready
+``/trace``          ``trace_export``  one stored trace (``?id=TRACE_ID``,
+                                      else the latest) as a Chrome
+                                      trace-event document; 404 when none
+``/alerts``         ``alerts``        SLO burn-rate alert states plus a
+                                      rolled-up ``firing`` flag
+``/cluster``        ``cluster``       the coordinator's fleet status (a
+                                      door without the op answers 404)
+==================  ================  ==========================================
+
 ``POST /mutate``
     Body is a TCP mutation message (``{"sql": "INSERT ..."}``).  The
     response is the terminal ``mutation`` event (with the committed
@@ -50,8 +54,8 @@ multiplexed traffic belongs on the TCP protocol.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
+from typing import Callable, Mapping, NamedTuple, Optional
 from urllib.parse import parse_qsl
 
 from repro.server.protocol import MAX_LINE_BYTES, dump_line
@@ -68,14 +72,6 @@ _ERROR_STATUS = {"bad_request": 400, "invalid_query": 400,
                  "unavailable": 503, "internal": 500}
 
 
-async def maybe_await(value):
-    """Resolve an app payload: sync for :class:`ServerApp`, async for the
-    cluster coordinator aggregating over its fleet."""
-    if inspect.isawaitable(value):
-        return await value
-    return value
-
-
 def _response(status: int, body: bytes,
               content_type: str = "application/json") -> bytes:
     head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
@@ -86,11 +82,12 @@ def _response(status: int, body: bytes,
 
 
 def _json_response(status: int, payload: dict) -> bytes:
-    return _response(status, json.dumps(payload).encode("utf-8"))
+    # The wire encoder: a result body splices its cached answers too.
+    return _response(status, dump_line(payload))
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """Parse one request; returns ``(method, target, body)`` or ``None``."""
+    """Parse one request; ``(method, path, params, body)`` or ``None``."""
     request_line = await reader.readline()
     if not request_line.strip():
         return None
@@ -117,77 +114,66 @@ async def _read_request(reader: asyncio.StreamReader):
     return method, path, params, body
 
 
-class _BadParameter(ValueError):
-    """A malformed query-string parameter: the client's error (400)."""
-
-
-def _float_param(params: dict, key: str, default=None):
-    """A numeric query parameter, or raise :class:`_BadParameter`."""
-    raw = params.get(key)
-    if raw is None:
-        return default
+def _number(raw: str):
+    """A numeric query parameter as a float; anything else is passed on
+    as text for the op to refuse."""
     try:
         return float(raw)
     except ValueError:
-        raise _BadParameter(f"'{key}' must be a number, got {raw!r}") \
-            from None
+        return raw
 
 
-def _text(payload: str, content_type: str) -> bytes:
-    return _response(200, payload.encode("utf-8"), content_type=content_type)
+class _Route(NamedTuple):
+    """A read-only route answered by one op of the app's op table."""
+
+    op: str
+    #: query parameter -> (message key, decoder of its text)
+    params: Mapping[str, tuple[str, Callable]] = {}
+    #: the reply field that is the body; None: the reply minus its type
+    field: Optional[str] = None
+    content_type: str = "application/json"
+    #: the status of a ``bad_request`` reply
+    refused: int = 400
 
 
-async def _get_history(app, params: dict) -> bytes:
-    seconds = _float_param(params, "seconds")
-    return _json_response(200, await maybe_await(app.history(seconds)))
+_SECONDS = {"seconds": ("seconds", _number)}
 
-
-async def _get_profile(app, params: dict) -> bytes:
-    seconds = _float_param(params, "seconds", 1.0)
-    if seconds is None or seconds <= 0:
-        raise _BadParameter("'seconds' must be positive")
-    payload = await maybe_await(app.profile(seconds=seconds))
-    return _text(payload["collapsed"], "text/plain; charset=utf-8")
-
-
-async def _get_trace(app, params: dict) -> bytes:
-    payload = await maybe_await(app.trace_export(params.get("id")))
-    if payload is None:
-        return _json_response(404, {"error": "no stored trace"})
-    return _json_response(200, payload["chrome"])
-
-
-async def _get_metrics(app, params: dict) -> bytes:
-    return _text(await maybe_await(app.metrics_text()),
-                 "text/plain; version=0.0.4; charset=utf-8")
-
-
-async def _json_report(report) -> bytes:
-    return _json_response(200, await maybe_await(report))
-
-
-#: Read-only routes: path -> ``handler(app, params)``, awaited for the
-#: response bytes.  A malformed parameter (:class:`_BadParameter`) answers
-#: 400; any other exception is a server fault, never the client's error,
-#: and answers 500 with a typed ``internal`` error event.
+#: Read-only routes: path -> the op that answers it.
 _GET_ROUTES = {
-    "/healthz": lambda app, params: _json_report(app.health()),
-    "/stats": lambda app, params: _json_report(app.stats()),
-    "/metrics": _get_metrics,
-    "/history": _get_history,
-    "/profile": _get_profile,
-    "/trace": _get_trace,
-    "/alerts": lambda app, params: _json_report(app.alerts_report()),
+    "/healthz": _Route("health"),
+    "/stats": _Route("stats", field="stats"),
+    "/metrics": _Route("metrics", field="metrics",
+                       content_type="text/plain; version=0.0.4; "
+                                    "charset=utf-8"),
+    "/history": _Route("history", _SECONDS),
+    "/profile": _Route("profile", _SECONDS, "collapsed",
+                       "text/plain; charset=utf-8"),
+    # The op refuses only when no trace is stored.
+    "/trace": _Route("trace_export", {"id": ("trace_id", str)}, "chrome",
+                     refused=404),
+    "/alerts": _Route("alerts"),
+    "/cluster": _Route("cluster"),
 }
 
 
-def _app_route(app, target: str):
-    """An app-specific read-only JSON route (the coordinator's
-    ``/cluster``) as a table handler; built-in routes win on a clash."""
-    handler = getattr(app, "http_routes", {}).get(target)
-    if handler is None:
-        return None
-    return lambda app, params: _json_report(handler(params))
+async def _get(app, route: _Route, params: dict) -> bytes:
+    """Answer one read-only route with its op's reply."""
+    message = {key: decode(params[name])
+               for name, (key, decode) in route.params.items()
+               if name in params}
+    reply = await app.op_event(route.op, message)
+    if reply["type"] == "error":
+        code = reply["code"]
+        status = (route.refused if code == "bad_request"
+                  else _ERROR_STATUS.get(code, 500))
+        return _json_response(status, reply if status >= 500
+                              else {"error": reply["message"]})
+    if route.field is None:
+        body = {key: value for key, value in reply.items() if key != "type"}
+    else:
+        body = reply[route.field]
+    data = body.encode("utf-8") if isinstance(body, str) else dump_line(body)
+    return _response(200, data, route.content_type)
 
 
 async def handle_http_connection(server, reader: asyncio.StreamReader,
@@ -203,17 +189,12 @@ async def handle_http_connection(server, reader: asyncio.StreamReader,
         return
     method, target, params, body = request
     app = server.app
-    get = _GET_ROUTES.get(target) or _app_route(app, target)
-    if get is not None:
+    route = _GET_ROUTES.get(target)
+    if route is not None and route.op in app.OPS:
         if method != "GET":
             writer.write(_json_response(405, {"error": "use GET"}))
         else:
-            try:
-                writer.write(await get(app, params))
-            except _BadParameter as error:
-                writer.write(_json_response(400, {"error": str(error)}))
-            except Exception as error:  # noqa: BLE001 - reported, not hidden
-                writer.write(_json_response(500, app._internal(error)))
+            writer.write(await _get(app, route, params))
     elif target in _POST_ROUTES:
         if method != "POST":
             writer.write(_json_response(405, {"error": "use POST"}))

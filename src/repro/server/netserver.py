@@ -4,11 +4,11 @@
 lifecycle around one :class:`~repro.server.app.ServerApp`:
 
 * the **TCP transport** speaks newline-delimited JSON -- one request object
-  per line in (``op``: ``query`` | ``mutate`` | ``stats`` | ``metrics`` |
-  ``health`` | ``ping`` | ``history`` | ``profile`` | ``alerts`` |
-  ``trace`` | ``trace_export``), one or more response objects per request
-  out, every response stamped with the request's ``id`` so clients can
-  correlate;
+  per line in, one or more response objects per request out, every
+  response stamped with the request's ``id`` so clients can correlate.
+  ``op`` ``query`` (the default) streams through the app's
+  ``query_events``; every other op is answered by the app's op table
+  (:meth:`~repro.server.frontdoor.FrontDoor.op_event`);
 * the **HTTP transport** (:mod:`repro.server.http`) shares the app and the
   drain machinery;
 * the **drain protocol** implements graceful SIGTERM shutdown: stop
@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.obs.logsetup import get_logger
 from repro.server.app import ServerApp
-from repro.server.http import handle_http_connection, maybe_await
+from repro.server.http import handle_http_connection
 from repro.server.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
@@ -209,71 +209,10 @@ class NetworkServer:
         op = message.get("op", "query")
         if op == "query":
             async for event in self.app.query_events(message):
-                stamped = dict(event)
-                stamped["id"] = request_id
-                await self._send(writer, stamped)
+                await self._send(writer, {**event, "id": request_id})
             return
-        try:
-            event = await self._op_event(op, message)
-        except Exception as error:  # noqa: BLE001 - reported, not hidden
-            event = self.app._internal(error)
-        stamped = dict(event)
-        stamped["id"] = request_id
-        await self._send(writer, stamped)
-
-    async def _op_event(self, op: str, message: dict) -> dict:
-        """The one reply event of a non-query op (its ``id`` is stamped by
-        the caller); a handler that raises becomes a typed ``internal``
-        error there."""
-        if op == "ping":
-            return {"type": "pong"}
-        if op == "health":
-            return {"type": "health", **await maybe_await(self.app.health())}
-        if op == "stats":
-            return {"type": "stats",
-                    "stats": await maybe_await(self.app.stats())}
-        if op == "metrics":
-            return {"type": "metrics",
-                    "metrics": await maybe_await(self.app.metrics_text())}
-        if op == "history":
-            seconds = message.get("seconds")
-            if seconds is not None and (not isinstance(seconds, (int, float))
-                                        or isinstance(seconds, bool)):
-                return error_event(None, "bad_request",
-                                   "'seconds' must be a number")
-            payload = await maybe_await(self.app.history(seconds))
-            return {"type": "history", **payload}
-        if op == "profile":
-            seconds = message.get("seconds", 1.0)
-            if not isinstance(seconds, (int, float)) \
-                    or isinstance(seconds, bool) or seconds <= 0:
-                return error_event(None, "bad_request",
-                                   "'seconds' must be a positive number")
-            payload = await maybe_await(
-                self.app.profile(seconds=float(seconds)))
-            return {"type": "profile", **payload}
-        if op == "alerts":
-            return {"type": "alerts",
-                    **await maybe_await(self.app.alerts_report())}
-        if op in ("trace", "trace_export"):
-            trace_id = message.get("trace_id")
-            fetch = (self.app.trace_payload if op == "trace"
-                     else self.app.trace_export)
-            payload = await maybe_await(
-                fetch(trace_id if isinstance(trace_id, str) else None))
-            if payload is None:
-                detail = f" {trace_id!r}" if trace_id else ""
-                return error_event(None, "bad_request",
-                                   f"no stored trace{detail}")
-            return {"type": op, **payload}
-        if op == "mutate":
-            return await self.app.mutate(message)
-        # Apps may export extra (admin) ops -- the coordinator's
-        # cluster / cluster_drain / cluster_scale verbs arrive here.
-        handler = getattr(self.app, "admin_ops", {}).get(op)
-        if handler is not None:
-            return await handler(message)
-        return error_event(None, "bad_request", f"unknown op {op!r}")
+        event = await self.app.op_event(op, message)
+        await self._send(writer, {**event, "id": request_id})
 
     async def _send(self, writer: asyncio.StreamWriter, message: dict) -> None:
         writer.write(dump_line(message))

@@ -655,9 +655,10 @@ class AnnotationService:
         delta-driven: certainty results are evicted only when their
         recorded lineage nulls intersect the mutation's deleted/updated
         rows; plan-cache entries of untouched tables stay reachable
-        (their version keys did not move); cached join frontiers are
-        carried past deleted rows here, and appended rows are delta-joined
-        into them on the next enumeration.
+        (their version keys did not move) and those of touched tables are
+        dropped; cached join frontiers are carried past deleted rows here,
+        and appended rows are delta-joined into them on the next
+        enumeration.
 
         Raises :class:`~repro.relational.mutation.MutationValidationError`
         or :class:`~repro.relational.mutation.MutationConflictError`
@@ -689,6 +690,13 @@ class AnnotationService:
             # and its dimension; new requests pick this one up.
             self._snapshot = _Snapshot(new_database,
                                        len(new_database.num_nulls_ordered()))
+            # Plans keyed on a table version this commit superseded only
+            # serve readers pinned on an older snapshot; drop them rather
+            # than let them crowd the LRU until they age out.
+            for key in self._plan_cache.keys():
+                if any(version < new_database.table_version(table)
+                       for table, version in key[3]):
+                    self._plan_cache.pop(key)
             with self._counters_lock:
                 self._mutations_applied += 1
                 self._results_evicted += evicted
@@ -801,8 +809,8 @@ class AnnotationService:
         # the data can move under a key.  Per-referenced-table data
         # versions make mutation invalidation delta-driven: a commit
         # touching table T moves only T's version, so plans over untouched
-        # tables keep their keys (stay warm) while plans over T become
-        # unreachable and age out of the LRU.
+        # tables keep their keys (stay warm) while plans over T are dropped
+        # at commit.
         table_version = getattr(database, "table_version", None)
         if table_version is not None:
             versions = tuple(sorted(

@@ -14,8 +14,10 @@ from repro.client import (
     ReproClient,
     ServerError,
 )
+from repro.cluster import CoordinatorApp
 from repro.datagen.experiments import ExperimentScale, generate_sales_database
-from repro.server import EmbeddedServer
+from repro.server import EmbeddedServer, ServerApp
+from repro.server.http import _GET_ROUTES
 from repro.service import AnnotationService, ServiceOptions
 
 SQL = "SELECT M.seg FROM Market M WHERE M.rrp >= 0 LIMIT 3"
@@ -170,3 +172,23 @@ class TestAsyncClient:
         assert pong
         assert health["status"] in ("ok", "draining")
         assert "server" in stats
+
+
+class TestOpParity:
+    """Every op a door answers is a method on both clients, and every HTTP
+    GET route asks one of those ops."""
+
+    def test_the_coordinator_table_extends_the_server_table(self):
+        assert set(ServerApp.OPS) < set(CoordinatorApp.OPS)
+        assert {"cluster", "cluster_drain", "cluster_scale"} <= \
+            set(CoordinatorApp.OPS)
+
+    @pytest.mark.parametrize("client", [ReproClient, AsyncReproClient])
+    def test_every_op_has_a_client_method(self, client):
+        missing = [op for op in CoordinatorApp.OPS
+                   if not callable(getattr(client, op, None))]
+        assert not missing, f"{client.__name__} lacks {missing}"
+
+    def test_every_get_route_names_an_op(self):
+        for path, route in _GET_ROUTES.items():
+            assert route.op in CoordinatorApp.OPS, path

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.client import ReproClient
+from repro.client import AsyncReproClient, ReproClient, ServerError
 from repro.cluster import EmbeddedCluster, HashRing, family_digest
 from repro.datagen.experiments import ExperimentScale, generate_sales_database
 from repro.obs.console import render_stats_tables
@@ -209,6 +209,20 @@ class TestClusterServing:
                    for worker in status["workers"])
         assert status["ring"]["workers"] == ["w0", "w1", "w2"]
         assert status["coordinator"]["barrier_version"] == 0
+
+    def test_async_client_answers_the_cluster_ops(self, cluster):
+        async def run():
+            client = await AsyncReproClient.connect(cluster.host,
+                                                    cluster.port)
+            async with client:
+                status = await client.cluster()
+                with pytest.raises(ServerError) as excinfo:
+                    await client.cluster_scale(0)
+                return status, excinfo.value.code
+
+        status, code = asyncio.run(run())
+        assert status["ring"]["workers"] == ["w0", "w1", "w2"]
+        assert code == "bad_request"
 
     def test_cli_cluster_status(self, cluster, capsys):
         from repro.cli import main

@@ -15,6 +15,8 @@ The acceptance-critical properties:
 from __future__ import annotations
 
 import json
+import socket
+import urllib.error
 import urllib.request
 
 import pytest
@@ -263,6 +265,28 @@ class TestFleetHistoryAndProfiles:
                        for alert in payload["alerts"])
             stats = client.stats()
         assert {(a["slo"], a["severity"]) for a in stats["alerts"]} == states
+
+
+class TestNonFiniteSeconds:
+    def test_nan_windows_are_refused_over_both_transports(self, cluster):
+        """The coordinator validates ``seconds`` in the same op table: a
+        NaN profile or history window is a bad request over TCP and a 400
+        over HTTP, never a fleet-wide sampler that runs forever."""
+        with socket.create_connection((cluster.host, cluster.port),
+                                      timeout=5) as sock, \
+                sock.makefile("rwb") as stream:
+            stream.write(b'{"op":"profile","id":1,"seconds":NaN}\n')
+            stream.flush()
+            reply = json.loads(stream.readline())
+        assert (reply["id"], reply["type"], reply["code"]) == \
+            (1, "error", "bad_request")
+        base = f"http://{cluster.host}:{cluster.http_port}"
+        for path in ("/profile?seconds=nan", "/history?seconds=nan"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(base + path, timeout=5)
+            with excinfo.value as error:
+                assert error.code == 400, path
+                assert "seconds" in json.loads(error.read())["error"]
 
 
 class TestOperatorSurface:

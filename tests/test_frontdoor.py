@@ -22,7 +22,7 @@ import pytest
 from repro.cluster import CoordinatorApp, WorkerEndpoint
 from repro.datagen.experiments import ExperimentScale, generate_sales_database
 from repro.server import EmbeddedServer, ServerApp
-from repro.server.http import maybe_await
+from repro.server.frontdoor import maybe_await
 from repro.server.protocol import defaults_from_options
 from test_server import OTHER_SQL, SQL, GatedService, make_service
 
@@ -267,7 +267,7 @@ def test_rolling_restart_under_load_rejoins_without_a_false_death(database):
         worker.service.gate.clear()
         held = asyncio.ensure_future(collect(app, {"sql": SQL}))
         await until(lambda: worker.service.calls == 1)
-        restart = await app.admin_ops["cluster_drain"]({})
+        restart = await app.op_event("cluster_drain", {})
         after = await collect(app, {"sql": OTHER_SQL})
         return committed, restart, await held, after, app.health(), \
             await counters(app)

@@ -320,6 +320,85 @@ class TestPinnedSnapshot:
         assert kept.data_version == 1
 
 
+class TestSupersededPlans:
+    """A commit drops the plans keyed on a table version it superseded;
+    plans over untouched tables stay, and pinned readers re-plan."""
+
+    def test_write_cycles_keep_one_plan_per_query(self):
+        service = _service(_database())
+        for cycle in range(20):
+            service.mutate(f"INSERT INTO t VALUES ('w{cycle}', 5)")
+            service.submit(Q_T)
+            service.submit(Q_U)
+            service.mutate(f"DELETE FROM t WHERE key = 'w{cycle}'")
+            service.submit(Q_T)
+            service.submit(Q_U)
+        assert len(service._plan_cache) == 2
+        fresh = _service(_rebuild(service))
+        for sql in (Q_T, Q_U):
+            assert _snapshot(service.submit(sql).answers) == \
+                _snapshot(fresh.submit(sql).answers)
+
+    def test_purges_racing_readers_leave_no_stale_answers(self):
+        """Readers on four threads race a writer's commits (and its
+        purges) under a tiny switch interval; afterwards one commit leaves
+        one plan per query and the answers equal a fresh service's."""
+        service = _service(_database())
+        errors: list = []
+        done = threading.Event()
+
+        def read() -> None:
+            try:
+                while not done.is_set():
+                    service.submit(Q_T)
+                    service.submit(Q_U)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for cycle in range(10):
+                service.mutate(f"INSERT INTO t VALUES ('w{cycle}', 5)")
+                service.mutate(f"DELETE FROM t WHERE key = 'w{cycle}'")
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors, errors
+        service.mutate("INSERT INTO t VALUES ('last', 5)")
+        fresh = _service(_rebuild(service))
+        for sql in (Q_T, Q_U):
+            assert _snapshot(service.submit(sql).answers) == \
+                _snapshot(fresh.submit(sql).answers)
+        assert len(service._plan_cache) == 2
+
+    def test_a_reader_pinned_before_the_commit_keeps_its_answers(self):
+        service = _service(_database())
+        pinned = _snapshot(service.submit(Q_T).answers)  # plans version 0
+        plan = service._plan
+
+        def commit_then_plan(*args, **kwargs):
+            # The commit drops the version-0 plan the request pinned.
+            service.mutate(TestPinnedSnapshot.COMMIT)
+            assert len(service._plan_cache) == 0
+            return plan(*args, **kwargs)
+
+        service._plan = commit_then_plan
+        during = service.submit(Q_T).answers
+        del service._plan
+        assert service.database.data_version == 1, "the commit must land"
+        assert _snapshot(during) == pinned
+        after = service.submit(Q_T).answers
+        assert _snapshot(after) == \
+            _snapshot(_service(_rebuild(service)).submit(Q_T).answers)
+
+
 def _sales_service() -> AnnotationService:
     database = generate_sales_database(
         ExperimentScale(60, 60, 6, null_rate=0.1), rng=3)

@@ -736,6 +736,18 @@ class TestProfiler:
         assert instant["seconds"] == 0.0
         assert instant["interval_seconds"] >= 0.005
 
+    def test_profile_payload_clamps_nan(self):
+        """A NaN window clamps like any other bound instead of sampling
+        forever (a NaN deadline is never reached)."""
+        payloads: list = []
+        thread = threading.Thread(target=lambda: payloads.append(
+            profile_payload(float("nan"), 0.01)), daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive(), "a NaN window pinned the sampler"
+        assert payloads[0]["seconds"] == 0.0
+        assert profile_payload(0.0, float("nan"))["interval_seconds"] == 0.005
+
 
 class TestAlerts:
     @staticmethod

@@ -502,6 +502,50 @@ class TestHttpAdapter:
             urllib.request.urlopen(self._base(server) + "/healthz")
         assert getattr(excinfo.value, "code", None) != 400
 
+    def test_non_finite_seconds_answer_400(self, server):
+        """NaN reaches neither the profiler nor the tsdb window: both
+        routes refuse it at once (a hang fails on the client timeout)."""
+        for path in ("/profile?seconds=nan", "/history?seconds=nan",
+                     "/profile?seconds=inf"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(self._base(server) + path, timeout=5)
+            with excinfo.value as error:
+                assert error.code == 400, path
+                assert "seconds" in json.loads(error.read())["error"]
+
+    def test_warm_post_query_body_is_the_tcp_result_line(self, server):
+        """One encoder for both transports: a warm ``POST /query`` body is
+        the TCP result line byte for byte, per-request fields aside."""
+        import re
+        import socket
+
+        masks = ((re.compile(rb'^\{"id":[^,]+,'), b'{"id":_,'),
+                 (re.compile(rb'"elapsed_seconds":[^,}]+'),
+                  b'"elapsed_seconds":_'),
+                 (re.compile(rb',"trace_id":"[0-9a-f]+"'), b''))
+
+        def masked(line: bytes) -> bytes:
+            for pattern, replacement in masks:
+                line, count = pattern.subn(replacement, line)
+                assert count == 1, (pattern.pattern, line[:80])
+            return line
+
+        with socket.create_connection((server.host, server.port),
+                                      timeout=30) as sock, \
+                sock.makefile("rb") as reader:
+            for request_id in (1, 2):
+                sock.sendall(json.dumps({"id": request_id, "sql": SQL})
+                             .encode() + b"\n")
+                line = reader.readline()
+        assert json.loads(line)["stats"]["groups_computed"] == 0
+        request = urllib.request.Request(
+            self._base(server) + "/query",
+            data=json.dumps({"sql": SQL}).encode(),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=30) as response:
+            body = response.read()
+        assert masked(body) == masked(line)
+
     def test_failing_get_route_answers_500_internal(self, database):
         """A GET route whose handler raises answers a typed ``internal``
         error with status 500 instead of closing the connection, and the
@@ -579,6 +623,27 @@ class TestWireRobustness:
                 assert reply == {"id": 9, "type": "error",
                                  "code": "bad_request",
                                  "message": "unknown op 'teleport'"}
+
+    def test_non_finite_seconds_are_bad_requests(self, database):
+        """``profile`` and ``history`` refuse a NaN or infinite window at
+        once instead of sampling forever (socket timeout: no hang)."""
+        import socket
+
+        with EmbeddedServer(make_service(database)) as server:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=5) as sock, \
+                    sock.makefile("rwb") as stream:
+                for request_id, line in enumerate((
+                        b'{"op":"profile","seconds":NaN',
+                        b'{"op":"profile","seconds":Infinity',
+                        b'{"op":"history","seconds":NaN')):
+                    stream.write(line + b',"id":%d}\n' % request_id)
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    assert reply["id"] == request_id
+                    assert reply["type"] == "error"
+                    assert reply["code"] == "bad_request"
+                    assert "seconds" in reply["message"]
 
     def test_failing_auxiliary_op_is_typed_and_connection_survives(
             self, database):
