@@ -330,7 +330,8 @@ def enumerate_candidates(select: SelectQuery, database: Database,
 
     ``frontier_stats``, if given, receives on the columnar engine which
     frontier path ran (``"frontier"``, one of
-    :data:`repro.engine.vectorized.FRONTIER_PATHS`).
+    :data:`repro.engine.vectorized.FRONTIER_PATHS`) and how many residual
+    formulas it built (``"residuals"``).
 
     ``frontier_cache``, if given, is a
     :class:`repro.engine.vectorized.FrontierCache`: the columnar path

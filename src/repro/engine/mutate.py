@@ -60,7 +60,11 @@ from repro.engine.sql.ast import (
     UpdateStatement,
 )
 from repro.engine.translate_sql import SqlTranslationError
-from repro.engine.vectorized import _apply_conditions, _VectorizedEvaluator
+from repro.engine.vectorized import (
+    _apply_conditions,
+    _ResidualBuilder,
+    _VectorizedEvaluator,
+)
 from repro.relational.mutation import MutationValidationError
 from repro.relational.values import (
     BaseNull,
@@ -137,13 +141,13 @@ def _matching_rows(database, table: str, conditions) -> list[int]:
                       + _order_conditions(select, compiler)[0])
         relation = database.relation(table)
         if database.backend == "columnar":
-            residuals = [()] * len(relation)
-            alive = _apply_conditions(
-                conditions, _VectorizedEvaluator(database, compiler), compiler,
-                {table: np.arange(len(relation), dtype=np.int64)}, residuals,
-                compiler.condition_bindings)
+            builder = _ResidualBuilder(_VectorizedEvaluator(database, compiler))
+            rows = {table: np.arange(len(relation), dtype=np.int64)}
+            slots = [()] * len(relation)
+            alive = _apply_conditions(conditions, builder, rows, slots)
+            # A pending condition may still fold to true (certain) or false.
             return [index for index in np.flatnonzero(alive).tolist()
-                    if not residuals[index]]
+                    if not builder.settle(slots, rows, index)]
         return [index for index, residual in _prefilter_rows(
                     table, relation.tuples(), conditions, compiler)
                 if not residual]

@@ -10,9 +10,8 @@ data-heavy work on whole columns:
 * **selection pushdown** classifies every row of a table against its
   single-table conditions in one NumPy pass.  Rows whose conditions are
   certainly false disappear before any join work; rows whose conditions are
-  decided true carry nothing; only rows whose truth depends on numerical
-  nulls fall back to the symbolic per-row compiler, producing the identical
-  residual formulas the reference path would attach;
+  decided true carry nothing; a row whose truth depends on numerical nulls
+  only records the condition as *pending*;
 * **hash joins** on base equi-join predicates are a sort + ``searchsorted``
   group lookup over interned code arrays: the build side is sorted once
   (stably, so bucket order matches the reference path's insertion-ordered
@@ -20,8 +19,13 @@ data-heavy work on whole columns:
   matching pairs are materialised with ``repeat``/``arange`` arithmetic --
   no per-pair Python;
 * **predicate pruning** over the joined pairs reuses the same tri-state
-  classification, so certainly-false pairs never materialise anything and
-  symbolic atoms are only built for the pairs that survive.
+  classification, so certainly-false pairs never materialise anything;
+* **residuals for kept witnesses only**: the symbolic per-row compiler
+  turns a witness's pending conditions into the identical residual
+  formulas the reference path would attach only once ``LIMIT`` and
+  ``max_witnesses`` have kept that witness (:class:`_ResidualBuilder`).  A
+  pending condition that folds to ``FalseFormula`` there drops the witness,
+  exactly as the reference path never produced it.
 
 Exactness of the decided/true/false split is the delicate part: the
 reference path decides a concrete numerical comparison by *symbolically*
@@ -67,6 +71,10 @@ from repro.relational.database import Database
 
 _EMPTY_RESIDUAL: tuple = ()
 _TRUE = TrueFormula()
+#: The pending slot of a witness one of whose residuals folds to
+#: ``FalseFormula``: the reference path never produced it.  A non-empty
+#: tuple with no pending condition, so copies and settling keep it as is.
+_DEAD = (FalseFormula(),)
 
 #: Largest per-step pair count the engine will materialise eagerly.  The
 #: reference recursion streams pairs one at a time and can therefore
@@ -142,19 +150,21 @@ class _VectorizedEvaluator:
     # -- classification ----------------------------------------------------
 
     def classify(self, condition: Condition, frame: _Frame,
-                 count: int) -> tuple[np.ndarray, np.ndarray]:
+                 count: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Return ``(decided, truth)`` boolean arrays of length ``count``.
 
         ``decided[i]`` means the condition's truth under row ``i`` is a
-        constant (no numerical null involved, or the symbolic form would
-        constant-fold anyway); undecided rows must go through the per-row
-        symbolic fallback.  For decided rows, ``truth[i]`` is exactly the
+        constant (no numerical null involved); an undecided row's symbolic
+        formula may still constant-fold, which only the per-row compiler
+        can tell.  For decided rows, ``truth[i]`` is exactly the
         ``TrueFormula``/``FalseFormula`` the reference path would produce.
+        ``None`` means the condition's shape is :class:`_Unvectorizable`:
+        every row must go through the per-row compiler.
         """
         try:
             return self._classify(condition, frame, count)
         except _Unvectorizable:
-            return (np.zeros(count, dtype=bool), np.zeros(count, dtype=bool))
+            return None
 
     def _classify(self, condition: Condition, frame: _Frame,
                   count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -300,48 +310,147 @@ def _holds(operator: str, values: np.ndarray, tolerance: float) -> np.ndarray:
     return values > tolerance
 
 
-def _apply_conditions(conditions: Sequence[Condition], evaluator, compiler,
+class _ResidualBuilder:
+    """The columnar engine's one caller of the symbolic per-row compiler.
+
+    A frontier carries, parallel to its row-index arrays, one *pending
+    slot* per witness: a tuple whose items are either a
+    :class:`~repro.engine.sql.ast.Condition` that classification left
+    undecided for that witness, or a residual formula already built.  The
+    row indices themselves stay in the frontier arrays (they shift when
+    :meth:`FrontierCache.advance` carries a frontier past deletes), so a
+    slot means the same thing wherever its witness moves.
+
+    :meth:`settle` turns a slot into the residual tuple the reference path
+    attaches -- every pending condition built and simplified in slot order,
+    ``TrueFormula`` dropped -- or into :data:`_DEAD` when one folds to
+    ``FalseFormula``, and writes the result back, so a slot list a
+    :class:`FrontierCache` entry holds is built at most once per witness.
+    Formulas are memoised per (condition, involved rows), which keeps one
+    formula per table row for single-table conditions, as the pushdown
+    used to.  ``built`` counts the formulas compiled.
+    """
+
+    def __init__(self, evaluator: _VectorizedEvaluator) -> None:
+        from repro.engine.candidates import _Row
+
+        self.evaluator = evaluator
+        self.compiler = evaluator._compiler
+        self.built = 0
+        self._row = _Row()
+        # Keyed by id(): the value pins the condition, so ids stay unique.
+        self._involved: dict[int, tuple[Condition, tuple[str, ...]]] = {}
+        self._formulas: dict[tuple, ConstraintFormula] = {}
+
+    def formula(self, condition: Condition, frame_rows: dict,
+                position: int) -> ConstraintFormula:
+        """``condition``'s simplified formula at one frontier position."""
+        known = self._involved.get(id(condition))
+        if known is None:
+            known = (condition,
+                     tuple(sorted(self.compiler.condition_bindings(condition))))
+            self._involved[id(condition)] = known
+        involved = known[1]
+        rows = tuple(int(frame_rows[binding][position]) for binding in involved)
+        key = (id(condition), rows)
+        formula = self._formulas.get(key)
+        if formula is None:
+            self._row.tuples = {
+                binding: self.evaluator.relation_of(binding).row(row)
+                for binding, row in zip(involved, rows)}
+            formula = self.compiler.condition_formula(
+                condition, self._row).simplify()
+            self._formulas[key] = formula
+            self.built += 1
+        return formula
+
+    def settle(self, slots: Optional[list], frame_rows: dict,
+               position: int) -> tuple:
+        """The built residual tuple of ``slots[position]``, or :data:`_DEAD`."""
+        if slots is None:
+            return _EMPTY_RESIDUAL
+        slot = slots[position]
+        if not any(isinstance(item, Condition) for item in slot):
+            return slot
+        built = []
+        for item in slot:
+            if isinstance(item, Condition):
+                item = self.formula(item, frame_rows, position)
+                if isinstance(item, FalseFormula):
+                    slots[position] = _DEAD
+                    return _DEAD
+                if isinstance(item, TrueFormula):
+                    continue
+            built.append(item)
+        slots[position] = settled = tuple(built)
+        return settled
+
+    def any_alive(self, alive: np.ndarray, slots: Optional[list],
+                  frame_rows: dict) -> bool:
+        """Whether a row ``alive`` marks survives its pending residuals.
+
+        Settles the marked rows in order up to the first survivor and
+        clears ``alive`` for every dead one on the way.
+        """
+        for position in np.flatnonzero(alive).tolist():
+            if self.settle(slots, frame_rows, position) is not _DEAD:
+                return True
+            alive[position] = False
+        return False
+
+
+def _apply_conditions(conditions: Sequence[Condition],
+                      builder: _ResidualBuilder,
                       frame_rows: dict[str, np.ndarray],
-                      residual_slots: list,
-                      condition_bindings) -> np.ndarray:
-    """Classify+fallback one condition list over a frontier; returns keep mask.
+                      slots: list) -> np.ndarray:
+    """Classify one condition list over a frontier; returns the keep mask.
 
     ``frame_rows`` maps bindings to original-row index arrays, all of one
-    length.  ``residual_slots`` is a Python list of per-row residual tuples
-    that unknown-but-alive rows append their symbolic formulas to,
-    preserving the reference path's per-condition order.
+    length.  ``slots`` is the parallel list of pending slots (see
+    :class:`_ResidualBuilder`): a row that a vectorised condition leaves
+    undecided appends that condition to its slot, preserving the reference
+    path's per-condition order.  Only an :class:`_Unvectorizable`
+    condition is compiled row by row here, and its formula is appended
+    built.
+
     Conditions are evaluated in order over the still-alive subset only, so
     structural errors surface under exactly the circumstances the row-at-a-
-    time loop would raise them.
+    time loop would raise them.  A row kept alive only because its pending
+    residuals are not built yet cannot raise: on an error the rows are
+    settled first, and the error stands only if one of them survives.
     """
-    from repro.engine.candidates import _Row
-
     lengths = {len(rows) for rows in frame_rows.values()}
     count = lengths.pop() if lengths else 0
     alive = np.ones(count, dtype=bool)
-    scratch = _Row()
+    frame = _Frame()
+    frame.rows = frame_rows
     for condition in conditions:
         if not alive.any():
             break
-        frame = _Frame()
-        frame.rows = frame_rows
-        decided, truth = evaluator.classify(condition, frame, count)
-        alive &= ~(decided & ~truth)
-        pending = np.flatnonzero(alive & ~decided)
-        if len(pending) == 0:
+        try:
+            classified = builder.evaluator.classify(condition, frame, count)
+        except SqlTranslationError:
+            if builder.any_alive(alive, slots, frame_rows):
+                raise
+            break
+        if classified is not None:
+            decided, truth = classified
+            alive &= ~(decided & ~truth)
+            for position in np.flatnonzero(alive & ~decided).tolist():
+                slots[position] = slots[position] + (condition,)
             continue
-        involved = tuple(condition_bindings(condition))
-        relations = {binding: evaluator.relation_of(binding)
-                     for binding in involved}
-        for position in pending.tolist():
-            scratch.tuples = {
-                binding: relations[binding].row(int(frame_rows[binding][position]))
-                for binding in involved}
-            formula = compiler.condition_formula(condition, scratch).simplify()
+        for position in np.flatnonzero(alive).tolist():
+            try:
+                formula = builder.formula(condition, frame_rows, position)
+            except SqlTranslationError:
+                if builder.settle(slots, frame_rows, position) is not _DEAD:
+                    raise
+                alive[position] = False
+                continue
             if isinstance(formula, FalseFormula):
                 alive[position] = False
             elif not isinstance(formula, TrueFormula):
-                residual_slots[position] = residual_slots[position] + (formula,)
+                slots[position] = slots[position] + (formula,)
     return alive
 
 
@@ -359,7 +468,9 @@ def enumerate_candidates_columnar(select: SelectQuery, database: Database,
     profile, never the answer.
 
     ``frontier_stats``, when given, receives ``"frontier"``: which
-    frontier path the engine took (:data:`FRONTIER_PATHS`).
+    frontier path the engine took (:data:`FRONTIER_PATHS`), and unless the
+    row oracle answered, ``"residuals"``: how many residual formulas the
+    engine compiled (:attr:`_ResidualBuilder.built`).
     """
     from repro.engine.candidates import enumerate_candidates
 
@@ -391,35 +502,49 @@ def _enumerate_eager(select: SelectQuery, database: Database,
                      group_witnesses: bool,
                      frontier_cache: Optional["FrontierCache"] = None,
                      stats: Optional[dict] = None) -> list:
+    from repro.engine.candidates import _ConditionCompiler
+
+    builder = _ResidualBuilder(_VectorizedEvaluator(
+        database, _ConditionCompiler(database, select)))
     frontier = pending = None
     path = "cold"
     if frontier_cache is not None:
         entry = frontier_cache.lookup(select, database)
         if entry is not None:
-            frontier, pending = _maintain_frontier(select, database, entry)
+            frontier, pending = _maintain_frontier(select, database, entry,
+                                                   builder)
             path = "advanced" if entry.advanced else "appended"
     if frontier is None:
-        frontier, pending = _compute_frontier(select, database)
+        frontier, pending = _compute_frontier(select, builder)
     if frontier_cache is not None:
+        # The entry holds this very ``pending`` list, so the residuals
+        # assembly settles below are kept for the next re-plan.
         frontier_cache.store(select, database, frontier, pending)
     if stats is not None:
         stats["frontier"] = path
-    return _assemble_candidates(select, database, frontier, pending,
-                                limit, max_witnesses, group_witnesses)
+    candidates = _assemble_candidates(select, database, frontier, pending,
+                                      limit, max_witnesses, group_witnesses,
+                                      builder)
+    if stats is not None:
+        stats["residuals"] = builder.built
+    return candidates
 
 
 def _compute_frontier(select: SelectQuery,
-                      database: Database,
+                      builder: _ResidualBuilder,
                       row_ranges: Optional[dict] = None
                       ) -> tuple[dict, Optional[list]]:
     """Run pushdown + the join loop; returns the full-query frontier.
 
     The frontier maps each binding to an array of row indices into its
-    relation (one entry per surviving witness, reference DFS order) plus a
-    parallel ``pending`` list of residual-formula tuples (``None`` when no
-    witness carries residuals).  Everything after this point -- projection,
-    witness grouping, lineage assembly -- is data-independent of how the
-    frontier was computed, which is what lets the frontier cache reuse it.
+    relation (one entry per witness no condition decided false, reference
+    DFS order) plus a parallel ``pending`` list of pending slots (see
+    :class:`_ResidualBuilder`; ``None`` when no witness has one).  A
+    witness whose pending residual folds to ``FalseFormula`` is still in
+    the frontier: assembly drops it when it settles the slot.  Everything
+    after this point -- projection, witness grouping, lineage assembly --
+    is data-independent of how the frontier was computed, which is what
+    lets the frontier cache reuse it.
 
     ``row_ranges`` optionally restricts a binding's rows to a half-open
     ``(lo, hi)`` index range before pushdown.  Restriction commutes with
@@ -428,14 +553,13 @@ def _compute_frontier(select: SelectQuery,
     in range -- the property the delta-join maintenance is built on.
     """
     from repro.engine.candidates import (
-        _ConditionCompiler,
         _hash_join_key,
         _local_conditions,
         _order_conditions,
     )
 
-    compiler = _ConditionCompiler(database, select)
-    evaluator = _VectorizedEvaluator(database, compiler)
+    compiler = builder.compiler
+    evaluator = builder.evaluator
     local_conditions = _local_conditions(select, compiler)
     steps = _order_conditions(select, compiler)
 
@@ -455,9 +579,8 @@ def _compute_frontier(select: SelectQuery,
                 low, high = 0, len(relation)
             rows = np.arange(low, high, dtype=np.int64)
             residual_slots = [_EMPTY_RESIDUAL] * len(rows)
-            alive = _apply_conditions(
-                local_conditions[step], evaluator, compiler, {binding: rows},
-                residual_slots, compiler.condition_bindings)
+            alive = _apply_conditions(local_conditions[step], builder,
+                                      {binding: rows}, residual_slots)
             positions = np.flatnonzero(alive)
             filtered_rows[step] = rows[positions]
             if any(residual_slots[index] for index in positions.tolist()):
@@ -469,7 +592,7 @@ def _compute_frontier(select: SelectQuery,
 
     # -- join loop -----------------------------------------------------------
     # The frontier after step k: one original-row index array per bound
-    # binding, plus a parallel list of pending residual-formula tuples.
+    # binding, plus a parallel list of pending slots.
     frontier: dict[str, np.ndarray] = {}
     pending: Optional[list] = None
 
@@ -486,7 +609,17 @@ def _compute_frontier(select: SelectQuery,
                 pending[index] = pending[index] + extra
 
     for step, binding in enumerate(bindings):
-        keep = prefilter(step)
+        try:
+            keep = prefilter(step)
+        except SqlTranslationError:
+            # The reference path scans this table only once a witness
+            # reaches it; one whose pending residual folds to false does not.
+            if step == 0 or pending is None or builder.any_alive(
+                    np.ones(len(pending), dtype=bool), pending, frontier):
+                raise
+            frontier = {b: np.empty(0, dtype=np.int64) for b in bindings}
+            pending = None
+            break
         if step == 0:
             positions = np.arange(len(keep), dtype=np.int64)
             frontier = {binding: keep}
@@ -551,8 +684,8 @@ def _compute_frontier(select: SelectQuery,
             count = len(next(iter(frontier.values())))
             residual_slots = pending if pending is not None \
                 else [_EMPTY_RESIDUAL] * count
-            alive = _apply_conditions(remaining, evaluator, compiler, frontier,
-                                      residual_slots, compiler.condition_bindings)
+            alive = _apply_conditions(remaining, builder, frontier,
+                                      residual_slots)
             if not alive.all():
                 keep_mask = np.flatnonzero(alive)
                 frontier = {bound_binding: rows[keep_mask]
@@ -612,6 +745,7 @@ class _FrontierEntry:
     #: Per-binding relation length at compute time (the ``n_t`` above).
     lengths: dict
     frontier: dict
+    #: Pending slots (see :class:`_ResidualBuilder`), settled in place.
     pending: Optional[list]
     #: Whether :meth:`FrontierCache.advance` carried it past a delete since
     #: it was stored.
@@ -656,9 +790,11 @@ class FrontierCache:
 
     A frontier is admitted only from a snapshot that has seen a commit
     (``data_version > 0``): only a chain that moves can reuse a frontier,
-    so a read-only workload holds none -- their residual formulas are the
-    bulk of an entry's memory -- while a mutated chain caches from its
-    first enumeration on.
+    so a read-only workload holds none -- its row-index arrays and pending
+    slots would be memory nothing reads again -- while a mutated chain
+    caches from its first enumeration on.  An entry holds the very slot
+    list assembly settles, so the residuals built for kept witnesses are
+    built once per entry, not once per re-plan.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -778,7 +914,8 @@ def _advance_entry(entry: _FrontierEntry, shrunk: list,
 
 
 def _maintain_frontier(select: SelectQuery, database: Database,
-                       entry: _FrontierEntry) -> tuple[dict, Optional[list]]:
+                       entry: _FrontierEntry,
+                       builder: _ResidualBuilder) -> tuple[dict, Optional[list]]:
     """The current snapshot's frontier, derived from a cached one.
 
     Computes the telescoped delta terms for every binding whose table grew
@@ -809,7 +946,7 @@ def _maintain_frontier(select: SelectQuery, database: Database,
         for later in bindings[position + 1:]:
             ranges[later] = (0, entry.lengths[later])
         term_frontier, term_pending = _compute_frontier(
-            select, database, row_ranges=ranges)
+            select, builder, row_ranges=ranges)
         if len(term_frontier[bindings[0]]) == 0:
             continue
         segments.append((term_frontier, term_pending))
@@ -843,24 +980,31 @@ def _maintain_frontier(select: SelectQuery, database: Database,
 def _assemble_candidates(select: SelectQuery, database: Database,
                          frontier: dict, pending: Optional[list],
                          limit: Optional[int], max_witnesses: int,
-                         group_witnesses: bool) -> list:
+                         group_witnesses: bool,
+                         builder: _ResidualBuilder) -> list:
     """Project, group and build candidates from a computed frontier.
 
     The terminal stage of the eager path; it mirrors the reference
     recursion's terminal block exactly, including LIMIT and
     ``max_witnesses`` truncation (the frontier is materialised first, so
     truncation is a pure prefix of the witness order).
-    """
-    from repro.engine.candidates import _ConditionCompiler, _build_candidates
 
-    compiler = _ConditionCompiler(database, select)
-    evaluator = _VectorizedEvaluator(database, compiler)
-    projection = _projection_of(select, database, compiler)
+    Residuals are built here, in witness order, and only for witnesses the
+    answer keeps; a witness whose slot settles to :data:`_DEAD` is skipped
+    as if absent.  Only live witnesses count towards ``max_witnesses``, so
+    when the frontier is longer than the cap a witness past ``LIMIT`` is
+    settled as well, to learn whether it counts.
+    """
+    from repro.engine.candidates import _build_candidates
+
+    evaluator = builder.evaluator
+    projection = _projection_of(select, database, builder.compiler)
     columns = tuple(f"{binding}.{column}" for binding, column in projection)
     bindings = [reference.binding for reference in select.tables]
     effective_limit = limit if limit is not None else select.limit
 
     witness_count = len(frontier[bindings[0]]) if frontier else 0
+    cap_binds = witness_count > max_witnesses
 
     # -- batch output assembly ----------------------------------------------
     if witness_count:
@@ -880,22 +1024,25 @@ def _assemble_candidates(select: SelectQuery, database: Database,
     for position in range(witness_count):
         if witnesses_seen >= max_witnesses:
             break
-        witnesses_seen += 1
         output = outputs[position]
-        residuals = pending[position] if pending is not None else _EMPTY_RESIDUAL
+        full = effective_limit is not None and len(order_keys) >= effective_limit
         if group_witnesses:
             key = output
-            if key not in witness_formulae:
-                if effective_limit is not None and len(order_keys) >= effective_limit:
-                    continue
-                order_keys.append(key)
-                witness_formulae[key] = []
-                witness_counts[key] = 0
-                row_values[key] = output
-        else:
-            if effective_limit is not None and len(order_keys) >= effective_limit:
-                break
+            if full and key not in witness_formulae:
+                # Past LIMIT a new key only counts towards the cap.
+                if cap_binds and builder.settle(
+                        pending, frontier, position) is not _DEAD:
+                    witnesses_seen += 1
+                continue
+        elif full:
+            break
+        residuals = builder.settle(pending, frontier, position)
+        if residuals is _DEAD:
+            continue
+        witnesses_seen += 1
+        if not group_witnesses:
             key = len(order_keys)
+        if key not in witness_formulae:
             order_keys.append(key)
             witness_formulae[key] = []
             witness_counts[key] = 0

@@ -798,8 +798,9 @@ class AnnotationService:
                 # Only a cache miss reaches this closure, so the span
                 # attribute doubles as the hit/miss marker.
                 span.set("plan_cache", "miss")
-                if "frontier" in frontier_stats:
-                    span.set("frontier", frontier_stats["frontier"])
+                for name in ("frontier", "residuals"):
+                    if name in frontier_stats:
+                        span.set(name, frontier_stats[name])
             return _plan_entry(planned)
 
         if not isinstance(query, str):

@@ -25,11 +25,15 @@ import numpy as np
 import pytest
 
 from repro.certainty.measure import certainty_from_translation
+from repro.constraints.formula import TrueFormula
 from repro.datagen.generic import ColumnSpec, TableSpec, generate_database
 from repro.engine.candidates import enumerate_candidates
-from repro.engine.sql.parser import parse_sql
-from repro.engine.vectorized import FRONTIER_PATHS
+from repro.engine.mutate import execute_mutation
+from repro.engine.sql.parser import parse_sql, parse_statement
+from repro.engine.vectorized import FRONTIER_PATHS, FrontierCache
+from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.values import NumNull
 from repro.service.canonical import canonicalise_lineage
 
 #: Default number of random (schema, data, query) cases; the acceptance
@@ -255,3 +259,142 @@ class TestColumnarDifferential:
                     select, columnar_database, max_witnesses=cap,
                     group_witnesses=group_witnesses)
                 _assert_case_equal(-1, sql, reference, columnar)
+
+
+def _lazy_schema() -> DatabaseSchema:
+    return DatabaseSchema.of(
+        RelationSchema.of("T", key="base", tag="base", x="num", y="num"),
+        RelationSchema.of("U", key="base", z="num"))
+
+
+def _lazy_database(backend: str):
+    """Rows whose pending residuals fold to constants: a null over a zero
+    ``y`` is false, ``x * 0`` is a constant, and the first witness of key
+    ``a`` is such a dead row."""
+    return Database.from_dict(_lazy_schema(), {
+        "T": [("a", "t0", NumNull("n0"), 0.0),
+              ("b", "t1", 2.0, 1.0),
+              ("a", "t2", NumNull("n1"), 3.0),
+              ("c", "t3", NumNull("n2"), 0.0),
+              ("b", "t4", NumNull("n3"), 2.0),
+              ("a", "t5", 0.5, 1.0),
+              ("c", "t6", NumNull("n4"), -1.0)],
+        "U": [("a", NumNull("n5")), ("b", 4.0), ("a", 0.0), ("c", 2.0)],
+    }, backend=backend)
+
+
+def _outcome(select, database, **options):
+    try:
+        return enumerate_candidates(select, database, **options)
+    except Exception as error:  # compared below, type and message
+        return (type(error), str(error))
+
+
+def _assert_same_outcome(sql: str, **options) -> list:
+    """Columnar and rows agree on answers (or on the error raised)."""
+    select = parse_sql(sql)
+    reference = _outcome(select, _lazy_database("rows"), **options)
+    columnar = _outcome(select, _lazy_database("columnar"), **options)
+    if isinstance(reference, tuple) or isinstance(columnar, tuple):
+        assert reference == columnar, (sql, options)
+        return []
+    _assert_case_equal(-1, f"{sql} {options}", reference, columnar)
+    return reference
+
+
+class TestLazyResiduals:
+    """Residuals are built only for kept witnesses; a pending condition
+    that folds to a constant must still behave as the row oracle's."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT T.key FROM T WHERE T.x / 0 < 1",
+        "SELECT T.key FROM T WHERE T.x * 0 > 1",
+        "SELECT T.key FROM T WHERE T.x / T.y < 1",
+    ])
+    def test_a_pending_row_that_folds_false_is_absent(self, sql):
+        for group_witnesses in (True, False):
+            _assert_same_outcome(sql, group_witnesses=group_witnesses)
+
+    def test_nulls_over_a_zero_divisor_leave_no_answer(self):
+        assert _assert_same_outcome(
+            "SELECT T.key FROM T WHERE T.x / 0 < 1") == []
+
+    def test_a_pending_row_that_folds_true_is_certain(self):
+        answers = _assert_same_outcome("SELECT T.tag FROM T WHERE T.x * 0 < 1")
+        assert len(answers) == 7
+        assert all(isinstance(answer.lineage.formula, TrueFormula)
+                   for answer in answers)
+
+    @pytest.mark.parametrize("group_witnesses", [True, False])
+    @pytest.mark.parametrize("sql", [
+        "SELECT T.key FROM T WHERE T.x / T.y < 1",
+        "SELECT T.key FROM T, U WHERE T.key = U.key AND T.x / U.z < 1",
+        "SELECT U.key FROM U, T WHERE U.key = T.key AND T.x / T.y < 1",
+    ])
+    def test_a_dead_first_witness_does_not_take_a_limit_slot(
+            self, sql, group_witnesses):
+        # Key ``a``'s first witness divides a null by zero.
+        for limit in (1, 2, 3):
+            _assert_same_outcome(sql, limit=limit,
+                                 group_witnesses=group_witnesses)
+
+    @pytest.mark.parametrize("group_witnesses", [True, False])
+    def test_dead_rows_do_not_count_towards_the_witness_cap(
+            self, group_witnesses):
+        sql = "SELECT T.key FROM T, U WHERE T.key = U.key AND T.x / T.y < 1"
+        for cap in (1, 2, 3, 4):
+            for limit in (None, 1, 2):
+                _assert_same_outcome(sql, max_witnesses=cap, limit=limit,
+                                     group_witnesses=group_witnesses)
+
+    @pytest.mark.parametrize("sql, raises", [
+        # Every row dies by its residual first: nothing reaches the error.
+        ("SELECT T.key FROM T WHERE T.x * 0 > 1 AND T.key < 'b'", False),
+        ("SELECT T.key FROM T WHERE T.x * 0 > 1 AND T.key + 1 < 3", False),
+        ("SELECT T.key FROM T, U WHERE T.x * 0 > 1 AND U.key < 'b'", False),
+        ("SELECT T.key FROM T, U WHERE T.key = U.key AND T.x * 0 > 1 "
+         "AND T.key < U.key", False),
+        ("SELECT T.key FROM T, U WHERE T.key = U.key AND T.x * 0 > 1 "
+         "AND T.key + U.z < 1", False),
+        # One row survives its residual: the error stands.
+        ("SELECT T.key FROM T WHERE T.x / T.y < 1 AND T.key < 'b'", True),
+        ("SELECT T.key FROM T WHERE T.x / T.y < 1 AND T.key + 1 < 3", True),
+        ("SELECT T.key FROM T, U WHERE T.x / T.y < 1 AND U.key < 'b'", True),
+        ("SELECT T.key FROM T, U WHERE T.key = U.key AND T.x / T.y < 1 "
+         "AND T.key < U.key", True),
+    ])
+    def test_errors_after_dead_rows_match_the_row_oracle(self, sql, raises):
+        select = parse_sql(sql)
+        outcome = _outcome(select, _lazy_database("rows"))
+        assert isinstance(outcome, tuple) == raises, outcome
+        for group_witnesses in (True, False):
+            _assert_same_outcome(sql, group_witnesses=group_witnesses)
+
+    @pytest.mark.parametrize("limit", [None, 1, 2])
+    @pytest.mark.parametrize("group_witnesses", [True, False])
+    def test_insert_then_delete_reuse_lazily_built_residuals(
+            self, limit, group_witnesses):
+        sql = "SELECT T.key FROM T, U WHERE T.key = U.key AND T.x / U.z < 1"
+        select = parse_sql(sql)
+        options = {"limit": limit, "group_witnesses": group_witnesses}
+        cache = FrontierCache()
+        database = _lazy_database("columnar")
+        paths = []
+        for statement in ("DELETE FROM U WHERE key = 'c'",
+                          "INSERT INTO T VALUES ('a', 't9', NULL, 2.0)",
+                          "INSERT INTO U VALUES ('b', NULL)",
+                          "DELETE FROM T WHERE tag = 't9'"):
+            parent = database
+            database, deltas, _ = execute_mutation(
+                parse_statement(statement), parent)
+            cache.advance(parent, database, deltas)
+            sink: dict = {}
+            columnar = enumerate_candidates(select, database,
+                                            frontier_stats=sink,
+                                            frontier_cache=cache, **options)
+            paths.append(sink["frontier"])
+            reference = enumerate_candidates(
+                select, database.with_backend("rows"), **options)
+            _assert_case_equal(-1, f"{sql} after {statement}", reference,
+                               columnar)
+        assert paths == ["cold", "appended", "appended", "advanced"]

@@ -238,6 +238,32 @@ class TestDeltaDrivenInvalidation:
         assert path("INSERT INTO t VALUES ('y', 8)") == "appended"
         assert path("DELETE FROM t WHERE key = 'z'") == "advanced"
 
+    def test_a_re_plan_builds_residuals_only_for_new_witnesses(self):
+        service = _sales_service()
+
+        def read(statement):
+            service.mutate(statement)
+            response = service.submit(NEVER_KNOWINGLY_UNDERSOLD, trace=True)
+            (enumerate_,) = [span for span in response.trace.spans
+                             if span.name == "enumerate"]
+            witnesses = sum(answer.witnesses for answer in response.answers)
+            return (enumerate_.attributes["frontier"],
+                    enumerate_.attributes["residuals"], witnesses,
+                    _snapshot(response.answers))
+
+        path, built, witnesses, answers = read(
+            "DELETE FROM Orders WHERE id = 'none'")
+        assert (path, built > 0) == ("cold", True)
+        product = answers[0][0][0]
+        # The new order's q is a null, so every witness using it is pending.
+        path, built, grown, _ = read(
+            f"INSERT INTO Orders VALUES ('o9000', '{product}', NULL, 5.0)")
+        assert path == "appended"
+        assert built == grown - witnesses > 0
+        path, built, _, after = read("DELETE FROM Orders WHERE id = 'o9000'")
+        assert (path, built) == ("advanced", 0)
+        assert after == answers
+
     def test_a_read_only_warm_up_holds_no_frontier(self):
         service = _service(_database())
         for sql in (Q_T, Q_U, Q_T, Q_U):

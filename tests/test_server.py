@@ -473,25 +473,30 @@ class TestHttpAdapter:
             headers={"Content-Type": "application/json"})
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
-        assert excinfo.value.code == 400
-        assert json.loads(excinfo.value.read())["code"] == "invalid_query"
+        with excinfo.value as error:
+            assert error.code == 400
+            assert json.loads(error.read())["code"] == "invalid_query"
 
     def test_unknown_route_is_404(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(self._base(server) + "/nope")
-        assert excinfo.value.code == 404
+        with excinfo.value as error:
+            assert error.code == 404
 
     def test_bad_query_parameters_are_400_and_wrong_methods_405(
             self, server, monkeypatch):
+        # Each HTTPError holds its response's socket until it is closed.
         for path in ("/history?seconds=soon", "/profile?seconds=0"):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(self._base(server) + path)
-            assert excinfo.value.code == 400
-            assert "seconds" in json.loads(excinfo.value.read())["error"]
+            with excinfo.value as error:
+                assert error.code == 400
+                assert "seconds" in json.loads(error.read())["error"]
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(urllib.request.Request(
                 self._base(server) + "/stats", data=b"{}"))
-        assert excinfo.value.code == 405
+        with excinfo.value as error:
+            assert error.code == 405
 
         def broken():
             raise ValueError("a fault inside the app")
@@ -500,6 +505,8 @@ class TestHttpAdapter:
         monkeypatch.setattr(server.app, "health", broken)
         with pytest.raises(Exception) as excinfo:
             urllib.request.urlopen(self._base(server) + "/healthz")
+        if isinstance(excinfo.value, urllib.error.HTTPError):
+            excinfo.value.close()
         assert getattr(excinfo.value, "code", None) != 400
 
     def test_non_finite_seconds_answer_400(self, server):
@@ -587,8 +594,9 @@ class TestHttpAdapter:
                 headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
-            assert excinfo.value.code == 503
-            assert json.loads(excinfo.value.read())["code"] == "overloaded"
+            with excinfo.value as error:
+                assert error.code == 503
+                assert json.loads(error.read())["code"] == "overloaded"
             gated.gate.set()
             thread.join(timeout=30)
 
