@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Optional
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional
 
 #: Returned by :meth:`LruCache.get` misses when no default is supplied; a
 #: dedicated sentinel so ``None`` remains a storable value.
@@ -91,6 +91,31 @@ class LruCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return value
+
+    def get_many(self, keys: Iterable[Hashable]) -> list:
+        """:meth:`get` of each key (``None`` for a miss), counted and
+        reordered exactly as one call per key would be, under one lock
+        acquisition instead of one per key."""
+        values = []
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                value = entries.get(key, _MISSING)
+                if value is _MISSING:
+                    self._misses += 1
+                    value = None
+                else:
+                    entries.move_to_end(key)
+                    self._hits += 1
+                values.append(value)
+        return values
+
+    def holds_all(self, keys: Iterable[Hashable]) -> bool:
+        """Whether every key has an entry; like :meth:`peek`, touches
+        neither the counters nor the recency order."""
+        with self._lock:
+            entries = self._entries
+            return all(key in entries for key in keys)
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Read an entry without touching counters or recency order.

@@ -39,9 +39,10 @@ without writing any Python:
     prints.  ``--sql "INSERT INTO ..."`` (or DELETE/UPDATE) routes to the
     server's mutation op and prints the committed data version; typed
     rejections (validation, conflict) exit 2 like any other bad input.
-    ``--probe stats`` / ``--probe health`` fetch the server's
-    reports instead (aligned tables by default, ``--json`` for the raw
-    payload), ``--probe metrics`` dumps the Prometheus exposition.
+    ``--probe OP`` runs any read-only op of the client instead:
+    ``stats``, ``health`` and ``alerts`` print aligned tables
+    (``--json`` for the raw payload), ``metrics`` dumps the Prometheus
+    exposition, and the others (``history``, ``trace``, ...) print JSON.
 
 ``python -m repro.cli top --http-port 7465``
     Live operator console: polls a running server's ``/metrics``,
@@ -238,12 +239,14 @@ def _build_parser() -> argparse.ArgumentParser:
     client_source.add_argument("--query-name",
                                choices=sorted(EXPERIMENT_QUERIES),
                                help="one of the paper's decision-support queries")
-    client_source.add_argument("--probe",
-                               choices=("stats", "health", "ping", "metrics",
-                                        "alerts"),
-                               help="fetch a server report instead of "
-                                    "querying; 'alerts' exits 3 when any "
-                                    "SLO burn-rate alert is firing")
+    client_source.add_argument("--probe", type=_probe_op, metavar="OP",
+                               help="run one read-only op of the client "
+                                    "instead of querying: ping, stats, "
+                                    "health, metrics and alerts print "
+                                    "their reports, the others (history, "
+                                    "profile, trace, ...) print JSON; "
+                                    "'alerts' exits 3 when any SLO "
+                                    "burn-rate alert is firing")
     client_parser.add_argument("--json", action="store_true",
                                help="print probe reports as raw JSON instead "
                                     "of aligned tables")
@@ -685,52 +688,72 @@ def _run_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_client(args: argparse.Namespace) -> int:
-    """One scripted interaction with a running server, annotate-style output."""
+def _probe_ops() -> tuple[str, ...]:
+    """The ``--probe`` choices: every op of the client's op layer that
+    changes nothing on the server (all of them run without arguments)."""
+    from repro.client import _Ops
+
+    changes_state = ("mutate", "cluster_drain", "cluster_scale")
+    return tuple(sorted(name for name in vars(_Ops)
+                        if not name.startswith("_")
+                        and name not in changes_state))
+
+
+def _probe_op(name: str) -> str:
+    """``--probe``'s argument type, checked against :func:`_probe_ops`
+    only when the option is given: building the parser must not import
+    the client, which every other command would then pay for."""
+    choices = _probe_ops()
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(choices)})")
+    return name
+
+
+def _print_probe(op: str, payload, as_json: bool) -> int:
+    """Print one ``--probe`` reply: a report for the ops that have one,
+    JSON for the rest (and for every op under ``--json``)."""
     import json
 
+    from repro.obs.console import render_stats_tables, render_table
+
+    if op == "ping":
+        print("pong")
+    elif op == "metrics":
+        print(payload, end="")
+    elif as_json or op not in ("stats", "health", "alerts"):
+        print(json.dumps(payload, indent=2))
+    elif op == "stats":
+        print(render_stats_tables(payload))
+    elif op == "health":
+        print("\n".join(render_table(
+            ("health", "value"),
+            [(key, str(value)) for key, value in payload.items()])))
+    else:
+        rows = [(f"{alert.get('slo', '?')}/{alert.get('severity', '?')}",
+                 f"{alert.get('burn_short', 0.0):.2f}",
+                 f"{alert.get('burn_long', 0.0):.2f}",
+                 f"{alert.get('burn_threshold', 0.0):.1f}",
+                 "FIRING" if alert.get("firing") else "ok")
+                for alert in payload.get("alerts", [])]
+        print("\n".join(render_table(
+            ("slo alert", "burn short", "burn long", "threshold", "state"),
+            rows)))
+    # Scripts branch on the alert probe's exit code: 0 = healthy, 3 = paging.
+    if op == "alerts" and payload.get("firing"):
+        return EXIT_ALERT_FIRING
+    return 0
+
+
+def _run_client(args: argparse.Namespace) -> int:
+    """One scripted interaction with a running server, annotate-style output."""
     from repro.client import ClientError, ReproClient, ServerError
 
     try:
         with ReproClient(args.host, args.port) as client:
-            if args.probe == "ping":
-                client.ping()
-                print("pong")
-                return 0
-            if args.probe == "metrics":
-                print(client.metrics(), end="")
-                return 0
-            if args.probe == "alerts":
-                payload = client.alerts()
-                if args.json:
-                    print(json.dumps(payload, indent=2))
-                else:
-                    from repro.obs.console import render_table
-                    rows = [(f"{alert.get('slo', '?')}/"
-                             f"{alert.get('severity', '?')}",
-                             f"{alert.get('burn_short', 0.0):.2f}",
-                             f"{alert.get('burn_long', 0.0):.2f}",
-                             f"{alert.get('burn_threshold', 0.0):.1f}",
-                             "FIRING" if alert.get("firing") else "ok")
-                            for alert in payload.get("alerts", [])]
-                    print("\n".join(render_table(
-                        ("slo alert", "burn short", "burn long",
-                         "threshold", "state"), rows)))
-                # Scripts branch on the exit code: 0 = healthy, 3 = paging.
-                return EXIT_ALERT_FIRING if payload.get("firing") else 0
-            if args.probe in ("stats", "health"):
-                payload = client.stats() if args.probe == "stats" else client.health()
-                if args.json:
-                    print(json.dumps(payload, indent=2))
-                elif args.probe == "stats":
-                    from repro.obs.console import render_stats_tables
-                    print(render_stats_tables(payload))
-                else:
-                    from repro.obs.console import render_table
-                    print("\n".join(render_table(
-                        ("health", "value"),
-                        [(key, str(value)) for key, value in payload.items()])))
-                return 0
+            if args.probe is not None:
+                return _print_probe(args.probe,
+                                    getattr(client, args.probe)(), args.json)
             sql = args.sql if args.sql is not None \
                 else EXPERIMENT_QUERIES[args.query_name]
             if _is_mutation(sql):

@@ -89,7 +89,8 @@ class Recorder:
             child.observe(seconds)
         self.slow_log.record(sql, elapsed_seconds, candidates=candidates,
                              groups=groups, phases=phases,
-                             trace_id=trace.trace_id)
+                             trace_id=trace.trace_id,
+                             path=trace.attribute("path"))
         if trace.trace_id is not None:
             self.trace_store.put(trace)
 

@@ -41,6 +41,9 @@ class SlowQuery:
     #: ran untraced) -- the jump-off point from a slowlog line to
     #: ``repro cluster trace`` / ``GET /trace?id=...``.
     trace_id: Optional[str] = None
+    #: Where a server served the request: ``"loop"`` (answered from the
+    #: caches on the event loop) or ``"pool"``; ``None`` outside a server.
+    path: Optional[str] = None
 
     def as_dict(self) -> dict:
         return {
@@ -52,6 +55,7 @@ class SlowQuery:
             "phases": {name: round(seconds, 6)
                        for name, seconds in sorted(self.phases.items())},
             "trace_id": self.trace_id,
+            "path": self.path,
         }
 
 
@@ -76,7 +80,8 @@ class SlowQueryLog:
     def record(self, sql: str, elapsed_seconds: float, *,
                candidates: int = 0, groups: int = 0,
                phases: Optional[dict] = None,
-               trace_id: Optional[str] = None) -> None:
+               trace_id: Optional[str] = None,
+               path: Optional[str] = None) -> None:
         entry = SlowQuery(
             sql=sql[:MAX_SQL_CHARS],
             elapsed_seconds=elapsed_seconds,
@@ -85,6 +90,7 @@ class SlowQueryLog:
             groups=groups,
             phases=dict(phases) if phases else {},
             trace_id=trace_id,
+            path=path,
         )
         with self._lock:
             self._ring.append(entry)

@@ -189,6 +189,15 @@ class Trace:
                 + record.duration
         return totals
 
+    def attribute(self, key: str) -> Any:
+        """Span attribute ``key`` of the first span that carries it, or
+        ``None`` -- for a fact about the whole request, such as the
+        ``path`` the server records on its ``dispatch`` span."""
+        for record in self.spans:
+            if key in record.attributes:
+                return record.attributes[key]
+        return None
+
     # -- export ------------------------------------------------------------
 
     def span_dicts(self) -> list[dict]:
@@ -383,6 +392,9 @@ class NullTrace:
 
     def phase_totals(self) -> dict[str, float]:
         return {}
+
+    def attribute(self, key: str) -> Any:
+        return None
 
     def span_dicts(self) -> list[dict]:
         return []

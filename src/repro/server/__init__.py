@@ -11,8 +11,9 @@ for callers inside the process; this package is the network layer on top:
   shares (this server and the cluster coordinator): bounded admission with
   typed backpressure, cross-connection single-flight coalescing with
   streamed-update replay, the mutation gate, drain;
-* :mod:`repro.server.app` -- that front door over one service: compute on
-  a thread pool, adaptive streaming, MVCC mutations;
+* :mod:`repro.server.app` -- that front door over one service: warm
+  reads answered on the event loop, everything that computes on a thread
+  pool, adaptive streaming, MVCC mutations;
 * :mod:`repro.server.netserver` -- the asyncio TCP listener, the SIGTERM
   drain protocol and the blocking :func:`~repro.server.netserver.serve`
   entry point the CLI uses;
@@ -22,9 +23,10 @@ for callers inside the process; this package is the network layer on top:
   for tests, benchmarks and the load generator.
 
 The compute layers are untouched underneath: requests run through the
-ordinary ``AnnotationService.submit`` on a thread pool, so ``jobs``,
-``adaptive`` and ``seed`` behave exactly as they do in-process, and
-served answers are bit-identical to local ones.
+ordinary ``AnnotationService.submit`` (on a thread pool whenever they
+compute anything), so ``jobs``, ``adaptive`` and ``seed`` behave exactly
+as they do in-process, and served answers are bit-identical to local
+ones.
 """
 
 from repro.server.app import ServerApp

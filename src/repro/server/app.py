@@ -6,11 +6,22 @@ drain come from :class:`~repro.server.frontdoor.FrontDoor`; what this
 class adds is how a flight is led and how a mutation commits over one
 :class:`~repro.service.AnnotationService`:
 
-* **leading a flight** -- ``submit`` runs on a dedicated thread pool via
-  ``run_in_executor``; the service's own ``jobs`` option applies
-  unchanged inside each call.  (The service additionally
-  single-flights *estimates* on the canonical lineage digest, which
-  coalesces structurally identical work across different query texts.)
+* **warm reads on the event loop** -- a request whose parse, plan and
+  every estimate the service already caches (``AnnotationService.is_warm``)
+  computes nothing, so it is answered right on the event loop through the
+  same ``submit``, with ``cached_only=True`` so that a commit landing
+  between the check and the call sends it to the pool instead of
+  computing on the loop.  Handing such a request to a pool thread cost
+  more CPU than answering it;
+* **leading a flight** -- every other request runs ``submit`` on a
+  dedicated thread pool via ``run_in_executor``; the service's own
+  ``jobs`` option applies unchanged inside each call.  (The service
+  additionally single-flights *estimates* on the canonical lineage
+  digest, which coalesces structurally identical work across different
+  query texts.)
+* **which path** -- each traced request records a ``dispatch`` span whose
+  ``path`` attribute is ``"loop"`` or ``"pool"``; ``trace`` /
+  ``trace_export`` and the slow-query log show it;
 * **streaming** -- ``adaptive`` requests push every tightened interval to
   every subscriber as it lands: the service's ``on_update`` callback fires
   on a worker thread and is marshalled onto the event loop with
@@ -23,6 +34,7 @@ class adds is how a flight is led and how a mutation commits over one
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +63,7 @@ from repro.server.protocol import (
     result_event,
     update_event,
 )
+from repro.service import NotCached
 
 #: Exceptions that indicate a problem with the query, not with the server.
 _QUERY_ERRORS = (SqlSyntaxError, SqlTranslationError, SchemaError, ValueError)
@@ -104,16 +117,58 @@ class ServerApp(FrontDoor):
 
     # -- leading a flight and committing a mutation --------------------------
 
+    def _trace(self, context):
+        """The request's trace, or ``None`` when not observing.
+
+        A live recorder traces every request (that is what feeds phase
+        histograms and the slow log); an inbound ``traceparent`` makes
+        this trace one hop of a distributed one -- same trace id, local
+        root spans parented onto the sender's span.
+        """
+        return (self._recorder.start_trace(context=context)
+                if self._recorder.enabled else None)
+
+    def _submit(self, sql: str, options: dict, tr, path: str,
+                since: float, **request):
+        """The request's one ``submit``.  Its trace gets a ``dispatch``
+        span from ``since`` to now, whose ``path`` (``"loop"`` or
+        ``"pool"``) says where the request was served."""
+        if tr is not None:
+            tr.record("dispatch", since, time.perf_counter(), path=path)
+        # ``options`` holds exactly the request parameters of ``submit``.
+        return self._service.submit(sql, **options, trace=tr, **request)
+
+    def _answer_now(self, sql: str, options: dict, context) -> Optional[dict]:
+        """Answer, on the event loop, a request whose parse, plan and
+        estimates are all cached; ``None`` sends it to the compute pool.
+
+        The loop never computes: a commit or eviction that lands between
+        the warm check and ``submit`` makes ``submit`` raise
+        :class:`NotCached` before any work, and the request flies as usual.
+        """
+        since = time.perf_counter()
+        try:
+            if not self._service.is_warm(sql, **options):
+                return None
+            tr = self._trace(context)
+            response = self._submit(sql, options, tr, "loop", since,
+                                    cached_only=True)
+        except NotCached:
+            return None
+        except _QUERY_ERRORS as error:
+            self._query_errors += 1
+            return error_event(None, "invalid_query", str(error))
+        event = result_event(None, response)
+        if tr is not None:
+            event["trace_id"] = tr.trace_id
+        return event
+
     async def _lead(self, flight: Flight, sql: str, options: dict,
                     context) -> dict:
         """Run the flight's one computation on the compute pool."""
+        since = time.perf_counter()
         loop = asyncio.get_running_loop()
-        # A live recorder traces every request (that is what feeds phase
-        # histograms and the slow log); an inbound ``traceparent`` makes
-        # this trace one hop of a distributed one -- same trace id, local
-        # root spans parented onto the sender's span.
-        tr = (self._recorder.start_trace(context=context)
-              if self._recorder.enabled else None)
+        tr = self._trace(context)
         if tr is not None:
             flight.trace_id = tr.trace_id
 
@@ -125,16 +180,11 @@ class ServerApp(FrontDoor):
                 flight.publish,
                 update_event(None, group.canonical.digest.hex(), update))
 
-        def submit():
-            return self._service.submit(
-                sql,
-                epsilon=options["epsilon"], delta=options["delta"],
-                method=options["method"], limit=options["limit"],
-                seed=options["seed"], adaptive=options["adaptive"], trace=tr,
-                on_update=on_update if options["adaptive"] else None)
-
         try:
-            response = await loop.run_in_executor(self._executor, submit)
+            response = await loop.run_in_executor(
+                self._executor, functools.partial(
+                    self._submit, sql, options, tr, "pool", since,
+                    on_update=on_update if options["adaptive"] else None))
         except _QUERY_ERRORS as error:
             self._query_errors += 1
             return error_event(None, "invalid_query", str(error))

@@ -14,6 +14,12 @@ wire and the computation lives here once:
   *before* any work happens; arrivals matching an in-flight key subscribe to
   the leader's :class:`Flight` and receive replayed history plus live
   events, so N concurrent identical queries cost one computation;
+* **answering without a flight** -- an admitted request that starts no
+  flight of its own is first offered to :meth:`_answer_now`; a door that
+  can answer it without computing (a server whose caches hold the whole
+  answer) returns the terminal event there and then, on the event loop,
+  with no :class:`Flight`, queue or leader task.  It still counts as
+  launched;
 * **mutations** -- writers are serialised behind one gate and counted as
   in-flight work, while readers keep streaming (no reader/writer blocking);
 * **drain** -- :meth:`begin_drain` stops admitting, :meth:`wait_idle`
@@ -26,6 +32,7 @@ TCP transport, every HTTP ``GET`` route and the coordinator's own
 ``cluster*`` ops all go through that one table.
 
 A subclass supplies only what differs between the doors: the flight key,
+which requests it answers at once (:meth:`_answer_now`; none by default),
 how a flight is led (:meth:`_lead` returns the terminal event, publishing
 any streamed updates on the way), how a mutation commits (:meth:`_commit`),
 its own ``stats``/``health``/metrics payloads, and any ops it adds.
@@ -217,6 +224,15 @@ class FrontDoor:
     def _flight_key(self, sql: str, options: dict) -> Hashable:
         return request_key(sql, options)
 
+    def _answer_now(self, sql: str, options: dict, context) -> Optional[dict]:
+        """The terminal event of a request answerable without computing,
+        produced right here on the event loop; ``None`` launches a flight.
+
+        Called where a new flight would be created: after the drain and
+        admission checks, and only when no identical flight is in the air.
+        """
+        return None
+
     async def _lead(self, flight: Flight, sql: str, options: dict,
                     context) -> dict:
         """Compute the flight; publish updates; return the terminal event."""
@@ -269,14 +285,22 @@ class FrontDoor:
                     f"({self._max_pending} pending flights); retry later"
                 ).as_event()
                 return
+            context = extract_context(message)
+            self._launched += 1
+            try:
+                terminal = self._answer_now(sql, options, context)
+            except Exception as error:  # noqa: BLE001 - reported, not hidden
+                terminal = self._internal(error)
+            if terminal is not None:
+                yield terminal
+                return
             flight = Flight(key)
             self._flights[key] = flight
             self._idle.clear()
-            self._launched += 1
             # The leader's trace context wins: coalesced followers share
             # the leader's flight, computation, and therefore trace id.
             task = asyncio.ensure_future(self._fly(
-                flight, sql, options, extract_context(message)))
+                flight, sql, options, context))
             self._flight_tasks.add(task)
             task.add_done_callback(self._flight_tasks.discard)
         else:

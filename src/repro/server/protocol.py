@@ -306,17 +306,13 @@ def encode_certainty(certainty: CertaintyResult) -> dict:
 
 
 def decode_certainty(payload: Mapping) -> CertaintyResult:
-    return CertaintyResult(
-        value=payload["value"],
-        method=payload["method"],
-        guarantee=payload["guarantee"],
-        epsilon=payload.get("epsilon"),
-        delta=payload.get("delta"),
-        samples=payload.get("samples", 0),
-        dimension=payload.get("dimension", 0),
-        relevant_dimension=payload.get("relevant_dimension", 0),
-        details=dict(payload.get("details") or {}),
-    )
+    """Invert :func:`encode_certainty`: its fields minus the derived
+    ``interval`` (``CertaintyResult.interval()`` recomputes it).  A key
+    the encoder does not write is refused (``TypeError``)."""
+    fields = dict(payload)
+    fields.pop("interval", None)
+    fields["details"] = dict(fields["details"] or {})
+    return CertaintyResult.from_fields(fields)
 
 
 def encode_answer(answer: AnnotatedAnswer) -> dict:

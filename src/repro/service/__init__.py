@@ -41,6 +41,7 @@ from repro.service.scheduler import TaskGroup, build_schedule
 from repro.service.service import (
     SERVICE_METHODS,
     AnnotationService,
+    NotCached,
     RequestStats,
     ServiceOptions,
     ServiceResponse,
@@ -56,6 +57,7 @@ __all__ = [
     "CanonicalLineage",
     "CanonicalisationError",
     "LruCache",
+    "NotCached",
     "RequestStats",
     "ServiceOptions",
     "ServiceResponse",

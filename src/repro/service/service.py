@@ -259,6 +259,11 @@ def normalise_sql(sql: str) -> str:
     return "\x00".join(parts)
 
 
+class NotCached(LookupError):
+    """A ``cached_only`` request needed work its caches could not answer:
+    a parse, a plan or an estimate.  Raised before that work starts."""
+
+
 def _validate(method: str) -> None:
     """Reject unknown methods, as service defaults or per-request overrides."""
     if method not in SERVICE_METHODS:
@@ -326,6 +331,13 @@ def _build_answers(candidates: tuple, schedule: tuple[TaskGroup, ...],
                         witnesses=candidate.witnesses,
                         lineage_digest=by_candidate[index][1])
         for index, candidate in enumerate(candidates))
+
+
+def _result_keys(schedule: Sequence[TaskGroup], epsilon: float, delta: float,
+                 method: str, adaptive: bool, seed_token: tuple) -> list:
+    """The certainty-cache key of each group of ``schedule``."""
+    return [(group.canonical.digest, epsilon, delta, method, adaptive,
+             seed_token) for group in schedule]
 
 
 def _plan_entry(candidates: Sequence) -> _PlanEntry:
@@ -443,7 +455,8 @@ class AnnotationService:
                adaptive: Optional[bool] = None,
                group_witnesses: bool = True,
                trace: Union[bool, Trace, None] = None,
-               on_update: Optional[GroupUpdateCallback] = None) -> ServiceResponse:
+               on_update: Optional[GroupUpdateCallback] = None,
+               cached_only: bool = False) -> ServiceResponse:
         """Run one annotation request through the full service lifecycle.
 
         ``query`` is SQL text or a parsed ``SelectQuery``; ``candidates``
@@ -455,18 +468,18 @@ class AnnotationService:
         records the request's span tree and returns it on
         :attr:`ServiceResponse.trace`.  Tracing never touches random
         streams, so traced answers are bit-identical to untraced ones.
+
+        ``cached_only=True`` serves a SQL-text request from the caches
+        alone: a parse-cache, plan-cache or certainty-cache miss raises
+        :class:`NotCached` before any parsing, enumeration or estimation
+        starts (see :meth:`is_warm`).
         """
         started = time.perf_counter()
-        options = self._options
-        epsilon = options.epsilon if epsilon is None else epsilon
-        delta = options.delta if delta is None else delta
-        method = options.method if method is None else method
-        jobs = options.jobs if jobs is None else jobs
+        epsilon, delta, method, adaptive, root = self._parameters(
+            epsilon, delta, method, adaptive, seed)
+        jobs = self._options.jobs if jobs is None else jobs
         if jobs == 0:
             jobs = default_jobs()
-        adaptive = options.adaptive if adaptive is None else adaptive
-        _validate(method)
-        root = self._default_root if seed is None else root_sequence(seed)
         seed_token = _seed_token(root)
 
         # Three tracing tiers: a caller-requested trace is returned on the
@@ -484,7 +497,7 @@ class AnnotationService:
             tr = NULL_TRACE
 
         with tr.span("parse"):
-            select = self._parse(query)
+            select = self._parse(query, cached_only)
         # Pin the snapshot once: a concurrent mutate() swaps in the next
         # version, but this request keeps the version it started on end to
         # end, its dimension included (MVCC snapshot isolation).
@@ -493,7 +506,8 @@ class AnnotationService:
         if candidates is None:
             with tr.span("enumerate") as enumerate_span:
                 entry = self._plan(query, select, limit, group_witnesses,
-                                   snapshot.database, span=enumerate_span)
+                                   snapshot.database, enumerate_span,
+                                   cached_only)
                 enumerate_span.set("candidates", len(entry.candidates))
         else:
             # Caller-supplied candidates are not cached; the entry is built
@@ -505,8 +519,8 @@ class AnnotationService:
             schedule = entry.schedule
             schedule_span.set("groups", len(schedule))
 
-        keys = [(group.canonical.digest, epsilon, delta, method, adaptive,
-                 seed_token) for group in schedule]
+        keys = _result_keys(schedule, epsilon, delta, method, adaptive,
+                            seed_token)
         # Record which marked nulls each group's lineages touch, so a later
         # mutation can evict exactly the affected cache entries.
         self._record_provenance(keys, entry.provenance)
@@ -516,13 +530,15 @@ class AnnotationService:
         #    resolved here and never become work.
         outcomes: list = [None] * len(schedule)
         misses: list[int] = []
-        for position, key in enumerate(keys):
-            cached = self._result_cache.get(key)
+        for position, cached in enumerate(self._result_cache.get_many(keys)):
             if cached is None:
                 misses.append(position)
             else:
                 outcomes[position] = (
                     self._patch_dimension(cached, dimension), True)
+        if misses and cached_only:
+            raise NotCached(f"{len(misses)} of {len(keys)} groups "
+                            "have no cached estimate")
 
         # 2. Work: each miss is one content payload (the group's canonical
         #    translation, the request parameters, the root seed), so it is
@@ -607,6 +623,34 @@ class AnnotationService:
                 candidates=len(candidates), groups=len(schedule))
         return ServiceResponse(answers=answers, stats=stats,
                                trace=tr if return_trace else None, memo=memo)
+
+    def is_warm(self, query: str, *, epsilon: Optional[float] = None,
+                delta: Optional[float] = None, method: Optional[str] = None,
+                limit: Optional[int] = None, seed: SeedLike = None,
+                adaptive: Optional[bool] = None) -> bool:
+        """Whether :meth:`submit` would answer this request from its caches
+        alone: the query's parse, its plan at the current table versions
+        and every group's certainty result are all cached.
+
+        Reads only through the caches' uncounted ``peek``, so the hit
+        ratios keep counting the lookups of the requests ``submit`` serves.
+        A commit or an eviction may still land before the request is
+        submitted; ``submit(..., cached_only=True)`` then raises
+        :class:`NotCached` instead of computing.
+        """
+        text = normalise_sql(query)
+        select = self._parse_cache.peek(text)
+        if select is None:
+            return False
+        entry = self._plan_cache.peek(self._plan_key(
+            text, select, limit, True, self._snapshot.database))
+        if entry is None:
+            return False
+        epsilon, delta, method, adaptive, root = self._parameters(
+            epsilon, delta, method, adaptive, seed)
+        return self._result_cache.holds_all(_result_keys(
+            entry.schedule, epsilon, delta, method, adaptive,
+            _seed_token(root)))
 
     def stats(self) -> ServiceStats:
         """Lifetime counters plus snapshots of every cache layer."""
@@ -776,18 +820,61 @@ class AnnotationService:
 
     # -- lifecycle stages --------------------------------------------------
 
-    def _parse(self, query):
+    def _parameters(self, epsilon: Optional[float], delta: Optional[float],
+                    method: Optional[str], adaptive: Optional[bool],
+                    seed: SeedLike) -> tuple:
+        """A request's estimate parameters with the service defaults filled
+        in: ``(epsilon, delta, method, adaptive, root)``."""
+        options = self._options
+        method = options.method if method is None else method
+        _validate(method)
+        return (options.epsilon if epsilon is None else epsilon,
+                options.delta if delta is None else delta,
+                method,
+                options.adaptive if adaptive is None else adaptive,
+                self._default_root if seed is None else root_sequence(seed))
+
+    def _parse(self, query, cached_only: bool = False):
         if not isinstance(query, str):
             return query
         from repro.engine.sql.parser import parse_sql
-        key = normalise_sql(query)
-        return self._parse_cache.get_or_compute(key, lambda: parse_sql(query))
+
+        def parse():
+            if cached_only:
+                raise NotCached("the query text is not in the parse cache")
+            return parse_sql(query)
+
+        return self._parse_cache.get_or_compute(normalise_sql(query), parse)
+
+    @staticmethod
+    def _plan_key(text: str, select, limit: Optional[int],
+                  group_witnesses: bool, database) -> tuple:
+        """The plan-cache key of a query over ``database``, given its
+        :func:`normalise_sql` text.
+
+        The snapshot layout is fixed for the service's lifetime, so only
+        the data can move under a key.  Per-referenced-table data versions
+        make mutation invalidation delta-driven: a commit touching table T
+        moves only T's version, so plans over untouched tables keep their
+        keys (stay warm) while plans over T are dropped at commit.
+        """
+        table_version = getattr(database, "table_version", None)
+        if table_version is not None:
+            versions = tuple(sorted(
+                {(reference.table, table_version(reference.table))
+                 for reference in select.tables}))
+        else:
+            versions = ()
+        return (text, limit, group_witnesses, versions)
 
     def _plan(self, query, select, limit: Optional[int],
-              group_witnesses: bool, database, span=None) -> _PlanEntry:
+              group_witnesses: bool, database, span=None,
+              cached_only: bool = False) -> _PlanEntry:
         from repro.engine.candidates import enumerate_candidates
 
         def enumerate_() -> _PlanEntry:
+            if cached_only:
+                raise NotCached("no plan is cached at these table versions")
             frontier_stats: dict = {}
             planned = tuple(enumerate_candidates(
                 select, database, limit=limit,
@@ -806,21 +893,10 @@ class AnnotationService:
         if not isinstance(query, str):
             # No stable text key; planning an AST is not cached.
             return enumerate_()
-        # The snapshot layout is fixed for the service's lifetime, so only
-        # the data can move under a key.  Per-referenced-table data
-        # versions make mutation invalidation delta-driven: a commit
-        # touching table T moves only T's version, so plans over untouched
-        # tables keep their keys (stay warm) while plans over T are dropped
-        # at commit.
-        table_version = getattr(database, "table_version", None)
-        if table_version is not None:
-            versions = tuple(sorted(
-                {(reference.table, table_version(reference.table))
-                 for reference in select.tables}))
-        else:
-            versions = ()
-        key = (normalise_sql(query), limit, group_witnesses, versions)
-        return self._plan_cache.get_or_compute(key, enumerate_)
+        return self._plan_cache.get_or_compute(
+            self._plan_key(normalise_sql(query), select, limit,
+                           group_witnesses, database),
+            enumerate_)
 
     def _decide_solo(self, group: TaskGroup, key: tuple, payload: tuple,
                      dimension: int, on_update=None

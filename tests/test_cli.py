@@ -364,6 +364,27 @@ class TestCliAgainstServer:
         metrics = capsys.readouterr().out
         assert "# TYPE repro_request_seconds histogram" in metrics
 
+    def test_client_probe_offers_every_read_only_op(self, server, capsys):
+        import json
+        from repro.cli import _probe_ops
+        assert set(_probe_ops()) == {
+            "alerts", "cluster", "health", "history", "metrics", "ping",
+            "profile", "stats", "trace", "trace_export"}
+        host_args = ["--host", server.host, "--port", str(server.port)]
+        assert main(["client", *host_args, "--sql",
+                     "SELECT P.id FROM Products P WHERE P.rrp <= 20"]) == 0
+        capsys.readouterr()
+        assert main(["client", *host_args, "--probe", "trace"]) == 0
+        trace = json.loads(capsys.readouterr().out)
+        assert {span["name"] for span in trace["spans"]} >= {"dispatch",
+                                                             "parse"}
+        assert main(["client", *host_args, "--probe", "history"]) == 0
+        assert "snapshots" in json.loads(capsys.readouterr().out)
+        # A plain server has no cluster op: a typed refusal, exit 2.
+        assert main(["client", *host_args, "--probe", "cluster"]) == 2
+        with pytest.raises(SystemExit):
+            main(["client", *host_args, "--probe", "cluster_drain"])
+
     def test_top_renders_one_frame(self, server, capsys):
         exit_code = main(["top", "--host", server.host,
                           "--http-port", str(server.http_port),

@@ -69,6 +69,10 @@ class GatedService:
         assert self.gate.wait(30), "test gate never opened"
         return self.inner.submit(*args, **kwargs)
 
+    def is_warm(self, *args, **kwargs) -> bool:
+        # The gate holds every request, so none may be answered at once.
+        return False
+
     def stats(self):
         return self.inner.stats()
 
@@ -716,3 +720,252 @@ class TestWireRobustness:
                     client.query("SELECT P.bogus FROM Products P")
         assert excinfo.value.code == "invalid_query"
         assert "bogus" in excinfo.value.message
+
+
+class TestWarmReadsOnTheLoop:
+    """A request the caches answer whole is served on the event loop;
+    everything that computes still runs on the compute pool."""
+
+    #: Where parsing, enumeration and estimation live, by module.
+    COMPUTE = (("repro.engine.sql.parser", "parse_sql"),
+               ("repro.engine.candidates", "enumerate_candidates"),
+               ("repro.service.service", "certainty_from_translation"),
+               ("repro.service.adaptive", "certainty_from_translation"))
+
+    @pytest.fixture()
+    def compute_threads(self, monkeypatch):
+        """The thread of every parse, enumeration and estimate."""
+        import importlib
+
+        threads: list[tuple[str, int]] = []
+        for module_name, name in self.COMPUTE:
+            module = importlib.import_module(module_name)
+            original = getattr(module, name)
+
+            def recorded(*args, _original=original, _name=name, **kwargs):
+                threads.append((_name, threading.get_ident()))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recorded)
+        return threads
+
+    @staticmethod
+    def _path(app: ServerApp, event: dict) -> str:
+        spans = app.trace_payload(event["trace_id"])["spans"]
+        return next(span["attributes"]["path"] for span in spans
+                    if span["name"] == "dispatch")
+
+    def test_nothing_computes_on_the_loop(self, database, compute_threads):
+        service = make_service(database)
+        adaptive = {"sql": OTHER_SQL, "options": {"adaptive": True}}
+        insert = "INSERT INTO Products VALUES ('loop-1', 'seg1', 5.0, 0.5)"
+        app = ServerApp(service)
+        checked = service.is_warm
+
+        def commit_after_check(*args, **kwargs):
+            # A commit lands between the warm check and ``submit``: the
+            # plan the check saw is gone when ``submit`` looks it up.
+            warm = checked(*args, **kwargs)
+            if warm and commit_now:
+                commit_now.pop()
+                writer = threading.Thread(target=service.mutate,
+                                          args=(insert,))
+                writer.start()
+                writer.join()
+            return warm
+
+        service.is_warm = commit_after_check
+        commit_now: list = []
+
+        async def scenario():
+            loop_thread = threading.get_ident()
+            paths = {}
+            for case, message in (("cold", {"sql": SQL}),
+                                  ("adaptive cold", adaptive),
+                                  ("warm", {"sql": SQL}),
+                                  ("adaptive warm", adaptive)):
+                paths[case] = self._path(app, (await _collect(app, message))[-1])
+            service._parse_cache.clear()
+            paths["parse miss"] = self._path(
+                app, (await _collect(app, {"sql": SQL}))[-1])
+            await app.mutate({"sql": insert.replace("loop-1", "loop-0")})
+            paths["re-plan"] = self._path(
+                app, (await _collect(app, {"sql": SQL}))[-1])
+            commit_now.append(True)
+            events = await _collect(app, {"sql": SQL})
+            paths["commit mid-check"] = self._path(app, events[-1])
+            return loop_thread, paths, events[-1]
+
+        try:
+            loop_thread, paths, committed = asyncio.run(scenario())
+        finally:
+            app.close()
+        assert paths == {"cold": "pool", "adaptive cold": "pool",
+                         "warm": "loop", "adaptive warm": "loop",
+                         "parse miss": "pool", "re-plan": "pool",
+                         "commit mid-check": "pool"}
+        assert not commit_now, "the injected commit never ran"
+        computed = {name for name, _ in compute_threads}
+        assert computed == {"parse_sql", "enumerate_candidates",
+                            "certainty_from_translation"}
+        on_loop = [name for name, thread in compute_threads
+                   if thread == loop_thread]
+        assert on_loop == [], f"computed on the event loop: {on_loop}"
+        # The abandoned request was answered at the version it re-planned.
+        fresh = make_service(service.database).submit(SQL)
+        assert [a["values"] for a in committed["answers"]] == \
+            [list(answer.values) for answer in fresh.answers]
+
+    def test_a_warm_read_never_reaches_the_compute_pool(self, database):
+        app = ServerApp(make_service(database))
+        handed = []
+        submit = app._executor.submit
+
+        def counting(*args, **kwargs):
+            handed.append(args[0])
+            return submit(*args, **kwargs)
+
+        app._executor.submit = counting
+
+        async def scenario():
+            await _collect(app, {"sql": SQL})
+            after_cold = len(handed)
+            for _ in range(3):
+                await _collect(app, {"sql": SQL})
+            return after_cold
+
+        try:
+            after_cold = asyncio.run(scenario())
+        finally:
+            app.close()
+        assert after_cold == 1 and len(handed) == 1
+        counters = app.stats()["server"]
+        assert counters["launched"] == 4 and counters["coalesced"] == 0
+
+    def test_loop_and_pool_replies_carry_the_same_answer_bytes(self,
+                                                               database):
+        from repro.server.protocol import dump_line
+
+        service = make_service(database)
+        app = ServerApp(service)
+
+        async def scenario():
+            cold = (await _collect(app, {"sql": SQL}))[-1]
+            loop = (await _collect(app, {"sql": SQL}))[-1]
+            # Serve the same warm read on the pool instead.
+            service.is_warm = lambda *args, **kwargs: False
+            pool = (await _collect(app, {"sql": SQL}))[-1]
+            return cold, loop, pool
+
+        try:
+            cold, loop, pool = asyncio.run(scenario())
+        finally:
+            app.close()
+        assert self._path(app, loop) == "loop"
+        assert self._path(app, pool) == "pool"
+        wire = [dump_line({"answers": event["answers"]})
+                for event in (cold, loop, pool)]
+        assert wire[0] == wire[1] == wire[2]
+        assert loop["stats"]["groups_computed"] == 0
+
+    def test_a_loop_served_read_is_traced(self, database):
+        service = make_service(database)
+        with EmbeddedServer(service) as server:
+            with ReproClient(server.host, server.port) as client:
+                client.query(SQL)
+                warm = client.query(SQL)
+                trace = client.trace(warm.trace_id)
+                exported = client.trace_export(warm.trace_id)
+                slow = client.stats()["service"]["slow_queries"]
+        assert warm.trace_id and trace["trace_id"] == warm.trace_id
+        dispatch = [span for span in trace["spans"]
+                    if span["name"] == "dispatch"]
+        assert [span["attributes"]["path"] for span in dispatch] == ["loop"]
+        assert {span["name"] for span in trace["spans"]} >= {
+            "parse", "enumerate", "schedule", "serialize"}
+        assert any(event["args"].get("path") == "loop"
+                   for event in exported["chrome"]["traceEvents"])
+        assert sorted(entry["path"] for entry in slow) == ["loop", "pool"]
+
+    def test_a_warm_duplicate_still_coalesces_onto_the_flight(
+            self, database, monkeypatch):
+        import repro.service.service as service_module
+
+        service = make_service(database)
+        app = ServerApp(service)
+        held = threading.Event()
+        release = threading.Event()
+        build = service_module._build_answers
+
+        def hold(*args, **kwargs):
+            # The leader's caches are filled by now; only its answers are
+            # still being built.
+            held.set()
+            assert release.wait(10), "the test never released the leader"
+            return build(*args, **kwargs)
+
+        async def scenario():
+            await _collect(app, {"sql": SQL})
+            service._plan_cache.clear()  # the next SQL re-plans and builds
+            monkeypatch.setattr(service_module, "_build_answers", hold)
+            leader = asyncio.ensure_future(_collect(app, {"sql": SQL}))
+            while not held.is_set():
+                await asyncio.sleep(0.005)
+            warm_now = service.is_warm(SQL)
+            follower = asyncio.ensure_future(_collect(app, {"sql": SQL}))
+            await asyncio.sleep(0.05)
+            release.set()
+            return warm_now, await leader, await follower
+
+        try:
+            warm_now, leader, follower = asyncio.run(scenario())
+        finally:
+            release.set()
+            app.close()
+        assert warm_now, "the follower arrived with every cache warm"
+        assert follower == leader
+        counters = app.stats()["server"]
+        assert counters["coalesced"] == 1 and counters["launched"] == 2
+
+    def test_refusals_come_before_the_loop_answer(self, database):
+        service = make_service(database)
+        app = ServerApp(service, max_pending=1)
+        checks = []
+        checked = service.is_warm
+
+        def counted(*args, **kwargs):
+            checks.append(args[0])
+            return checked(*args, **kwargs)
+
+        service.is_warm = counted
+        release = threading.Event()
+        original = AnnotationService._estimate
+
+        def held_estimate(self, *args, **kwargs):
+            assert release.wait(10), "the test never released the estimate"
+            return original(self, *args, **kwargs)
+
+        async def scenario():
+            await _collect(app, {"sql": SQL})  # SQL is warm from here on
+            AnnotationService._estimate = held_estimate
+            cold = asyncio.ensure_future(_collect(app, {"sql": OTHER_SQL}))
+            while not app.stats()["server"]["active"]:
+                await asyncio.sleep(0.005)
+            overloaded = await _collect(app, {"sql": SQL})
+            release.set()
+            await cold
+            app.begin_drain()
+            draining = await _collect(app, {"sql": SQL})
+            return overloaded, draining
+
+        try:
+            overloaded, draining = asyncio.run(scenario())
+        finally:
+            AnnotationService._estimate = original
+            release.set()
+            app.close()
+        assert [event["code"] for event in overloaded] == ["overloaded"]
+        assert [event["code"] for event in draining] == ["draining"]
+        assert checks == [SQL, OTHER_SQL], \
+            "a refused request must not reach the warm check"
+        assert app.stats()["server"]["overloads"] == 1

@@ -215,6 +215,25 @@ class TestAnswerCodec:
         assert math.isclose(low, 0.575) and math.isclose(high, 0.675)
         assert decode_certainty(wire).interval() == (low, high)
 
+    def test_decoded_certainty_is_the_constructed_one(self):
+        certainty = self._answer().certainty
+        decoded = decode_certainty(json.loads(json.dumps(
+            encode_certainty(certainty))))
+        assert decoded == certainty
+        assert repr(decoded) == repr(certainty)
+        with pytest.raises(AttributeError):
+            decoded.value = 0.5  # still frozen
+
+    def test_decoded_certainty_keeps_the_range_check_and_clamp(self):
+        wire = encode_certainty(self._answer().certainty)
+        assert decode_certainty({**wire, "value": 1.0 + 1e-12}).value == 1.0
+        assert type(decode_certainty({**wire, "value": 0}).value) is float
+        for outside in (1.01, -0.01):
+            with pytest.raises(ValueError, match="must be in"):
+                decode_certainty({**wire, "value": outside})
+        with pytest.raises(TypeError):
+            decode_certainty({**wire, "stray": 1})
+
 
 class TestFraming:
     def test_dump_load_roundtrip(self):

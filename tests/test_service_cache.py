@@ -87,6 +87,27 @@ class TestLruCache:
         after = cache.stats()
         assert (after.hits, after.misses) == (before.hits, before.misses)
 
+    def test_get_many_counts_and_refreshes_like_get(self):
+        cache = LruCache(3, name="batched")
+        for key in "abc":
+            cache.put(key, key.upper())
+        assert cache.get_many(["a", "x", "b"]) == ["A", None, "B"]
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (2, 1)
+        cache.put("d", "D")  # "c" was not refreshed: it is the oldest
+        assert "c" not in cache and "a" in cache and "b" in cache
+
+    def test_holds_all_reads_without_counting(self):
+        cache = LruCache(2, name="held")
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.holds_all(["a", "b"]) and cache.holds_all([])
+        assert not cache.holds_all(["a", "missing"])
+        cache.put("c", 3)  # "a" stayed oldest: holds_all refreshed nothing
+        assert "a" not in cache
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (0, 0)
+
 
 class TestSingleFlight:
     def test_follower_joins_the_leaders_flight(self):
