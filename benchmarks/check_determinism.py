@@ -34,7 +34,7 @@ from repro.engine.candidates import enumerate_candidates
 from repro.engine.sql.parser import parse_sql
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service import AnnotationService, ServiceOptions, shutdown_pools
-from repro.service.canonical import canonicalise_lineage
+from repro.service.canonical import canonicalise
 
 #: The workload: two equi-joins and a scan, served with process-parallel
 #: estimation at a fixed seed.
@@ -84,12 +84,19 @@ def run_workload() -> dict[str, str]:
                 feed.update(answer.certainty.value.hex().encode())
             digests[f"{name}/{mode}"] = feed.hexdigest()
         # Lineage is not carried on served answers, so digest it at the
-        # enumeration level.
+        # enumeration level, recomputed rather than taken from the lineage.
         feed = hashlib.sha256()
         for candidate in enumerate_candidates(parse_sql(sql), database):
+            lineage = candidate.lineage
+            digest = canonicalise(lineage.formula,
+                                  lineage.relevant_variables).digest
+            if lineage.digest != digest:
+                raise AssertionError(
+                    f"{name}: a lineage carries digest {lineage.digest!r}, "
+                    f"its formula digests to {digest!r}")
             feed.update(repr(candidate.values).encode())
             feed.update(str(candidate.witnesses).encode())
-            feed.update(canonicalise_lineage(candidate.lineage).digest)
+            feed.update(digest)
         digests[f"{name}/lineage"] = feed.hexdigest()
     return digests
 

@@ -391,7 +391,13 @@ def bench_server(quick: bool) -> dict:
     pool started, coalescing active.  Reported latency percentiles and QPS
     come from the concurrent run; the headline ratio is serial wall clock
     over concurrent wall clock.
+
+    The clients run in a child process (spawned once per side, outside
+    the timed runs), so they do not share the server's GIL: client-side
+    decoding can use a second CPU while the server answers.
     """
+    import multiprocessing
+
     from loadgen import build_workload, run_load
 
     from repro.server import EmbeddedServer
@@ -409,9 +415,11 @@ def bench_server(quick: bool) -> dict:
     def measure(connections: int) -> tuple:
         service = AnnotationService(database, ServiceOptions(seed=0))
         with EmbeddedServer(service, workers=max(4, connections),
-                            http=False) as server:
-            run_load(server.host, server.port, workload, connections)  # warm-up
-            report = run_load(server.host, server.port, workload, connections)
+                            http=False) as server, \
+                multiprocessing.get_context("spawn").Pool(1) as clients:
+            load = (server.host, server.port, workload, connections)
+            clients.apply(run_load, load)  # warm-up
+            report = clients.apply(run_load, load)
             coalesced = server.app.stats()["server"]["coalesced"]
         return report, coalesced
 

@@ -340,14 +340,12 @@ def translate(query: Query, database: Database,
 
     formula = translator.translate(query.body, environment).simplify()
 
-    nulls = database.num_nulls_ordered()
-    all_variables = tuple(_null_variable(null) for null in nulls)
-    null_by_variable = {_null_variable(null): null for null in nulls}
+    null_order = database.null_order()
     occurring = formula.variables()
-    relevant = tuple(name for name in all_variables if name in occurring)
+    relevant = tuple(name for name in null_order.variables if name in occurring)
     return TranslationResult(
         formula=formula,
-        all_variables=all_variables,
+        all_variables=null_order.variables,
         relevant_variables=relevant,
-        null_by_variable=null_by_variable,
+        null_by_variable=null_order.by_variable,
     )

@@ -330,16 +330,18 @@ def enumerate_candidates(select: SelectQuery, database: Database,
 
     ``frontier_stats``, if given, receives on the columnar engine which
     frontier path ran (``"frontier"``, one of
-    :data:`repro.engine.vectorized.FRONTIER_PATHS`) and how many residual
-    formulas it built (``"residuals"``).
+    :data:`repro.engine.vectorized.FRONTIER_PATHS`), how many residual
+    formulas it built (``"residuals"``) and how many candidate lineages it
+    built rather than reused from the frontier cache (``"lineages"``).
 
     ``frontier_cache``, if given, is a
     :class:`repro.engine.vectorized.FrontierCache`: the columnar path
     reuses a previously computed join frontier for the same query shape
     and delta-joins only rows appended since (MVCC append-only versions
     keep old row indices stable; the cache's ``advance`` carries entries
-    past deletes at commit time).  Results are bit-identical with or
-    without it; the row backend ignores both.
+    past deletes at commit time), and reuses the lineage of every answer
+    whose kept witnesses did not change.  Results are bit-identical with
+    or without it; the row backend ignores both.
     """
     chosen = backend if backend is not None else getattr(database, "backend", "rows")
     if chosen == "columnar":
@@ -483,28 +485,48 @@ def enumerate_candidates(select: SelectQuery, database: Database,
 
 def _build_candidates(order: list, witness_formulae: dict, witness_counts: dict,
                       row_values: dict, columns: tuple[str, ...],
-                      database: Database) -> list[CandidateAnswer]:
+                      database: Database,
+                      reused: Optional[Mapping] = None) -> list[CandidateAnswer]:
     """Assemble :class:`CandidateAnswer` objects from accumulated witnesses.
 
     Shared by the row-at-a-time path above and the vectorized columnar path
     (:mod:`repro.engine.vectorized`): each candidate's lineage is the
     simplified disjunction of its witnesses' constraint formulae, wrapped in
-    a :class:`TranslationResult` over the database's ambient null order.
+    a :class:`TranslationResult` over the database's ambient null order and
+    carrying its canonical digest (:func:`repro.service.canonical.
+    canonicalise`).
+
+    ``reused`` maps a key to a ``(formula, relevant_variables, digest)``
+    triple the caller already holds for exactly these witnesses; such a key
+    needs no ``witness_formulae`` entry and is not built again.  The
+    relevant tuple stays valid under a new null order: it is the formula's
+    variables in name order, and adding or removing other nulls keeps that
+    order.
     """
-    all_nulls = database.num_nulls_ordered()
-    all_variables = tuple(null.variable for null in all_nulls)
-    null_by_variable = {null.variable: null for null in all_nulls}
+    # Deferred: the canonical form sits in the service layer above the
+    # engine, which is fully initialised by the first enumeration.
+    from repro.service.canonical import canonicalise
+
+    null_order = database.null_order()
+    all_variables = null_order.variables
+    null_by_variable = null_order.by_variable
 
     candidates: list[CandidateAnswer] = []
     for key in order:
-        formula = disjunction(witness_formulae[key]).simplify()
-        occurring = formula.variables()
-        relevant = tuple(name for name in all_variables if name in occurring)
+        known = reused.get(key) if reused else None
+        if known is not None:
+            formula, relevant, digest = known
+        else:
+            formula = disjunction(witness_formulae[key]).simplify()
+            occurring = formula.variables()
+            relevant = tuple(name for name in all_variables if name in occurring)
+            digest = canonicalise(formula, relevant).digest
         lineage = TranslationResult(
             formula=formula,
             all_variables=all_variables,
             relevant_variables=relevant,
             null_by_variable=null_by_variable,
+            digest=digest,
         )
         candidates.append(CandidateAnswer(values=row_values[key], columns=columns,
                                           lineage=lineage,

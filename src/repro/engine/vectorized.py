@@ -470,7 +470,9 @@ def enumerate_candidates_columnar(select: SelectQuery, database: Database,
     ``frontier_stats``, when given, receives ``"frontier"``: which
     frontier path the engine took (:data:`FRONTIER_PATHS`), and unless the
     row oracle answered, ``"residuals"``: how many residual formulas the
-    engine compiled (:attr:`_ResidualBuilder.built`).
+    engine compiled (:attr:`_ResidualBuilder.built`), and ``"lineages"``:
+    how many candidate lineages it built rather than reused from the
+    frontier cache (see :func:`_assemble_candidates`).
     """
     from repro.engine.candidates import enumerate_candidates
 
@@ -506,27 +508,30 @@ def _enumerate_eager(select: SelectQuery, database: Database,
 
     builder = _ResidualBuilder(_VectorizedEvaluator(
         database, _ConditionCompiler(database, select)))
-    frontier = pending = None
+    frontier = pending = known = None
     path = "cold"
     if frontier_cache is not None:
         entry = frontier_cache.lookup(select, database)
         if entry is not None:
             frontier, pending = _maintain_frontier(select, database, entry,
                                                    builder)
+            known = entry.lineages
             path = "advanced" if entry.advanced else "appended"
     if frontier is None:
         frontier, pending = _compute_frontier(select, builder)
-    if frontier_cache is not None:
-        # The entry holds this very ``pending`` list, so the residuals
-        # assembly settles below are kept for the next re-plan.
-        frontier_cache.store(select, database, frontier, pending)
     if stats is not None:
         stats["frontier"] = path
-    candidates = _assemble_candidates(select, database, frontier, pending,
-                                      limit, max_witnesses, group_witnesses,
-                                      builder)
+    candidates, lineages, built = _assemble_candidates(
+        select, database, frontier, pending, limit, max_witnesses,
+        group_witnesses, builder, known)
+    if frontier_cache is not None:
+        # The entry holds this very ``pending`` list, so the residuals
+        # assembly settled are kept for the next re-plan, and so are the
+        # lineages built from them.
+        frontier_cache.store(select, database, frontier, pending, lineages)
     if stats is not None:
         stats["residuals"] = builder.built
+        stats["lineages"] = built
     return candidates
 
 
@@ -747,6 +752,10 @@ class _FrontierEntry:
     frontier: dict
     #: Pending slots (see :class:`_ResidualBuilder`), settled in place.
     pending: Optional[list]
+    #: The last assembly's lineages (see :func:`_assemble_candidates`):
+    #: output key to ``(settled slots, formula, relevant_variables,
+    #: digest)``.  Each assembly stores a new dict; none is mutated.
+    lineages: dict
     #: Whether :meth:`FrontierCache.advance` carried it past a delete since
     #: it was stored.
     advanced: bool = False
@@ -794,7 +803,9 @@ class FrontierCache:
     slots would be memory nothing reads again -- while a mutated chain
     caches from its first enumeration on.  An entry holds the very slot
     list assembly settles, so the residuals built for kept witnesses are
-    built once per entry, not once per re-plan.
+    built once per entry, not once per re-plan, and the lineages the last
+    assembly built from those slots, so a re-plan builds only the lineages
+    of output keys whose witnesses changed.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -836,8 +847,10 @@ class FrontierCache:
         return entry
 
     def store(self, select: SelectQuery, database: Database,
-              frontier: dict, pending: Optional[list]) -> None:
-        """Cache ``select``'s frontier at ``database`` if it is admitted."""
+              frontier: dict, pending: Optional[list],
+              lineages: dict) -> None:
+        """Cache ``select``'s frontier at ``database`` if it is admitted,
+        with the lineages assembly built from it."""
         if database.data_version == 0:
             return  # a snapshot no commit has moved: nothing will reuse it
         current = self._cache.peek(select)
@@ -853,6 +866,7 @@ class FrontierCache:
             lengths=lengths,
             frontier=frontier,
             pending=pending,
+            lineages=lineages,
         ))
 
     def advance(self, parent: Database, sealed: Database,
@@ -910,7 +924,8 @@ def _advance_entry(entry: _FrontierEntry, shrunk: list,
                 pending = None
     return _FrontierEntry(version_token=entry.version_token,
                           data_version=data_version, lengths=lengths,
-                          frontier=frontier, pending=pending, advanced=True)
+                          frontier=frontier, pending=pending,
+                          lineages=entry.lineages, advanced=True)
 
 
 def _maintain_frontier(select: SelectQuery, database: Database,
@@ -981,7 +996,8 @@ def _assemble_candidates(select: SelectQuery, database: Database,
                          frontier: dict, pending: Optional[list],
                          limit: Optional[int], max_witnesses: int,
                          group_witnesses: bool,
-                         builder: _ResidualBuilder) -> list:
+                         builder: _ResidualBuilder,
+                         known: Optional[dict]) -> tuple[list, dict, int]:
     """Project, group and build candidates from a computed frontier.
 
     The terminal stage of the eager path; it mirrors the reference
@@ -994,6 +1010,13 @@ def _assemble_candidates(select: SelectQuery, database: Database,
     as if absent.  Only live witnesses count towards ``max_witnesses``, so
     when the frontier is longer than the cap a witness past ``LIMIT`` is
     settled as well, to learn whether it counts.
+
+    A key's lineage is a pure function of its kept witnesses' settled
+    slots, in order.  ``known`` is a previous assembly's lineages (see
+    :attr:`_FrontierEntry.lineages`); a key whose slots are the very same
+    objects in the same order takes its ``(formula, relevant_variables,
+    digest)`` from there, and only the other keys are built.  Returns the
+    candidates, this assembly's lineages and how many it built.
     """
     from repro.engine.candidates import _build_candidates
 
@@ -1017,8 +1040,7 @@ def _assemble_candidates(select: SelectQuery, database: Database,
 
     # -- witness grouping, mirroring the recursion's terminal block ----------
     order_keys: list = []
-    witness_formulae: dict = {}
-    witness_counts: dict = {}
+    witness_slots: dict = {}
     row_values: dict = {}
     witnesses_seen = 0
     for position in range(witness_count):
@@ -1028,7 +1050,7 @@ def _assemble_candidates(select: SelectQuery, database: Database,
         full = effective_limit is not None and len(order_keys) >= effective_limit
         if group_witnesses:
             key = output
-            if full and key not in witness_formulae:
+            if full and key not in witness_slots:
                 # Past LIMIT a new key only counts towards the cap.
                 if cap_binds and builder.settle(
                         pending, frontier, position) is not _DEAD:
@@ -1042,19 +1064,33 @@ def _assemble_candidates(select: SelectQuery, database: Database,
         witnesses_seen += 1
         if not group_witnesses:
             key = len(order_keys)
-        if key not in witness_formulae:
+        if key not in witness_slots:
             order_keys.append(key)
-            witness_formulae[key] = []
-            witness_counts[key] = 0
+            witness_slots[key] = []
             row_values[key] = output
-        # Exactly ``conjunction(residuals)``, with the empty case interned.
-        if not residuals:
-            witness_formulae[key].append(_TRUE)
-        elif len(residuals) == 1:
-            witness_formulae[key].append(residuals[0])
-        else:
-            witness_formulae[key].append(And(residuals))
-        witness_counts[key] += 1
+        witness_slots[key].append(residuals)
 
-    return _build_candidates(order_keys, witness_formulae, witness_counts,
-                             row_values, columns, database)
+    # -- lineages: reuse a key whose slots did not change --------------------
+    witness_formulae: dict = {}
+    reused: dict = {}
+    for key in order_keys:
+        slots = witness_slots[key] = tuple(witness_slots[key])
+        previous = known.get(key) if known else None
+        if previous is not None and len(previous[0]) == len(slots) and all(
+                old is new for old, new in zip(previous[0], slots)):
+            reused[key] = previous[1:]
+            continue
+        # Exactly ``conjunction(residuals)``, with the empty case interned.
+        witness_formulae[key] = [
+            _TRUE if not residuals else residuals[0] if len(residuals) == 1
+            else And(residuals) for residuals in slots]
+
+    candidates = _build_candidates(
+        order_keys, witness_formulae,
+        {key: len(slots) for key, slots in witness_slots.items()},
+        row_values, columns, database, reused)
+    lineages = {
+        key: (witness_slots[key], candidate.lineage.formula,
+              candidate.lineage.relevant_variables, candidate.lineage.digest)
+        for key, candidate in zip(order_keys, candidates)}
+    return candidates, lineages, len(witness_formulae)

@@ -21,7 +21,8 @@ widening of ``int`` constants to the equal ``float``).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.relational.columnar import ColumnarRelation
 from repro.relational.relation import Relation
@@ -30,6 +31,23 @@ from repro.relational.values import BaseNull, NumNull, Value
 
 #: The supported storage backends.
 BACKENDS = ("rows", "columnar")
+
+
+@dataclass(frozen=True)
+class NullOrder:
+    """A database's numerical nulls in coordinate order, with the two maps
+    every lineage translation derives from that order.
+
+    Shared by every translation of one snapshot, so treat ``by_variable``
+    as read-only.
+    """
+
+    #: The nulls sorted by name (:meth:`Database.num_nulls_ordered`).
+    nulls: tuple[NumNull, ...]
+    #: ``null.variable`` of each null, in the same order.
+    variables: tuple[str, ...]
+    #: Variable name back to its null.
+    by_variable: Mapping[str, NumNull]
 
 
 class Database:
@@ -62,6 +80,10 @@ class Database:
         #: Identity of this snapshot's version chain: shared by every
         #: snapshot committed from this one, distinct for converted copies.
         self._version_token: object = object()
+        #: :meth:`null_order`, computed on first use.  A sealed snapshot is
+        #: a new object; the in-place edits (``add``, ``install_relation``)
+        #: clear it.
+        self._null_order: Optional[NullOrder] = None
 
     # -- construction ------------------------------------------------------
 
@@ -81,6 +103,7 @@ class Database:
         if relation_name not in self._relations:
             raise SchemaError(f"unknown relation {relation_name!r}")
         self._relations[relation_name].add(values)
+        self._null_order = None
 
     def install_relation(self, relation) -> None:
         """Replace a relation wholesale with a bulk-built instance.
@@ -108,6 +131,7 @@ class Database:
         # prefix of the new.
         self._version_token = object()
         self._relations[name] = relation
+        self._null_order = None
 
     def copy(self) -> "Database":
         """A deep copy (tuples are immutable, so sharing them is safe).
@@ -272,7 +296,19 @@ class Database:
         correspondence between nulls and vector coordinates; sorting by name
         makes that correspondence reproducible across runs.
         """
-        return tuple(sorted(self.num_nulls(), key=lambda null: null.name))
+        return self.null_order().nulls
+
+    def null_order(self) -> NullOrder:
+        """:meth:`num_nulls_ordered` with its variable tuple and map, built
+        once per snapshot: every plan and commit reads them."""
+        order = self._null_order
+        if order is None:
+            nulls = tuple(sorted(self.num_nulls(), key=lambda null: null.name))
+            order = self._null_order = NullOrder(
+                nulls=nulls,
+                variables=tuple(null.variable for null in nulls),
+                by_variable={null.variable: null for null in nulls})
+        return order
 
     def is_complete(self) -> bool:
         """Whether the database contains no nulls at all."""

@@ -207,5 +207,13 @@ def canonicalise(formula: ConstraintFormula,
 
 
 def canonicalise_lineage(lineage: TranslationResult) -> CanonicalLineage:
-    """Canonicalise a translated candidate's lineage."""
+    """Canonicalise a translated candidate's lineage.
+
+    A lineage that carries its digest (the engine's candidates do) is not
+    serialised again: the digest is taken as the canonical digest of its
+    ``(formula, relevant_variables)``.
+    """
+    if lineage.digest is not None:
+        return CanonicalLineage(digest=lineage.digest, source=lineage.formula,
+                                source_variables=tuple(lineage.relevant_variables))
     return canonicalise(lineage.formula, tuple(lineage.relevant_variables))

@@ -44,7 +44,10 @@ class TaskGroup:
 
 
 def build_schedule(candidates: Sequence["CandidateAnswer"]) -> list[TaskGroup]:
-    """Group candidates by canonical-lineage digest, in first-member order."""
+    """Group candidates by canonical-lineage digest, in first-member order.
+
+    A lineage that carries its digest is grouped on it without being
+    serialised again (:func:`canonicalise_lineage`)."""
     order: list[CanonicalLineage] = []
     members_by_digest: dict[bytes, list[int]] = {}
     for index, candidate in enumerate(candidates):

@@ -885,7 +885,7 @@ class AnnotationService:
                 # Only a cache miss reaches this closure, so the span
                 # attribute doubles as the hit/miss marker.
                 span.set("plan_cache", "miss")
-                for name in ("frontier", "residuals"):
+                for name in ("frontier", "residuals", "lineages"):
                     if name in frontier_stats:
                         span.set(name, frontier_stats[name])
             return _plan_entry(planned)

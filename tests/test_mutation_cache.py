@@ -249,19 +249,24 @@ class TestDeltaDrivenInvalidation:
             witnesses = sum(answer.witnesses for answer in response.answers)
             return (enumerate_.attributes["frontier"],
                     enumerate_.attributes["residuals"], witnesses,
-                    _snapshot(response.answers))
+                    _snapshot(response.answers),
+                    enumerate_.attributes["lineages"])
 
-        path, built, witnesses, answers = read(
+        path, built, witnesses, answers, lineages = read(
             "DELETE FROM Orders WHERE id = 'none'")
         assert (path, built > 0) == ("cold", True)
+        assert lineages == len(answers) > 1
         product = answers[0][0][0]
-        # The new order's q is a null, so every witness using it is pending.
-        path, built, grown, _ = read(
+        # The new order's q is a null, so every witness using it is pending;
+        # only the lineage of the answer it joins is built again.
+        path, built, grown, _, lineages = read(
             f"INSERT INTO Orders VALUES ('o9000', '{product}', NULL, 5.0)")
         assert path == "appended"
         assert built == grown - witnesses > 0
-        path, built, _, after = read("DELETE FROM Orders WHERE id = 'o9000'")
-        assert (path, built) == ("advanced", 0)
+        assert lineages == 1
+        path, built, _, after, lineages = read(
+            "DELETE FROM Orders WHERE id = 'o9000'")
+        assert (path, built, lineages) == ("advanced", 0, 1)
         assert after == answers
 
     def test_a_read_only_warm_up_holds_no_frontier(self):
@@ -423,6 +428,160 @@ class TestSupersededPlans:
         after = service.submit(Q_T).answers
         assert _snapshot(after) == \
             _snapshot(_service(_rebuild(service)).submit(Q_T).answers)
+
+
+#: A join whose every lineage is a compound formula assembly builds (a
+#: conjunction of two residuals or a disjunction of two witnesses), never
+#: one residual it could pass through as is.
+Q_JOIN = ("SELECT t.key FROM t, v "
+          "WHERE t.key = v.key AND t.x + v.y > 3 AND t.x < 8")
+
+
+def _join_database(backend: str = "columnar") -> Database:
+    schema = DatabaseSchema.of(
+        RelationSchema.of("t", key="base", x="num"),
+        RelationSchema.of("v", id="base", key="base", y="num"))
+    return Database.from_dict(schema, {
+        "t": [("a", NumNull("n0")), ("b", NumNull("n1")), ("c", 4.0)],
+        "v": [("v0", "a", 1.0), ("v1", "b", 2.0), ("v2", "c", NumNull("n2")),
+              ("v3", "c", NumNull("n3"))],
+    }, backend=backend)
+
+
+def _planned(service: AnnotationService, sql: str) -> tuple:
+    """``{answer values: candidate}`` of the plan ``submit`` used, and the
+    ``lineages`` attribute of its ``enumerate`` span."""
+    entries = []
+    plan = service._plan
+
+    def capture(*args, **kwargs):
+        entries.append(plan(*args, **kwargs))
+        return entries[-1]
+
+    service._plan = capture
+    try:
+        response = service.submit(sql, trace=True)
+    finally:
+        del service._plan
+    (enumerate_,) = [span for span in response.trace.spans
+                     if span.name == "enumerate"]
+    candidates = {candidate.values: candidate
+                  for candidate in entries[0].candidates}
+    return candidates, enumerate_.attributes.get("lineages")
+
+
+def _lineages(candidates) -> list:
+    return [(c.values, c.witnesses, c.lineage.formula,
+             c.lineage.relevant_variables, c.lineage.all_variables,
+             c.lineage.digest) for c in candidates]
+
+
+class TestLineageReuse:
+    """A re-plan rebuilds only the lineages of answers a write changed."""
+
+    #: A first commit, so the chain moves and the frontier cache admits.
+    WARM_UP = "INSERT INTO t VALUES ('z', 9.0)"
+    INSERT = "INSERT INTO v VALUES ('v9', 'a', NULL)"
+    DELETE = "DELETE FROM v WHERE id = 'v9'"
+
+    def _chain(self, backend: str = "columnar"):
+        service = _service(_join_database(backend))
+        versions = []
+        for statement in (self.WARM_UP, self.INSERT, self.DELETE):
+            service.mutate(statement)
+            versions.append(_planned(service, Q_JOIN))
+        return service, versions
+
+    def test_a_write_rebuilds_only_the_answer_it_joins(self):
+        _, [(before, cold), (inserted, built), _] = self._chain()
+        for key in (("b",), ("c",)):
+            assert inserted[key].lineage.formula is before[key].lineage.formula
+            assert inserted[key].lineage.digest is before[key].lineage.digest
+            assert inserted[key].lineage.digest is not None
+        assert inserted[("a",)].witnesses == 2
+        assert inserted[("a",)].lineage.formula is not \
+            before[("a",)].lineage.formula
+        assert cold == 3 and built == 1
+        # The INSERT added a null: the reused lineages carry the new order.
+        assert inserted[("b",)].lineage.dimension == \
+            before[("b",)].lineage.dimension + 1
+
+    def test_deleting_the_row_again_reuses_the_other_answers(self):
+        _, [(before, _), (inserted, _), (deleted, built)] = self._chain()
+        for key in (("b",), ("c",)):
+            assert deleted[key].lineage.formula is \
+                inserted[key].lineage.formula
+            assert deleted[key].lineage.dimension == \
+                before[key].lineage.dimension
+        assert deleted[("a",)].witnesses == 1
+        assert deleted[("a",)].lineage.formula == before[("a",)].lineage.formula
+        assert built == 1
+
+    def test_an_update_rebuilds_the_answer_it_rewrote(self):
+        # An UPDATE is a delete plus an append: the commit carries the
+        # frontier past the delete, so only the rewritten answer changes.
+        service, [*_, (deleted, _)] = self._chain()
+        service.mutate("UPDATE t SET x = 7 WHERE key = 'c'")
+        updated, built = _planned(service, Q_JOIN)
+        for key in (("a",), ("b",)):
+            assert updated[key].lineage.formula is deleted[key].lineage.formula
+        assert updated[("c",)].lineage.formula != \
+            deleted[("c",)].lineage.formula
+        assert built == 1
+        assert _lineages(updated.values()) == \
+            _lineages(_planned(_service(_rebuild(service)), Q_JOIN)[0].values())
+
+    def test_a_cold_frontier_and_the_rows_backend_rebuild_every_lineage(self):
+        service, [*_, (deleted, _)] = self._chain()
+        rows_service, rows_versions = self._chain("rows")
+        for (candidates, _), (rows, built) in zip(self._chain()[1],
+                                                  rows_versions):
+            assert built is None  # the row engine reuses nothing
+            assert _lineages(candidates.values()) == _lineages(rows.values())
+        assert all(rows_versions[2][0][key].lineage.formula is not
+                   rows_versions[1][0][key].lineage.formula
+                   for key in rows_versions[1][0])
+        service.invalidate()  # drops the cached frontier with its lineages
+        service.mutate("UPDATE t SET x = 7 WHERE key = 'c'")
+        cold, built = _planned(service, Q_JOIN)
+        assert built == len(cold) == 3
+        assert not any(cold[key].lineage.formula is
+                       deleted[key].lineage.formula for key in cold)
+        rows_service.mutate("UPDATE t SET x = 7 WHERE key = 'c'")
+        assert _lineages(cold.values()) == \
+            _lineages(_planned(rows_service, Q_JOIN)[0].values())
+
+    def test_no_stale_lineage_under_limit_truncation_or_bag_semantics(self):
+        select = parse_sql(NEVER_KNOWINGLY_UNDERSOLD)
+        settings = ({}, {"limit": 3}, {"max_witnesses": 7},
+                    {"group_witnesses": False}, {"group_witnesses": False,
+                                                 "limit": 4})
+        base = TestFrontierCache._sales()
+        product = enumerate_candidates(select, base)[0].values[0]
+        statements = [f"INSERT INTO Orders VALUES ('o900{index}', "
+                      f"'{product}', NULL, 5.0)" for index in range(3)]
+        statements += ["DELETE FROM Orders WHERE id = 'o9001'",
+                       "DELETE FROM Orders WHERE id = 'o9000'"]
+        # A cache per setting, so each re-plan meets the lineages its own
+        # setting built a version earlier; then one cache every setting
+        # shares (it is keyed on the query shape, not on these arguments),
+        # so an assembly also meets the lineages of another setting.
+        for chain in [(setting,) for setting in settings] + [settings]:
+            cache = FrontierCache()
+            database = base
+            for step, statement in enumerate(statements):
+                parent = database
+                database, deltas, _ = execute_mutation(
+                    parse_statement(statement), parent)
+                cache.advance(parent, database, deltas)
+                fresh = _fresh(database, "rows")
+                for offset in range(len(chain)):
+                    setting = chain[(step + offset) % len(chain)]
+                    warm = enumerate_candidates(
+                        select, database, frontier_cache=cache, **setting)
+                    assert _lineages(warm) == _lineages(
+                        enumerate_candidates(select, fresh, **setting)), \
+                        (statement, setting)
 
 
 def _sales_service() -> AnnotationService:

@@ -18,7 +18,8 @@ intermediate version against
   rebuild of the same content (fresh version chain, no caches),
 
 demanding bit-identical candidates, witness order, lineage formulas,
-canonical lineage digests -- and, on sampled low-dimensional lineages,
+canonical lineage digests (recomputed, and equal to the digest each
+lineage carries) -- and, on sampled low-dimensional lineages,
 bit-identical certainty estimates, which follow from equal digests
 because the Monte-Carlo streams are keyed on them.
 
@@ -53,7 +54,7 @@ from repro.relational.database import Database
 from repro.relational.mutation import MutationError, MutationValidationError
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import is_numeric_constant
-from repro.service.canonical import canonicalise_lineage
+from repro.service.canonical import canonicalise
 
 #: Default number of random (schema, data, script, query) cases; the
 #: acceptance criterion requires at least 200 per run.
@@ -176,8 +177,17 @@ def _assert_equal(context: str, reference, candidate) -> None:
         assert expected.columns == actual.columns, context
         assert expected.witnesses == actual.witnesses, context
         assert expected.lineage.formula == actual.lineage.formula, context
-        assert canonicalise_lineage(expected.lineage).digest == \
-            canonicalise_lineage(actual.lineage).digest, context
+        assert _digest(context, expected.lineage) == \
+            _digest(context, actual.lineage), context
+
+
+def _digest(context: str, lineage) -> bytes:
+    """The lineage's canonical digest, recomputed from its formula; the
+    digest the lineage carries (reused across commits on the columnar
+    chain) must equal it."""
+    digest = canonicalise(lineage.formula, lineage.relevant_variables).digest
+    assert lineage.digest == digest, context
+    return digest
 
 
 class TestMutationDifferential:

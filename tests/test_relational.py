@@ -239,6 +239,16 @@ class TestDatabase:
     def test_num_nulls_ordered_is_deterministic(self, mixed_database):
         assert mixed_database.num_nulls_ordered() == (NumNull("book_price"),)
 
+    def test_null_order_follows_an_in_place_add(self, mixed_database):
+        assert mixed_database.num_nulls_ordered() == (NumNull("book_price"),)
+        mixed_database.add("Items", ("lamp", NumNull("a_lamp")))
+        assert mixed_database.num_nulls_ordered() == \
+            (NumNull("a_lamp"), NumNull("book_price"))
+        order = mixed_database.null_order()
+        assert order.variables == ("z_a_lamp", "z_book_price")
+        assert order.by_variable == {"z_a_lamp": NumNull("a_lamp"),
+                                     "z_book_price": NumNull("book_price")}
+
     def test_from_dict_and_copy(self, mixed_schema):
         database = Database.from_dict(mixed_schema, {
             "Items": [("pen", 1.0)],
