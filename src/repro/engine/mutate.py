@@ -144,7 +144,7 @@ def _matching_rows(database, table: str, conditions) -> list[int]:
             builder = _ResidualBuilder(_VectorizedEvaluator(database, compiler))
             rows = {table: np.arange(len(relation), dtype=np.int64)}
             slots = [()] * len(relation)
-            alive = _apply_conditions(conditions, builder, rows, slots)
+            alive, _ = _apply_conditions(conditions, builder, rows, slots)
             # A pending condition may still fold to true (certain) or false.
             return [index for index in np.flatnonzero(alive).tolist()
                     if not builder.settle(slots, rows, index)]

@@ -402,8 +402,10 @@ class _ResidualBuilder:
 def _apply_conditions(conditions: Sequence[Condition],
                       builder: _ResidualBuilder,
                       frame_rows: dict[str, np.ndarray],
-                      slots: list) -> np.ndarray:
-    """Classify one condition list over a frontier; returns the keep mask.
+                      slots: list) -> tuple[np.ndarray, bool]:
+    """Classify one condition list over a frontier; returns the keep mask
+    and whether any slot gained an item (so a caller that started from
+    empty slots knows without scanning them whether one is still empty).
 
     ``frame_rows`` maps bindings to original-row index arrays, all of one
     length.  ``slots`` is the parallel list of pending slots (see
@@ -422,6 +424,7 @@ def _apply_conditions(conditions: Sequence[Condition],
     lengths = {len(rows) for rows in frame_rows.values()}
     count = lengths.pop() if lengths else 0
     alive = np.ones(count, dtype=bool)
+    extended = False
     frame = _Frame()
     frame.rows = frame_rows
     for condition in conditions:
@@ -436,8 +439,10 @@ def _apply_conditions(conditions: Sequence[Condition],
         if classified is not None:
             decided, truth = classified
             alive &= ~(decided & ~truth)
-            for position in np.flatnonzero(alive & ~decided).tolist():
+            undecided = np.flatnonzero(alive & ~decided).tolist()
+            for position in undecided:
                 slots[position] = slots[position] + (condition,)
+            extended = extended or bool(undecided)
             continue
         for position in np.flatnonzero(alive).tolist():
             try:
@@ -451,7 +456,8 @@ def _apply_conditions(conditions: Sequence[Condition],
                 alive[position] = False
             elif not isinstance(formula, TrueFormula):
                 slots[position] = slots[position] + (formula,)
-    return alive
+                extended = True
+    return alive, extended
 
 
 def enumerate_candidates_columnar(select: SelectQuery, database: Database,
@@ -584,11 +590,13 @@ def _compute_frontier(select: SelectQuery,
                 low, high = 0, len(relation)
             rows = np.arange(low, high, dtype=np.int64)
             residual_slots = [_EMPTY_RESIDUAL] * len(rows)
-            alive = _apply_conditions(local_conditions[step], builder,
-                                      {binding: rows}, residual_slots)
+            alive, extended = _apply_conditions(
+                local_conditions[step], builder, {binding: rows},
+                residual_slots)
             positions = np.flatnonzero(alive)
             filtered_rows[step] = rows[positions]
-            if any(residual_slots[index] for index in positions.tolist()):
+            if extended and any(residual_slots[index]
+                                for index in positions.tolist()):
                 filtered_residuals[step] = [residual_slots[index]
                                             for index in positions.tolist()]
             else:
@@ -645,13 +653,26 @@ def _compute_frontier(select: SelectQuery,
                 probe_data = evaluator.relation_of(probe[0]).column_data(probe[1])
                 build_data = evaluator.relation_of(binding).column_data(build[1])
                 probe_codes = probe_data.codes[frontier[probe[0]]]
-                remap = np.empty(len(probe_data.values), dtype=np.int64)
-                for index, value in enumerate(probe_data.values):
-                    remap[index] = build_data.code_of.get(value, -1)
-                probe_keys = remap[probe_codes]
                 build_codes = build_data.codes[keep]
-                order = np.argsort(build_codes, kind="stable")
-                sorted_codes = build_codes[order]
+                # Join in one side's code space, mapping whichever of the
+                # probe dictionary and the build rows is smaller: a delta
+                # term's few appended build rows, not the probe's whole
+                # dictionary.  Unmatched keys map to -1, which no code is.
+                if len(build_codes) < len(probe_data.values):
+                    code_of, values = probe_data.code_of, build_data.values
+                    build_keys = np.fromiter(
+                        (code_of.get(values[code], -1)
+                         for code in build_codes.tolist()),
+                        dtype=np.int64, count=len(build_codes))
+                    probe_keys = probe_codes
+                else:
+                    remap = np.empty(len(probe_data.values), dtype=np.int64)
+                    for index, value in enumerate(probe_data.values):
+                        remap[index] = build_data.code_of.get(value, -1)
+                    probe_keys = remap[probe_codes]
+                    build_keys = build_codes
+                order = np.argsort(build_keys, kind="stable")
+                sorted_codes = build_keys[order]
                 starts = np.searchsorted(sorted_codes, probe_keys, side="left")
                 ends = np.searchsorted(sorted_codes, probe_keys, side="right")
                 counts = ends - starts
@@ -689,15 +710,19 @@ def _compute_frontier(select: SelectQuery,
             count = len(next(iter(frontier.values())))
             residual_slots = pending if pending is not None \
                 else [_EMPTY_RESIDUAL] * count
-            alive = _apply_conditions(remaining, builder, frontier,
-                                      residual_slots)
+            alive, extended = _apply_conditions(remaining, builder, frontier,
+                                                residual_slots)
+            # Slots that started empty and gained nothing stay ``None``.
+            carried = pending is not None or extended
             if not alive.all():
                 keep_mask = np.flatnonzero(alive)
                 frontier = {bound_binding: rows[keep_mask]
                             for bound_binding, rows in frontier.items()}
-                residual_slots = [residual_slots[index]
-                                  for index in keep_mask.tolist()]
-            pending = residual_slots if any(residual_slots) else None
+                if carried:
+                    residual_slots = [residual_slots[index]
+                                      for index in keep_mask.tolist()]
+            if carried:
+                pending = residual_slots if any(residual_slots) else None
         if len(next(iter(frontier.values()))) == 0:
             frontier = {b: np.empty(0, dtype=np.int64) for b in bindings}
             pending = None

@@ -9,10 +9,10 @@ class adds is how a flight is led and how a mutation commits over one
 * **warm reads on the event loop** -- a request whose parse, plan and
   every estimate the service already caches (``AnnotationService.is_warm``)
   computes nothing, so it is answered right on the event loop through the
-  same ``submit``, with ``cached_only=True`` so that a commit landing
-  between the check and the call sends it to the pool instead of
-  computing on the loop.  Handing such a request to a pool thread cost
-  more CPU than answering it;
+  same ``submit``, handed what the check derived (``warm=``), which also
+  makes it cached-only: a commit landing between the check and the call
+  sends it to the pool instead of computing on the loop.  Handing such a
+  request to a pool thread cost more CPU than answering it;
 * **leading a flight** -- every other request runs ``submit`` on a
   dedicated thread pool via ``run_in_executor``; the service's own
   ``jobs`` option applies unchanged inside each call.  (The service
@@ -148,11 +148,12 @@ class ServerApp(FrontDoor):
         """
         since = time.perf_counter()
         try:
-            if not self._service.is_warm(sql, **options):
+            warm = self._service.is_warm(sql, **options)
+            if not warm:
                 return None
             tr = self._trace(context)
             response = self._submit(sql, options, tr, "loop", since,
-                                    cached_only=True)
+                                    warm=warm)
         except NotCached:
             return None
         except _QUERY_ERRORS as error:

@@ -18,9 +18,10 @@ must agree on:
   :class:`~repro.certainty.result.CertaintyResult` and canonical-lineage
   digest, bit-exactly: floats are serialised by ``json`` via ``repr``
   (shortest round-trip form), so a decoded certainty equals the served one.
-  A result event's answers are encoded once per service answer memo
-  (:class:`EncodedAnswers`) and their JSON is spliced into every line
-  that carries them;
+  A served answer is encoded once per service answer slot, as the two
+  byte runs either side of its snapshot ``dimension``
+  (:class:`EncodedAnswers`); every line that carries it splices those
+  runs around the dimension its response pinned;
 * **coalescing keys** -- :func:`request_key` is the digest under which the
   server single-flights concurrent identical requests;
 * **trace context** -- query and mutation messages may carry an optional
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sequence
 from typing import Any, Mapping, Optional
 
 from repro.certainty.result import CertaintyResult
@@ -337,22 +339,93 @@ def decode_answer(payload: Mapping) -> AnnotatedAnswer:
     )
 
 
-class EncodedAnswers(list):
-    """A result event's ``answers``: the encoded answer dicts, which
-    :func:`dump_line` writes as their cached JSON.
+class EncodedAnswers(Sequence):
+    """A result event's ``answers``: the served answers with their wire
+    encoding, which :func:`dump_line` splices into the line.
 
-    One instance is built per service answer memo and shared by every
-    event served from it -- coalesced followers and later warm requests
-    alike -- so it must be treated as read-only: ``wire`` caches the JSON
-    of the list as first written and would not follow a mutation.
+    ``pairs[i]`` is the JSON of ``answers[i]`` either side of its
+    certainty's ``dimension`` value; the line joins each pair around the
+    dimension the answer carries, which is the response's pinned
+    snapshot.  Reading the sequence materialises the answer dicts
+    (:func:`encode_answer`) for in-process readers; no wire path does.
+
+    One instance is shared by every event served from one answer memo --
+    coalesced followers and later warm requests alike -- so it must be
+    treated as read-only: ``wire`` caches the list's JSON as first
+    written and would not follow a mutation.
     """
 
-    __slots__ = ("wire",)
+    __slots__ = ("answers", "pairs", "wire")
 
-    def __init__(self, answers) -> None:
-        super().__init__(answers)
+    def __init__(self, answers, pairs) -> None:
+        self.answers = answers
+        self.pairs = pairs
         #: UTF-8 JSON of the list, filled by the first :func:`dump_line`.
         self.wire: Optional[bytes] = None
+
+    def __len__(self) -> int:
+        return len(self.answers)
+
+    def __getitem__(self, index: int) -> dict:
+        return encode_answer(self.answers[index])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EncodedAnswers):
+            other = list(other)
+        return isinstance(other, list) and list(self) == other
+
+    def splice(self) -> bytes:
+        """The list's JSON: each pair joined around its answer's dimension."""
+        dimensions: dict[int, bytes] = {}
+        parts = []
+        for answer, (head, tail) in zip(self.answers, self.pairs):
+            dimension = answer.certainty.dimension
+            text = dimensions.get(dimension)
+            if text is None:
+                text = dimensions[dimension] = \
+                    _encode_json(dimension).encode("utf-8")
+            parts.append(head + text + tail)
+        return b"[" + b",".join(parts) + b"]"
+
+
+def _certainty_runs(certainty: CertaintyResult) -> tuple[str, str]:
+    """:func:`encode_certainty`'s JSON either side of its dimension value.
+
+    The first ``,"dimension":`` is the key's: the keys before it hold
+    numbers and strings, and a quote inside a JSON string is escaped.
+    """
+    head, _, tail = _encode_json(encode_certainty(certainty)).partition(
+        ',"dimension":')
+    return (head + ',"dimension":',
+            tail[tail.index(',"relevant_dimension":'):])
+
+
+def _encode_pairs(answers) -> list[tuple[bytes, bytes]]:
+    """Each answer's :func:`encode_answer` JSON either side of its
+    certainty's dimension value, built without the dicts.  Answers that
+    share a certainty (one schedule group) encode it once."""
+    certainties: dict[int, tuple[str, str]] = {}
+    columns = columns_json = None
+    pairs = []
+    for answer in answers:
+        certainty = answer.certainty
+        runs = certainties.get(id(certainty))
+        if runs is None:
+            runs = certainties[id(certainty)] = _certainty_runs(certainty)
+        if answer.columns is not columns:
+            columns = answer.columns
+            columns_json = _encode_json(list(columns))
+        lineage = answer.lineage_digest
+        pairs.append((
+            ('{"values":' + _encode_json([encode_value(value)
+                                          for value in answer.values])
+             + ',"columns":' + columns_json
+             + ',"witnesses":' + _encode_json(answer.witnesses)
+             + ',"certainty":' + runs[0]).encode("utf-8"),
+            (runs[1] + ',"lineage":'
+             + ("null" if lineage is None else '"' + lineage.hex() + '"')
+             + "}").encode("utf-8")))
+    return pairs
 
 
 # -- framing -----------------------------------------------------------------
@@ -366,17 +439,17 @@ def dump_line(message: Mapping) -> bytes:
     """One wire message as an NDJSON line (UTF-8, trailing newline).
 
     Byte-identical to ``json.dumps(message, separators=(",", ":"),
-    ensure_ascii=False)`` plus a newline.  When the message carries
-    :class:`EncodedAnswers`, their cached JSON is spliced in between the
-    per-request fields (wire messages have string keys, written in order)
-    instead of being encoded again.
+    ensure_ascii=False)`` plus a newline, with any :class:`EncodedAnswers`
+    materialised.  Their JSON is spliced in between the per-request
+    fields (wire messages have string keys, written in order) instead of
+    being encoded again.
     """
     answers = message.get("answers")
     if type(answers) is not EncodedAnswers:
         return (_encode_json(message) + "\n").encode("utf-8")
     wire = answers.wire
     if wire is None:
-        wire = answers.wire = _encode_json(answers).encode("utf-8")
+        wire = answers.wire = answers.splice()
     fields = [_encode_json(key).encode("utf-8") + b":"
               + (wire if value is answers
                  else _encode_json(value).encode("utf-8"))
@@ -413,8 +486,9 @@ def result_event(request_id: Any, response) -> dict:
     ``id`` is rewritten per subscriber), so duplicate in-flight requests
     observe byte-identical payloads -- including ``elapsed_seconds``, which
     is the one computation's cost, not the follower's wait.  ``answers``
-    is the :class:`EncodedAnswers` of the response's answer memo, encoded
-    by the first event built from that memo and shared read-only after.
+    is the :class:`EncodedAnswers` of the response's answer memo, built by
+    the first event from that memo and shared read-only after; only the
+    answers none of the memo's slots has encoded yet are encoded.
     """
     stats = response.stats
     return {
@@ -433,11 +507,21 @@ def result_event(request_id: Any, response) -> dict:
 
 
 def _encoded_answers(response) -> EncodedAnswers:
-    """The encoded answers of ``response``, cached on its answer memo."""
+    """The encoded answers of ``response``: cached on its answer memo,
+    with each answer's runs cached on its memo slot."""
+    answers = response.answers
     memo = response.memo
-    if memo is None or memo.answers is not response.answers:
+    if memo is None or memo.answers is not answers:
         # No memo, or a response rebuilt around other answers.
-        return EncodedAnswers(map(encode_answer, response.answers))
+        return EncodedAnswers(answers, _encode_pairs(answers))
     if memo.encoded is None:
-        memo.encoded = EncodedAnswers(map(encode_answer, memo.answers))
+        slots = memo.slots
+        missing = [index for index, slot in enumerate(slots)
+                   if slot.encoded is None]
+        if missing:
+            encoded = _encode_pairs([answers[index] for index in missing])
+            for index, pair in zip(missing, encoded):
+                slots[index].encoded = pair
+        memo.encoded = EncodedAnswers(answers,
+                                      [slot.encoded for slot in slots])
     return memo.encoded

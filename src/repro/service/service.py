@@ -12,9 +12,12 @@ pipeline re-ran from scratch on every ``annotate_query`` call:
    canonical form of their lineage (:mod:`repro.service.scheduler`), so one
    compiled-kernel estimate decides a whole group.  The schedule and each
    group's lineage nulls (its provenance) are built with the candidates
-   and stored in the same plan-cache entry, which also keeps the answers
-   it last served: while every group's result is the same object, a warm
-   request reuses those answers and does no per-candidate work at all;
+   and stored in the same plan-cache entry.  Per query, an answer memo
+   keeps the answers last served: while the plan and every group's result
+   are the same objects, a warm request reuses those answers and does no
+   per-candidate work at all, and after a re-plan each answer whose
+   values, witnesses, lineage and result are unchanged keeps its slot --
+   and with it its wire encoding;
 4. **execute** -- one pipeline under every configuration: each group is
    probed once in the certainty cache, keyed by
    ``(lineage digest, ε, δ, method, adaptive, seed)``, so structurally
@@ -40,7 +43,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -106,32 +109,51 @@ class RequestStats:
     seed_entropy: int
 
 
-class AnswerMemo:
-    """The answers one plan last served and the results they were built
-    from, shared by every request the plan serves until a result changes.
+class AnswerSlot:
+    """One answer of a query, kept across the serves that return it.
 
-    ``encoded`` is a slot for the wire layer: the first response reusing
-    this memo stores its encoded answers here, and later ones reuse them.
-    Everything in a memo is shared across requests and threads, so
-    nothing in it may be mutated.
+    ``result`` is its group's certainty result as the certainty cache
+    handed it back, before any dimension re-stamp.  ``encoded`` is a slot
+    for the wire layer: the answer's encoding minus its snapshot
+    dimension, stored by the first response that carries the slot and
+    reused by every later one, across re-plans and dimension changes
+    alike.  Slots are shared across requests and threads; ``encoded`` is
+    only ever written with equal values, and nothing else is mutated.
     """
 
-    __slots__ = ("results", "dimension", "answers", "encoded")
+    __slots__ = ("result", "encoded")
 
-    def __init__(self, results: tuple[CertaintyResult, ...], dimension: int,
-                 answers: tuple[AnnotatedAnswer, ...]) -> None:
+    def __init__(self, result: CertaintyResult) -> None:
+        self.result = result
+        self.encoded = None
+
+
+class AnswerMemo:
+    """The answers one query last served, at one snapshot dimension.
+
+    ``results`` are the groups' results as the certainty cache handed
+    them back and ``answers`` the candidates annotated with them,
+    re-stamped with ``dimension``; ``slots[i]`` keeps ``answers[i]``
+    across serves, and ``index`` finds a slot by :func:`_answer_key` for
+    the next serve.  ``encoded`` is a slot for the wire layer: the first
+    response reusing this memo stores its encoded answers here, and later
+    ones reuse them.  Everything in a memo is shared across requests and
+    threads, so nothing in it may be mutated.
+    """
+
+    __slots__ = ("candidates", "results", "dimension", "answers", "slots",
+                 "index", "encoded")
+
+    def __init__(self, candidates: tuple, results: tuple[CertaintyResult, ...],
+                 dimension: int, answers: tuple[AnnotatedAnswer, ...],
+                 slots: tuple[AnswerSlot, ...], index: dict) -> None:
+        self.candidates = candidates
         self.results = results
         self.dimension = dimension
         self.answers = answers
+        self.slots = slots
+        self.index = index
         self.encoded = None
-
-    def serves(self, results: tuple[CertaintyResult, ...],
-               dimension: int) -> bool:
-        """Whether these answers are the ones ``results`` would build:
-        every group's result is the very object the memo was built from,
-        at the same pinned dimension."""
-        return dimension == self.dimension and all(
-            map(operator.is_, results, self.results))
 
 
 @dataclass(frozen=True)
@@ -143,9 +165,10 @@ class ServiceResponse:
     #: The request's span tree, populated only when the caller asked for
     #: tracing (``submit(..., trace=True)`` or by passing a ``Trace``).
     trace: Optional[Trace] = None
-    #: The plan's memo when ``answers`` were reused from it (its
-    #: ``answers`` is this response's); the wire layer caches the encoded
-    #: answers on it.  ``None`` when the answers were built fresh.
+    #: The query's answer memo (its ``answers`` is this response's) when
+    #: the response reuses anything of it: the whole memo or some
+    #: answers' slots.  The wire layer caches the encoded answers on it
+    #: and on its slots.  ``None`` when nothing was reused.
     memo: Optional[AnswerMemo] = field(default=None, compare=False,
                                        repr=False)
 
@@ -306,31 +329,115 @@ class _PlanEntry:
     ``provenance[i]`` names the marked nulls the lineages of
     ``schedule[i]``'s members mention: the rows whose deletion could, as a
     matter of provenance policy, affect that group's certainty entry.
-    ``memo`` holds the answers the entry last served; ``submit`` replaces
-    it with one attribute store, so concurrent requests read either the
-    old memo or the new one, never a torn one.
     """
 
     candidates: tuple
     schedule: tuple[TaskGroup, ...]
     provenance: tuple[frozenset[str], ...]
-    memo: Optional[AnswerMemo] = None
+
+
+class WarmRequest(NamedTuple):
+    """What :meth:`AnnotationService.is_warm` derived for a request it
+    found fully cached, handed to ``submit(..., warm=...)`` so that the
+    call does not derive it again: the normalised text, the plan key at
+    the checked snapshot, the estimate parameters with their root seed,
+    and every group's certainty-cache key."""
+
+    text: str
+    database: object
+    plan_key: tuple
+    entry: _PlanEntry
+    parameters: tuple
+    seed_token: tuple
+    keys: list
+
+
+def _patch_dimension(result: CertaintyResult,
+                     dimension: int) -> CertaintyResult:
+    """Re-stamp a cached result with the request's ambient dimension.
+
+    The estimate itself is content-addressed (canonical lineage) and
+    cannot go stale, but the ambient null count is snapshot metadata: an
+    answer must report the dimension of the snapshot its request pinned,
+    exactly as a cold compute against that snapshot would.
+    """
+    if result.dimension == dimension:
+        return result
+    return CertaintyResult.from_fields(dict(vars(result), dimension=dimension))
 
 
 def _build_answers(candidates: tuple, schedule: tuple[TaskGroup, ...],
-                   results: tuple[CertaintyResult, ...]
+                   results: tuple[CertaintyResult, ...], dimension: int
                    ) -> tuple[AnnotatedAnswer, ...]:
-    """Each candidate annotated with its group's result, in candidate order."""
+    """Each candidate annotated with its group's result re-stamped with
+    ``dimension``, in candidate order."""
     by_candidate: dict[int, tuple[CertaintyResult, bytes]] = {}
     for group, result in zip(schedule, results):
+        stamped = (_patch_dimension(result, dimension), group.canonical.digest)
         for member in group.members:
-            by_candidate[member] = (result, group.canonical.digest)
+            by_candidate[member] = stamped
     return tuple(
         AnnotatedAnswer(values=candidate.values, columns=candidate.columns,
                         certainty=by_candidate[index][0],
                         witnesses=candidate.witnesses,
                         lineage_digest=by_candidate[index][1])
         for index, candidate in enumerate(candidates))
+
+
+def _typed(value) -> tuple:
+    """``value`` with its type.  ``1``, ``1.0`` and ``True`` are equal and
+    hash alike, as do ``0.0`` and ``-0.0``, yet each is written
+    differently on the wire."""
+    if isinstance(value, float):
+        return (type(value), value.hex())
+    return (type(value), value)
+
+
+def _answer_key(candidate, digest: bytes) -> tuple:
+    """What an answer must keep across serves of one query to keep its
+    slot: its typed values, its witness count and its lineage digest."""
+    return (tuple(map(_typed, candidate.values)), candidate.witnesses, digest)
+
+
+def _next_memo(previous: Optional[AnswerMemo], candidates: tuple,
+               schedule: tuple[TaskGroup, ...],
+               results: tuple[CertaintyResult, ...], dimension: int
+               ) -> tuple[AnswerMemo, int]:
+    """The memo serving ``results`` over ``candidates`` at ``dimension``,
+    and how many of its answers keep a slot of ``previous``.
+
+    Estimates are content-addressed, so while the plan and every group's
+    result are the objects ``previous`` was built from, so are the
+    answers: ``previous`` serves again, re-stamped on a new memo if the
+    dimension moved.  Otherwise each answer keeps the slot of the
+    previous answer with its key and the same result, and the rest get
+    new ones.
+    """
+    if (previous is not None and previous.candidates is candidates
+            and all(map(operator.is_, results, previous.results))):
+        if previous.dimension == dimension:
+            return previous, len(previous.slots)
+        return AnswerMemo(
+            candidates, results, dimension,
+            _build_answers(candidates, schedule, results, dimension),
+            previous.slots, previous.index), len(previous.slots)
+    known = previous.index if previous is not None else {}
+    slots: list = [None] * len(candidates)
+    index: dict[tuple, AnswerSlot] = {}
+    reused = 0
+    for group, result in zip(schedule, results):
+        digest = group.canonical.digest
+        for member in group.members:
+            key = _answer_key(candidates[member], digest)
+            slot = known.get(key)
+            if slot is not None and slot.result is result:
+                reused += 1
+            else:
+                slot = AnswerSlot(result)
+            slots[member] = index[key] = slot
+    return AnswerMemo(candidates, results, dimension,
+                      _build_answers(candidates, schedule, results, dimension),
+                      tuple(slots), index), reused
 
 
 def _result_keys(schedule: Sequence[TaskGroup], epsilon: float, delta: float,
@@ -389,6 +496,10 @@ class AnnotationService:
         self._parse_cache = LruCache(PARSE_CACHE_SIZE, name="parsed sql")
         self._plan_cache = LruCache(PLAN_CACHE_SIZE, name="candidates")
         self._result_cache = LruCache(RESULT_CACHE_SIZE, name="certainty")
+        # Per query text: the answers it last served (see AnswerMemo).
+        # Keyed without table versions, so a memo outlives the re-plans
+        # its answers survive.
+        self._answer_memos = LruCache(PLAN_CACHE_SIZE, name="answers")
         # Incremental join-frontier maintenance for the columnar path: a
         # commit carries cached frontiers past its deletes, and
         # re-enumeration delta-joins only the appended rows (see
@@ -456,7 +567,8 @@ class AnnotationService:
                group_witnesses: bool = True,
                trace: Union[bool, Trace, None] = None,
                on_update: Optional[GroupUpdateCallback] = None,
-               cached_only: bool = False) -> ServiceResponse:
+               cached_only: bool = False,
+               warm: Optional[WarmRequest] = None) -> ServiceResponse:
         """Run one annotation request through the full service lifecycle.
 
         ``query`` is SQL text or a parsed ``SelectQuery``; ``candidates``
@@ -472,15 +584,25 @@ class AnnotationService:
         ``cached_only=True`` serves a SQL-text request from the caches
         alone: a parse-cache, plan-cache or certainty-cache miss raises
         :class:`NotCached` before any parsing, enumeration or estimation
-        starts (see :meth:`is_warm`).
+        starts (see :meth:`is_warm`).  ``warm`` is what :meth:`is_warm`
+        returned for this very request: the call is ``cached_only`` and
+        takes the text, parameters and keys the check derived instead of
+        deriving them again.
         """
         started = time.perf_counter()
-        epsilon, delta, method, adaptive, root = self._parameters(
-            epsilon, delta, method, adaptive, seed)
+        if warm is not None:
+            cached_only = True
+            text = warm.text
+            epsilon, delta, method, adaptive, root = warm.parameters
+            seed_token = warm.seed_token
+        else:
+            text = normalise_sql(query) if isinstance(query, str) else None
+            epsilon, delta, method, adaptive, root = self._parameters(
+                epsilon, delta, method, adaptive, seed)
+            seed_token = _seed_token(root)
         jobs = self._options.jobs if jobs is None else jobs
         if jobs == 0:
             jobs = default_jobs()
-        seed_token = _seed_token(root)
 
         # Three tracing tiers: a caller-requested trace is returned on the
         # response; a live recorder gets an internal trace (phase histograms
@@ -497,15 +619,26 @@ class AnnotationService:
             tr = NULL_TRACE
 
         with tr.span("parse"):
-            select = self._parse(query, cached_only)
+            select = self._parse(query, text, cached_only)
         # Pin the snapshot once: a concurrent mutate() swaps in the next
         # version, but this request keeps the version it started on end to
         # end, its dimension included (MVCC snapshot isolation).
         snapshot = self._snapshot
         dimension = snapshot.dimension
+        # Answers are memoised per query text; caller-supplied candidates
+        # and parsed queries are not.
+        memo_key = None
         if candidates is None:
             with tr.span("enumerate") as enumerate_span:
-                entry = self._plan(query, select, limit, group_witnesses,
+                plan_key = None
+                if text is not None:
+                    plan_key = (
+                        warm.plan_key
+                        if warm is not None and warm.database is snapshot.database
+                        else self._plan_key(text, select, limit,
+                                            group_witnesses, snapshot.database))
+                    memo_key = (text, limit, group_witnesses)
+                entry = self._plan(select, plan_key, limit, group_witnesses,
                                    snapshot.database, enumerate_span,
                                    cached_only)
                 enumerate_span.set("candidates", len(entry.candidates))
@@ -519,8 +652,9 @@ class AnnotationService:
             schedule = entry.schedule
             schedule_span.set("groups", len(schedule))
 
-        keys = _result_keys(schedule, epsilon, delta, method, adaptive,
-                            seed_token)
+        keys = (warm.keys if warm is not None and warm.entry is entry
+                else _result_keys(schedule, epsilon, delta, method, adaptive,
+                                  seed_token))
         # Record which marked nulls each group's lineages touch, so a later
         # mutation can evict exactly the affected cache entries.
         self._record_provenance(keys, entry.provenance)
@@ -534,8 +668,7 @@ class AnnotationService:
             if cached is None:
                 misses.append(position)
             else:
-                outcomes[position] = (
-                    self._patch_dimension(cached, dimension), True)
+                outcomes[position] = (cached, True)
         if misses and cached_only:
             raise NotCached(f"{len(misses)} of {len(keys)} groups "
                             "have no cached estimate")
@@ -583,21 +716,26 @@ class AnnotationService:
 
         from_cache = sum(1 for _, cached in outcomes if cached)
         with tr.span("serialize") as serialize_span:
-            # Estimates are content-addressed, so while every group's
-            # result is the object the plan last served, so are the
-            # answers: a warm request reuses them (and their encoding).
-            # Only a reused memo rides on the response, so only answers
-            # served twice keep their encoding: a plan served once (a
-            # re-plan after every write) holds no encoded bytes.
+            # The results are the objects the certainty cache holds; the
+            # answers re-stamp them with this request's dimension.  Only a
+            # memo the response reuses something of rides on it, so only
+            # answers served twice keep their encoding.
             results = tuple(result for result, _ in outcomes)
-            memo = entry.memo
-            if memo is not None and memo.serves(results, dimension):
-                answers = memo.answers
+            if memo_key is None:
+                answers = _build_answers(candidates, schedule, results,
+                                         dimension)
+                memo, reused = None, 0
             else:
-                answers = _build_answers(candidates, schedule, results)
-                entry.memo = AnswerMemo(results, dimension, answers)
-                memo = None
+                previous = self._answer_memos.peek(memo_key)
+                memo, reused = _next_memo(previous, candidates, schedule,
+                                          results, dimension)
+                if memo is not previous:
+                    self._answer_memos.put(memo_key, memo)
+                answers = memo.answers
+                if not reused:
+                    memo = None
             serialize_span.set("answers", len(answers))
+            serialize_span.set("answers_reused", reused)
 
         computed = len(schedule) - from_cache
         batched = len(candidates) - len(schedule)
@@ -627,30 +765,35 @@ class AnnotationService:
     def is_warm(self, query: str, *, epsilon: Optional[float] = None,
                 delta: Optional[float] = None, method: Optional[str] = None,
                 limit: Optional[int] = None, seed: SeedLike = None,
-                adaptive: Optional[bool] = None) -> bool:
+                adaptive: Optional[bool] = None) -> Optional[WarmRequest]:
         """Whether :meth:`submit` would answer this request from its caches
         alone: the query's parse, its plan at the current table versions
-        and every group's certainty result are all cached.
+        and every group's certainty result are all cached.  Returns the
+        :class:`WarmRequest` to hand to ``submit(..., warm=...)``, or
+        ``None``.
 
         Reads only through the caches' uncounted ``peek``, so the hit
         ratios keep counting the lookups of the requests ``submit`` serves.
         A commit or an eviction may still land before the request is
-        submitted; ``submit(..., cached_only=True)`` then raises
-        :class:`NotCached` instead of computing.
+        submitted; ``submit`` then raises :class:`NotCached` instead of
+        computing.
         """
         text = normalise_sql(query)
         select = self._parse_cache.peek(text)
         if select is None:
-            return False
-        entry = self._plan_cache.peek(self._plan_key(
-            text, select, limit, True, self._snapshot.database))
+            return None
+        database = self._snapshot.database
+        plan_key = self._plan_key(text, select, limit, True, database)
+        entry = self._plan_cache.peek(plan_key)
         if entry is None:
-            return False
-        epsilon, delta, method, adaptive, root = self._parameters(
-            epsilon, delta, method, adaptive, seed)
-        return self._result_cache.holds_all(_result_keys(
-            entry.schedule, epsilon, delta, method, adaptive,
-            _seed_token(root)))
+            return None
+        parameters = self._parameters(epsilon, delta, method, adaptive, seed)
+        seed_token = _seed_token(parameters[4])
+        keys = _result_keys(entry.schedule, *parameters[:4], seed_token)
+        if not self._result_cache.holds_all(keys):
+            return None
+        return WarmRequest(text, database, plan_key, entry, parameters,
+                           seed_token, keys)
 
     def stats(self) -> ServiceStats:
         """Lifetime counters plus snapshots of every cache layer."""
@@ -795,25 +938,12 @@ class AnnotationService:
                     if key not in self._result_cache:
                         del recorded[key]
 
-    @staticmethod
-    def _patch_dimension(result: CertaintyResult,
-                         dimension: int) -> CertaintyResult:
-        """Re-stamp a cached result with the request's ambient dimension.
-
-        The estimate itself is content-addressed (canonical lineage) and
-        cannot go stale, but the ambient null count is snapshot metadata:
-        a cache hit must report the dimension of the snapshot the request
-        pinned, exactly as a cold compute against that snapshot would.
-        """
-        if result.dimension == dimension:
-            return result
-        return replace(result, dimension=dimension)
-
     def invalidate(self) -> None:
         """Drop every cached artefact (for out-of-band database edits)."""
         self._parse_cache.clear()
         self._plan_cache.clear()
         self._result_cache.clear()
+        self._answer_memos.clear()
         self._frontier_cache.clear()
         with self._provenance_lock:
             self._result_provenance.clear()
@@ -834,7 +964,9 @@ class AnnotationService:
                 options.adaptive if adaptive is None else adaptive,
                 self._default_root if seed is None else root_sequence(seed))
 
-    def _parse(self, query, cached_only: bool = False):
+    def _parse(self, query, text: Optional[str], cached_only: bool = False):
+        """``query`` parsed, through the parse cache under its
+        :func:`normalise_sql` ``text``."""
         if not isinstance(query, str):
             return query
         from repro.engine.sql.parser import parse_sql
@@ -844,7 +976,7 @@ class AnnotationService:
                 raise NotCached("the query text is not in the parse cache")
             return parse_sql(query)
 
-        return self._parse_cache.get_or_compute(normalise_sql(query), parse)
+        return self._parse_cache.get_or_compute(text, parse)
 
     @staticmethod
     def _plan_key(text: str, select, limit: Optional[int],
@@ -867,9 +999,11 @@ class AnnotationService:
             versions = ()
         return (text, limit, group_witnesses, versions)
 
-    def _plan(self, query, select, limit: Optional[int],
+    def _plan(self, select, plan_key: Optional[tuple], limit: Optional[int],
               group_witnesses: bool, database, span=None,
               cached_only: bool = False) -> _PlanEntry:
+        """The plan entry of ``select`` over ``database``, through the plan
+        cache under ``plan_key`` (``None``: a parsed query, not cached)."""
         from repro.engine.candidates import enumerate_candidates
 
         def enumerate_() -> _PlanEntry:
@@ -890,13 +1024,9 @@ class AnnotationService:
                         span.set(name, frontier_stats[name])
             return _plan_entry(planned)
 
-        if not isinstance(query, str):
-            # No stable text key; planning an AST is not cached.
+        if plan_key is None:
             return enumerate_()
-        return self._plan_cache.get_or_compute(
-            self._plan_key(normalise_sql(query), select, limit,
-                           group_witnesses, database),
-            enumerate_)
+        return self._plan_cache.get_or_compute(plan_key, enumerate_)
 
     def _decide_solo(self, group: TaskGroup, key: tuple, payload: tuple,
                      dimension: int, on_update=None
@@ -923,9 +1053,9 @@ class AnnotationService:
 
         (result, computed), leader = self._estimate_flights.run(key, compute)
         # A joined flight may have been led by a request pinned on another
-        # snapshot; the result carries this request's dimension either way.
-        return (self._patch_dimension(result, dimension),
-                not (leader and computed))
+        # snapshot; its answers are re-stamped with this request's
+        # dimension when they are built.
+        return result, not (leader and computed)
 
     def _estimate(self, payload: tuple, on_update=None) -> CertaintyResult:
         """The in-process call of :func:`_estimate_task` (a patchable seam)."""

@@ -291,3 +291,44 @@ class TestExecuteMutation:
                 execute_mutation(parse_statement(sql), database)
         assert database.relation("t").tuples() == before
         assert database.data_version == 0
+
+
+class TestDerivedNullOrder:
+    """A commit derives its snapshot's null order from its parent's and
+    its deltas; the result equals the order recomputed from scratch."""
+
+    STATEMENTS = (
+        "INSERT INTO t VALUES ('d', NULL)",
+        "INSERT INTO t VALUES ('d', 4.0)",
+        "DELETE FROM t WHERE key = 'c'",
+        "DELETE FROM u WHERE key = 'b'",
+        "UPDATE t SET x = 3.0 WHERE key = 'c'",
+    )
+
+    @staticmethod
+    def _database(backend: str) -> Database:
+        # n1 repeats across both tables: deleting one of its entries
+        # must keep it.
+        return Database.from_dict(_schema(), {
+            "t": [("a", 1.0), ("b", NumNull("n1")), ("c", NumNull("n0"))],
+            "u": [("a", NumNull("n1")), ("b", NumNull("n1")), ("c", 6.0)],
+        }, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["rows", "columnar"])
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_derived_order_equals_a_recomputed_one(self, backend, sql):
+        database = self._database(backend)
+        parent = database.null_order()
+        sealed, _, _ = execute_mutation(parse_statement(sql), database)
+        derived = sealed._null_order
+        assert derived is not None, "the commit did not derive the order"
+        assert derived == sealed.copy().null_order()
+        assert database.null_order() is parent
+
+    def test_orders_follow_a_chain_of_commits(self):
+        database = self._database("columnar")
+        database.null_order()
+        for sql in self.STATEMENTS + ("DELETE FROM t", "DELETE FROM u"):
+            database, _, _ = execute_mutation(parse_statement(sql), database)
+            assert database.null_order() == database.copy().null_order()
+        assert database.num_nulls_ordered() == ()

@@ -13,7 +13,10 @@ where determinism wants a gate, end-to-end through
 from __future__ import annotations
 
 import asyncio
+import json
+import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -24,13 +27,27 @@ from repro.datagen.experiments import (
     generate_sales_database,
 )
 from repro.engine.mutate import execute_mutation
+from repro.engine.sql.ast import (
+    Assignment,
+    ColumnExpression,
+    Condition,
+    NumberLiteral,
+    StringLiteral,
+    UpdateStatement,
+)
 from repro.engine.sql.parser import parse_statement
 from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.values import NumNull
 from repro.server import EmbeddedServer, ServerApp
-from repro.server.protocol import encode_answer, result_event
+from repro.server.protocol import (
+    dump_line,
+    encode_answer,
+    load_line,
+    result_event,
+)
 from repro.service import AnnotationService, ServiceOptions
+from repro.service.service import _answer_key
 
 
 def _database() -> Database:
@@ -55,6 +72,14 @@ def _rebuild(database: Database) -> Database:
         {name: database.relation(name).tuples()
          for name in database.relation_names()},
         backend=database.backend)
+
+
+class _Candidate:
+    """The fields of a candidate answer that key its answer slot."""
+
+    def __init__(self, values: tuple) -> None:
+        self.values = values
+        self.witnesses = 1
 
 
 def _snapshot(answers):
@@ -377,3 +402,147 @@ class TestAnswerMemoStaleness:
         service.invalidate()
         assert service.submit(self.QUERIES[0]).answers is not warm.answers
         assert self._served(service) == self._fresh(service) == before
+
+
+def _plain_line(event: dict) -> bytes:
+    """``event`` with its answers materialised, as ``json.dumps`` writes it."""
+    plain = dict(event, answers=[dict(answer) for answer in event["answers"]])
+    return (json.dumps(plain, separators=(",", ":"), ensure_ascii=False)
+            + "\n").encode("utf-8")
+
+
+class TestAnswerSlots:
+    """Each served answer keeps its encoding across re-plans and dimension
+    changes; the snapshot dimension is spliced in per response."""
+
+    QUERIES = TestAnswerMemoStaleness.QUERIES
+
+    def test_spliced_dimension_is_the_pinned_snapshots(self):
+        service = TestAnswerMemoStaleness._sales()
+        product = service.submit(
+            EXPERIMENT_QUERIES["never_knowingly_undersold"]).answers[0]
+        reused = rebuilt = 0
+        with EmbeddedServer(service) as server, \
+                ReproClient(server.host, server.port) as client:
+            for cycle in range(3):
+                for write in (f"INSERT INTO Orders VALUES ('o_slot{cycle}', "
+                              f"'{product.values[0]}', NULL, 5.0)",
+                              f"DELETE FROM Orders WHERE id = 'o_slot{cycle}'"):
+                    service.mutate(write)
+                    dimension = service._snapshot.dimension
+                    for sql in self.QUERIES:
+                        response = service.submit(sql, trace=True)
+                        reused += response.trace.attribute("answers_reused")
+                        rebuilt += len(response.answers) \
+                            - response.trace.attribute("answers_reused")
+                        assert {answer.certainty.dimension
+                                for answer in response.answers} == {dimension}
+                        event = result_event(None, response)
+                        line = dump_line(event)
+                        assert line == _plain_line(event)
+                        served = load_line(line)["answers"]
+                        assert {answer["certainty"]["dimension"]
+                                for answer in served} == {dimension}
+                        tcp = client.query(sql).raw["answers"]
+                        assert tcp == served
+        # Both kinds of answer were checked: ones kept from an earlier
+        # serve and ones built for this one.
+        assert reused and rebuilt
+
+    def test_equal_values_of_other_types_never_share_bytes(self):
+        schema = DatabaseSchema.of(
+            RelationSchema.of("t", key="base", x="num", y="num"))
+        database = Database.from_dict(schema, {
+            "t": [("a", 1, 2.0), ("b", 0.0, 1.0)]}, backend="rows")
+        service = _service(database)
+        sql = "SELECT t.x FROM t WHERE t.y <= 5"
+        before = service.submit(sql)
+        result_event(None, service.submit(sql))  # encodes both slots
+        # 1 -> 1.0 and 0.0 -> -0.0: equal values, equal hashes, the same
+        # lineage and the very same cached result, yet other wire bytes.
+        service.mutate("UPDATE t SET x = 1.0 WHERE key = 'a'")
+        service.mutate(UpdateStatement(
+            table="t", assignments=(Assignment("x", NumberLiteral(-0.0)),),
+            conditions=(Condition(ColumnExpression("key"), "=",
+                                  StringLiteral("b")),)))
+        after = service.submit(sql, trace=True)
+        assert [answer.certainty for answer in after.answers] == \
+            [answer.certainty for answer in before.answers]
+        assert after.trace.attribute("answers_reused") == 0
+        line = dump_line(result_event(None, after))
+        assert b'"values":[1.0]' in line and b'"values":[-0.0]' in line
+        assert [type(value) for answer in load_line(line)["answers"]
+                for value in answer["values"]] == [float, float]
+        # True cannot reach a numeric column; the key tells it apart too.
+        for equal in ((1, 1.0, True), (0.0, -0.0)):
+            keys = {_answer_key(_Candidate((value,)), b"") for value in equal}
+            assert len(keys) == len(equal)
+
+    def test_a_replan_rebuilds_only_the_answers_a_write_changed(self):
+        service = TestAnswerMemoStaleness._sales()
+        sql = EXPERIMENT_QUERIES["never_knowingly_undersold"]
+        before = service.submit(sql).answers
+        # An order of unknown quantity joins into one uncertain answer.
+        product = next(answer.values[0] for answer in before
+                       if answer.certainty.value < 1)
+        service.mutate("INSERT INTO Orders VALUES "
+                       f"('o_replan', '{product}', NULL, 5.0)")
+        after = service.submit(sql, trace=True)
+        assert after.stats.groups_computed > 0
+
+        def kept(answer) -> tuple:
+            return (answer.values, answer.witnesses, answer.lineage_digest,
+                    replace(answer.certainty, dimension=0))
+
+        unchanged = [kept(answer) for answer in before]
+        expected = sum(kept(answer) in unchanged for answer in after.answers)
+        assert 0 < expected < len(after.answers)
+        assert after.trace.attribute("answers_reused") == expected
+
+    def test_concurrent_reads_across_writes_splice_their_own_dimension(self):
+        """Four readers share slots and memos while a writer moves the
+        dimension; every line carries its own response's answers."""
+        service = TestAnswerMemoStaleness._sales()
+        for sql in self.QUERIES:
+            service.submit(sql)
+        product = service.submit(
+            EXPERIMENT_QUERIES["never_knowingly_undersold"]).answers[0]
+        barrier = threading.Barrier(5)
+        failures: list = []
+
+        def read(worker: int) -> None:
+            barrier.wait(timeout=30)
+            for round_index in range(24):
+                sql = self.QUERIES[(worker + round_index) % len(self.QUERIES)]
+                response = service.submit(sql)
+                event = result_event(None, response)
+                line = dump_line(event)
+                pinned = {answer.certainty.dimension
+                          for answer in response.answers}
+                wire = {answer["certainty"]["dimension"]
+                        for answer in load_line(line)["answers"]}
+                if line != _plain_line(event) or len(pinned) > 1 \
+                        or wire != pinned:
+                    failures.append((sql, pinned, wire))
+
+        def write() -> None:
+            barrier.wait(timeout=30)
+            for cycle in range(8):
+                service.mutate(f"INSERT INTO Orders VALUES ('o_race{cycle}', "
+                               f"'{product.values[0]}', NULL, 5.0)")
+                service.mutate(f"DELETE FROM Orders WHERE id = 'o_race{cycle}'")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(worker,))
+                       for worker in range(4)]
+            threads.append(threading.Thread(target=write))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []

@@ -31,7 +31,7 @@ from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service import AnnotationService, RequestStats, ServiceResponse
 from repro.service.answers import AnnotatedAnswer
-from repro.service.service import AnswerMemo
+from repro.service.service import AnswerMemo, AnswerSlot
 from repro.relational.values import BaseNull, NumNull
 
 DEFAULTS = {"epsilon": 0.05, "delta": 0.05, "method": "afpras",
@@ -277,7 +277,9 @@ def _awkward_answer(index: int) -> AnnotatedAnswer:
 def _served(answers) -> ServiceResponse:
     """A response served from an answer memo, as ``submit`` returns it."""
     answers = tuple(answers)
-    memo = AnswerMemo(tuple(answer.certainty for answer in answers), 3, answers)
+    results = tuple(answer.certainty for answer in answers)
+    memo = AnswerMemo(answers, results, 3, answers,
+                      tuple(map(AnswerSlot, results)), {})
     stats = RequestStats(candidates=len(answers), groups=len(answers),
                          groups_from_cache=0, groups_computed=len(answers),
                          tuples_batched=0, elapsed_seconds=1.0000000000000002e-05,

@@ -25,7 +25,7 @@ from repro.datagen.experiments import (
     generate_sales_database,
 )
 from repro.server.protocol import dump_line, load_line, result_event
-from repro.service import AnnotationService, ServiceOptions
+from repro.service import AnnotationService, NotCached, ServiceOptions
 from repro.service.canonical import CanonicalisationError, canonicalise
 from repro.service.rng import root_sequence, spawn_stream
 
@@ -391,3 +391,51 @@ class TestAnswerMemo:
         shared = result_event(None, service.submit(self.SQL, seed=7))
         assert "trace_id" not in shared and shared["id"] is None
         assert load_line(dump_line(shared))["answers"] == expected[7]
+
+
+class TestWarmRequest:
+    """``is_warm`` hands ``submit`` what it derived; the check stays
+    uncounted and the call counts exactly what a cached-only call does."""
+
+    SQL = TestAnswerMemo.SQL
+
+    @staticmethod
+    def _counters(service: AnnotationService) -> list:
+        return [(cache.name, cache.hits, cache.misses)
+                for cache in service.stats().caches[:3]]
+
+    def test_the_check_and_the_call_share_one_derivation(self):
+        service = TestAnswerMemo._service()
+        assert service.is_warm(self.SQL) is None
+        cold = service.submit(self.SQL)
+        before = self._counters(service)
+        warm = service.is_warm(self.SQL)
+        assert warm and self._counters(service) == before
+        served = service.submit(self.SQL, warm=warm)
+        after_warm = self._counters(service)
+        again = service.submit(self.SQL, cached_only=True)
+        after_cached = self._counters(service)
+        assert served.answers is again.answers is cold.answers
+        assert [(name, hits - old_hits, misses - old_misses)
+                for (name, hits, misses), (_, old_hits, old_misses)
+                in zip(after_warm, before)] == \
+            [(name, hits - old_hits, misses - old_misses)
+             for (name, hits, misses), (_, old_hits, old_misses)
+             in zip(after_cached, after_warm)]
+
+    def test_a_commit_after_the_check_sends_the_call_back(self):
+        service = TestAnswerMemo._service()
+        product = next(answer.values[0]
+                       for answer in service.submit(self.SQL).answers
+                       if answer.certainty.value < 1)
+        warm = service.is_warm(self.SQL)
+        # An order of unknown quantity changes that answer's lineage.
+        service.mutate("INSERT INTO Orders VALUES "
+                       f"('o_warm', '{product}', NULL, 1.0)")
+        with pytest.raises(NotCached):
+            service.submit(self.SQL, warm=warm)
+        assert service.is_warm(self.SQL) is None
+        # Once the new version is planned and estimated, the stale ticket
+        # is served at that version, with that version's keys.
+        fresh = service.submit(self.SQL)
+        assert service.submit(self.SQL, warm=warm).answers == fresh.answers
