@@ -341,21 +341,12 @@ class ColumnarRelation:
 
     def num_nulls(self) -> set:
         """Numerical-type nulls occurring anywhere in the relation."""
-        return set(self.num_null_counts())
-
-    def num_null_counts(self) -> dict:
-        """How many entries of the relation each numerical null is."""
         self._flush()
-        counts: dict = {}
+        nulls: set = set()
         for index, attribute in enumerate(self._schema.attributes):
             if attribute.is_numeric and self._columns is not None:
-                data = self._columns[index]
-                codes = data.null_codes
-                tally = np.bincount(codes[codes >= 0], minlength=len(data.nulls))
-                for null, count in zip(data.nulls, tally.tolist()):
-                    if count:
-                        counts[null] = counts.get(null, 0) + count
-        return counts
+                nulls.update(self._columns[index].nulls)
+        return nulls
 
     def base_constants(self) -> set:
         """Base-type constants occurring anywhere in the relation."""

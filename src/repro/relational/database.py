@@ -21,14 +21,13 @@ widening of ``int`` constants to the equal ``float``).
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.relational.columnar import ColumnarRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import DatabaseSchema, RelationSchema, SchemaError
-from repro.relational.values import BaseNull, NumNull, Value, is_num_null
+from repro.relational.values import BaseNull, NumNull, Value
 
 #: The supported storage backends.
 BACKENDS = ("rows", "columnar")
@@ -40,7 +39,7 @@ class NullOrder:
     every lineage translation derives from that order.
 
     Shared by every translation of one snapshot, so treat ``by_variable``
-    and ``counts`` as read-only.
+    as read-only.
     """
 
     #: The nulls sorted by name (:meth:`Database.num_nulls_ordered`).
@@ -49,48 +48,6 @@ class NullOrder:
     variables: tuple[str, ...]
     #: Variable name back to its null.
     by_variable: Mapping[str, NumNull]
-    #: How many database entries each null is (a marked null may repeat),
-    #: so a commit can tell which nulls its deleted rows took with them.
-    counts: Mapping[NumNull, int]
-
-    def after(self, removed: Sequence[NumNull],
-              added: Sequence[NumNull]) -> "NullOrder":
-        """This order once the entries ``removed`` are deleted and those
-        ``added`` are stored (one null per entry): only the nulls whose
-        count reaches or leaves zero move, the rest keep their places."""
-        counts = dict(self.counts)
-        for null in removed:
-            left = counts[null] - 1
-            if left:
-                counts[null] = left
-            else:
-                del counts[null]
-        for null in added:
-            counts[null] = counts.get(null, 0) + 1
-        gone = {null for null in removed if null not in counts}
-        fresh = sorted({null for null in added if null not in self.counts},
-                       key=_null_name)
-        if not gone and not fresh:
-            return NullOrder(self.nulls, self.variables, self.by_variable,
-                             counts)
-        # The nulls are sorted by name: find each place by bisection
-        # rather than hash every null.
-        nulls, variables = list(self.nulls), list(self.variables)
-        by_variable = dict(self.by_variable)
-        for null in gone:
-            at = bisect.bisect_left(nulls, null.name, key=_null_name)
-            del nulls[at], variables[at], by_variable[null.variable]
-        for null in fresh:
-            at = bisect.bisect_left(nulls, null.name, key=_null_name)
-            nulls.insert(at, null)
-            variables.insert(at, null.variable)
-            by_variable[null.variable] = null
-        return NullOrder(nulls=tuple(nulls), variables=tuple(variables),
-                         by_variable=by_variable, counts=counts)
-
-
-def _null_name(null: NumNull) -> str:
-    return null.name
 
 
 class Database:
@@ -282,20 +239,6 @@ class Database:
             sealed._table_versions[table] = sealed._data_version
             if not delta.append_only:
                 sealed._table_epochs[table] = sealed._data_version
-        if self._null_order is not None:
-            # Untouched relations keep their nulls; the deleted rows and
-            # the appended tail rows move the rest.
-            removed = [value for delta in deltas.values()
-                       for row in delta.deleted_rows for value in row
-                       if is_num_null(value)]
-            added = []
-            for table, delta in deltas.items():
-                relation = sealed._relations[table]
-                for index in range(len(relation) - delta.appended,
-                                   len(relation)):
-                    added.extend(value for value in relation.row(index)
-                                 if is_num_null(value))
-            sealed._null_order = self._null_order.after(removed, added)
         return sealed
 
     def relation(self, name: str) -> Relation:
@@ -341,7 +284,10 @@ class Database:
 
     def num_nulls(self) -> set[NumNull]:
         """``N_num(D)``: numerical-type nulls appearing in the database."""
-        return set(self.null_order().counts)
+        nulls: set[NumNull] = set()
+        for relation in self._relations.values():
+            nulls.update(relation.num_nulls())
+        return nulls
 
     def num_nulls_ordered(self) -> tuple[NumNull, ...]:
         """Numerical nulls in a deterministic order (sorted by name).
@@ -354,20 +300,14 @@ class Database:
 
     def null_order(self) -> NullOrder:
         """:meth:`num_nulls_ordered` with its variable tuple and map, built
-        once per snapshot: every plan and commit reads them.  A committed
-        snapshot derives it from its parent's (:meth:`NullOrder.after`)."""
+        once per snapshot: every plan and commit reads them."""
         order = self._null_order
         if order is None:
-            counts: dict = {}
-            for relation in self._relations.values():
-                for null, count in relation.num_null_counts().items():
-                    counts[null] = counts.get(null, 0) + count
-            nulls = tuple(sorted(counts, key=_null_name))
+            nulls = tuple(sorted(self.num_nulls(), key=lambda null: null.name))
             order = self._null_order = NullOrder(
                 nulls=nulls,
                 variables=tuple(null.variable for null in nulls),
-                by_variable={null.variable: null for null in nulls},
-                counts=counts)
+                by_variable={null.variable: null for null in nulls})
         return order
 
     def is_complete(self) -> bool:

@@ -95,16 +95,7 @@ class Relation:
 
     def num_nulls(self) -> set:
         """Numerical-type nulls occurring anywhere in the relation."""
-        return set(self.num_null_counts())
-
-    def num_null_counts(self) -> dict:
-        """How many entries of the relation each numerical null is."""
-        counts: dict = {}
-        for row in self._tuples:
-            for value in row:
-                if is_num_null(value):
-                    counts[value] = counts.get(value, 0) + 1
-        return counts
+        return {value for row in self._tuples for value in row if is_num_null(value)}
 
     def base_constants(self) -> set:
         """Base-type constants occurring anywhere in the relation."""

@@ -347,7 +347,8 @@ class EncodedAnswers(Sequence):
     certainty's ``dimension`` value; the line joins each pair around the
     dimension the answer carries, which is the response's pinned
     snapshot.  Reading the sequence materialises the answer dicts
-    (:func:`encode_answer`) for in-process readers; no wire path does.
+    (:func:`encode_answer`) for in-process readers; the wire reads only
+    the pairs.
 
     One instance is shared by every event served from one answer memo --
     coalesced followers and later warm requests alike -- so it must be
@@ -388,44 +389,18 @@ class EncodedAnswers(Sequence):
         return b"[" + b",".join(parts) + b"]"
 
 
-def _certainty_runs(certainty: CertaintyResult) -> tuple[str, str]:
-    """:func:`encode_certainty`'s JSON either side of its dimension value.
+def _answer_runs(answer: AnnotatedAnswer) -> tuple[bytes, bytes]:
+    """:func:`encode_answer`'s JSON either side of its certainty's
+    dimension value.
 
-    The first ``,"dimension":`` is the key's: the keys before it hold
-    numbers and strings, and a quote inside a JSON string is escaped.
+    The first ``,"dimension":`` is the certainty's key: every string
+    before it is JSON-escaped, so none holds a bare quote, and the
+    integer value after it ends at the next key.
     """
-    head, _, tail = _encode_json(encode_certainty(certainty)).partition(
+    head, _, tail = _encode_json(encode_answer(answer)).partition(
         ',"dimension":')
-    return (head + ',"dimension":',
-            tail[tail.index(',"relevant_dimension":'):])
-
-
-def _encode_pairs(answers) -> list[tuple[bytes, bytes]]:
-    """Each answer's :func:`encode_answer` JSON either side of its
-    certainty's dimension value, built without the dicts.  Answers that
-    share a certainty (one schedule group) encode it once."""
-    certainties: dict[int, tuple[str, str]] = {}
-    columns = columns_json = None
-    pairs = []
-    for answer in answers:
-        certainty = answer.certainty
-        runs = certainties.get(id(certainty))
-        if runs is None:
-            runs = certainties[id(certainty)] = _certainty_runs(certainty)
-        if answer.columns is not columns:
-            columns = answer.columns
-            columns_json = _encode_json(list(columns))
-        lineage = answer.lineage_digest
-        pairs.append((
-            ('{"values":' + _encode_json([encode_value(value)
-                                          for value in answer.values])
-             + ',"columns":' + columns_json
-             + ',"witnesses":' + _encode_json(answer.witnesses)
-             + ',"certainty":' + runs[0]).encode("utf-8"),
-            (runs[1] + ',"lineage":'
-             + ("null" if lineage is None else '"' + lineage.hex() + '"')
-             + "}").encode("utf-8")))
-    return pairs
+    return ((head + ',"dimension":').encode("utf-8"),
+            tail[tail.index(',"relevant_dimension":'):].encode("utf-8"))
 
 
 # -- framing -----------------------------------------------------------------
@@ -513,15 +488,12 @@ def _encoded_answers(response) -> EncodedAnswers:
     memo = response.memo
     if memo is None or memo.answers is not answers:
         # No memo, or a response rebuilt around other answers.
-        return EncodedAnswers(answers, _encode_pairs(answers))
+        return EncodedAnswers(answers, list(map(_answer_runs, answers)))
     if memo.encoded is None:
         slots = memo.slots
-        missing = [index for index, slot in enumerate(slots)
-                   if slot.encoded is None]
-        if missing:
-            encoded = _encode_pairs([answers[index] for index in missing])
-            for index, pair in zip(missing, encoded):
-                slots[index].encoded = pair
+        for slot, answer in zip(slots, answers):
+            if slot.encoded is None:
+                slot.encoded = _answer_runs(answer)
         memo.encoded = EncodedAnswers(answers,
                                       [slot.encoded for slot in slots])
     return memo.encoded

@@ -283,7 +283,7 @@ def normalise_sql(sql: str) -> str:
 
 
 class NotCached(LookupError):
-    """A ``cached_only`` request needed work its caches could not answer:
+    """A ``warm`` request needed work its caches could not answer:
     a parse, a plan or an estimate.  Raised before that work starts."""
 
 
@@ -407,20 +407,15 @@ def _next_memo(previous: Optional[AnswerMemo], candidates: tuple,
     and how many of its answers keep a slot of ``previous``.
 
     Estimates are content-addressed, so while the plan and every group's
-    result are the objects ``previous`` was built from, so are the
-    answers: ``previous`` serves again, re-stamped on a new memo if the
-    dimension moved.  Otherwise each answer keeps the slot of the
-    previous answer with its key and the same result, and the rest get
-    new ones.
+    result are the objects ``previous`` was built from at the same
+    dimension, so are the answers, and ``previous`` serves again.
+    Otherwise each answer keeps the slot of the previous answer with its
+    key and the same result, and the rest get new ones.
     """
     if (previous is not None and previous.candidates is candidates
+            and previous.dimension == dimension
             and all(map(operator.is_, results, previous.results))):
-        if previous.dimension == dimension:
-            return previous, len(previous.slots)
-        return AnswerMemo(
-            candidates, results, dimension,
-            _build_answers(candidates, schedule, results, dimension),
-            previous.slots, previous.index), len(previous.slots)
+        return previous, len(previous.slots)
     known = previous.index if previous is not None else {}
     slots: list = [None] * len(candidates)
     index: dict[tuple, AnswerSlot] = {}
@@ -567,7 +562,6 @@ class AnnotationService:
                group_witnesses: bool = True,
                trace: Union[bool, Trace, None] = None,
                on_update: Optional[GroupUpdateCallback] = None,
-               cached_only: bool = False,
                warm: Optional[WarmRequest] = None) -> ServiceResponse:
         """Run one annotation request through the full service lifecycle.
 
@@ -581,17 +575,16 @@ class AnnotationService:
         :attr:`ServiceResponse.trace`.  Tracing never touches random
         streams, so traced answers are bit-identical to untraced ones.
 
-        ``cached_only=True`` serves a SQL-text request from the caches
-        alone: a parse-cache, plan-cache or certainty-cache miss raises
-        :class:`NotCached` before any parsing, enumeration or estimation
-        starts (see :meth:`is_warm`).  ``warm`` is what :meth:`is_warm`
-        returned for this very request: the call is ``cached_only`` and
-        takes the text, parameters and keys the check derived instead of
-        deriving them again.
+        ``warm`` is what :meth:`is_warm` returned for this very request.
+        The call then serves from the caches alone: a parse-cache,
+        plan-cache or certainty-cache miss raises :class:`NotCached` before
+        any parsing, enumeration or estimation starts.  It takes the text,
+        parameters and keys the check derived instead of deriving them
+        again.
         """
         started = time.perf_counter()
-        if warm is not None:
-            cached_only = True
+        cached_only = warm is not None
+        if cached_only:
             text = warm.text
             epsilon, delta, method, adaptive, root = warm.parameters
             seed_token = warm.seed_token

@@ -413,7 +413,7 @@ class TestWarmRequest:
         assert warm and self._counters(service) == before
         served = service.submit(self.SQL, warm=warm)
         after_warm = self._counters(service)
-        again = service.submit(self.SQL, cached_only=True)
+        again = service.submit(self.SQL, warm=service.is_warm(self.SQL))
         after_cached = self._counters(service)
         assert served.answers is again.answers is cold.answers
         assert [(name, hits - old_hits, misses - old_misses)
