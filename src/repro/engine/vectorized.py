@@ -43,6 +43,7 @@ are bit-for-bit those of the reference path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -71,10 +72,19 @@ from repro.relational.database import Database
 
 _EMPTY_RESIDUAL: tuple = ()
 _TRUE = TrueFormula()
+
+
+class _Settled(tuple):
+    """A pending slot :meth:`_ResidualBuilder.settle` has built: the
+    residual tuple itself, typed so that settling it again is one check."""
+
+    __slots__ = ()
+
+
 #: The pending slot of a witness one of whose residuals folds to
-#: ``FalseFormula``: the reference path never produced it.  A non-empty
-#: tuple with no pending condition, so copies and settling keep it as is.
-_DEAD = (FalseFormula(),)
+#: ``FalseFormula``: the reference path never produced it.  A settled
+#: slot, so copies and settling keep it as is.
+_DEAD = _Settled((FalseFormula(),))
 
 #: Largest per-step pair count the engine will materialise eagerly.  The
 #: reference recursion streams pairs one at a time and can therefore
@@ -324,8 +334,9 @@ class _ResidualBuilder:
     :meth:`settle` turns a slot into the residual tuple the reference path
     attaches -- every pending condition built and simplified in slot order,
     ``TrueFormula`` dropped -- or into :data:`_DEAD` when one folds to
-    ``FalseFormula``, and writes the result back, so a slot list a
-    :class:`FrontierCache` entry holds is built at most once per witness.
+    ``FalseFormula``, and writes the result back as a :class:`_Settled`
+    tuple, so a slot list a :class:`FrontierCache` entry holds is built at
+    most once per witness and checked in O(1) after.
     Formulas are memoised per (condition, involved rows), which keeps one
     formula per table row for single-table conditions, as the pushdown
     used to.  ``built`` counts the formulas compiled.
@@ -370,7 +381,7 @@ class _ResidualBuilder:
         if slots is None:
             return _EMPTY_RESIDUAL
         slot = slots[position]
-        if not any(isinstance(item, Condition) for item in slot):
+        if not slot or type(slot) is _Settled:
             return slot
         built = []
         for item in slot:
@@ -382,7 +393,7 @@ class _ResidualBuilder:
                 if isinstance(item, TrueFormula):
                     continue
             built.append(item)
-        slots[position] = settled = tuple(built)
+        slots[position] = settled = _Settled(built)
         return settled
 
     def any_alive(self, alive: np.ndarray, slots: Optional[list],
@@ -1017,24 +1028,125 @@ def _maintain_frontier(select: SelectQuery, database: Database,
     return merged, merged_pending
 
 
+def _output_codes(evaluator: _VectorizedEvaluator, projection: list,
+                  frontier: dict, count: int) -> tuple[np.ndarray, int]:
+    """One integer per witness, equal exactly where the witnesses' output
+    tuples are equal keys of a dict (the reference path groups on those),
+    and a bound every code is below.
+
+    Base columns use their interning codes (one per distinct value).  A
+    numerical column codes its constants by value (``0.0`` and ``-0.0``
+    alike, as a dict does) and its marked nulls apart from them.  A
+    ``NaN`` constant is coded by its row: only the one float object of
+    that row (:meth:`ColumnarRelation.column_objects`) is equal to itself.
+    Several columns are combined into one code per distinct code row.
+    """
+    if not projection:
+        return np.zeros(count, dtype=np.int64), 1
+    codes = []
+    for binding, column in projection:
+        data = evaluator.relation_of(binding).column_data(column)
+        rows = frontier[binding]
+        if isinstance(data, BaseColumnData):
+            codes.append((data.codes[rows], len(data.values)))
+            continue
+        values = data.values[rows]
+        nulls = data.null_codes[rows]
+        _, value_codes = np.unique(values, return_inverse=True)
+        value_codes = value_codes.reshape(-1)
+        loose = np.isnan(values) & (nulls < 0)
+        value_codes[loose] = count + rows[loose]
+        offset = count + len(data.values)
+        codes.append((np.where(nulls >= 0, offset + nulls, value_codes),
+                      offset + len(data.nulls)))
+    if len(codes) == 1:
+        return codes[0]
+    distinct, combined = np.unique(
+        np.stack([column for column, _ in codes], axis=1), axis=0,
+        return_inverse=True)
+    return combined.reshape(-1), len(distinct)
+
+
+def _kept_witnesses(codes: np.ndarray, bound: int, pending: Optional[list],
+                    frontier: dict, limit: Optional[int], max_witnesses: int,
+                    group_witnesses: bool, builder: _ResidualBuilder
+                    ) -> tuple[list, dict]:
+    """The reference recursion's terminal block over output codes.
+
+    Returns each kept key's first live witness position, in key order, and
+    each kept position's settled slots.  A key enters at its first live
+    witness, so until ``LIMIT`` keys are in, every witness is settled in
+    order.  After that only the witnesses of kept keys are, found in one
+    NumPy pass -- unless ``max_witnesses`` could still cut the frontier:
+    then every later witness is settled in order as well, since only live
+    witnesses count towards the cap.  That is exactly the set and order of
+    witnesses the reference path's loop settles.
+    """
+    count = len(codes)
+    keys = codes.tolist()
+    firsts: list = []
+    witness_slots: dict = {}
+    seen = 0
+    position = 0
+    while position < count and seen < max_witnesses \
+            and (limit is None or len(firsts) < limit):
+        # ``builder.settle``, without the call for a slot already settled.
+        residuals = _EMPTY_RESIDUAL if pending is None else pending[position]
+        if residuals and type(residuals) is not _Settled:
+            residuals = builder.settle(pending, frontier, position)
+        if residuals is not _DEAD:
+            seen += 1
+            key = keys[position] if group_witnesses else position
+            bucket = witness_slots.get(key)
+            if bucket is None:
+                firsts.append(position)
+                witness_slots[key] = [residuals]
+            else:
+                bucket.append(residuals)
+        position += 1
+    if not group_witnesses or position >= count or seen >= max_witnesses:
+        return firsts, witness_slots
+    if count > max_witnesses:
+        later = range(position, count)
+    else:
+        # The cap cannot bind: only the kept keys' witnesses are settled.
+        kept = np.zeros(bound, dtype=bool)
+        kept[list(witness_slots)] = True
+        later = (position + np.flatnonzero(kept[codes[position:]])).tolist()
+    for position in later:
+        if seen >= max_witnesses:
+            break
+        residuals = _EMPTY_RESIDUAL if pending is None else pending[position]
+        if residuals and type(residuals) is not _Settled:
+            residuals = builder.settle(pending, frontier, position)
+        if residuals is _DEAD:
+            continue
+        seen += 1
+        bucket = witness_slots.get(keys[position])
+        if bucket is not None:
+            bucket.append(residuals)
+    return firsts, witness_slots
+
+
 def _assemble_candidates(select: SelectQuery, database: Database,
                          frontier: dict, pending: Optional[list],
                          limit: Optional[int], max_witnesses: int,
                          group_witnesses: bool,
                          builder: _ResidualBuilder,
                          known: Optional[dict]) -> tuple[list, dict, int]:
-    """Project, group and build candidates from a computed frontier.
+    """Group and build candidates from a computed frontier.
 
     The terminal stage of the eager path; it mirrors the reference
     recursion's terminal block exactly, including LIMIT and
     ``max_witnesses`` truncation (the frontier is materialised first, so
     truncation is a pure prefix of the witness order).
 
-    Residuals are built here, in witness order, and only for witnesses the
-    answer keeps; a witness whose slot settles to :data:`_DEAD` is skipped
-    as if absent.  Only live witnesses count towards ``max_witnesses``, so
-    when the frontier is longer than the cap a witness past ``LIMIT`` is
-    settled as well, to learn whether it counts.
+    Witnesses are grouped on integer output codes (:func:`_output_codes`);
+    output tuples are built for the kept keys only, from each one's first
+    live witness.  Residuals are built in witness order, and only for
+    witnesses the answer keeps or the cap must count
+    (:func:`_kept_witnesses`); a witness whose slot settles to
+    :data:`_DEAD` is skipped as if absent.
 
     A key's lineage is a pure function of its kept witnesses' settled
     slots, in order.  ``known`` is a previous assembly's lineages (see
@@ -1052,68 +1164,50 @@ def _assemble_candidates(select: SelectQuery, database: Database,
     effective_limit = limit if limit is not None else select.limit
 
     witness_count = len(frontier[bindings[0]]) if frontier else 0
-    cap_binds = witness_count > max_witnesses
-
-    # -- batch output assembly ----------------------------------------------
     if witness_count:
-        projected = [
-            evaluator.relation_of(binding).column_objects(column)[frontier[binding]]
-            for binding, column in projection]
-        outputs = list(zip(*projected)) if projected else [()] * witness_count
+        codes, bound = (
+            _output_codes(evaluator, projection, frontier, witness_count)
+            if group_witnesses
+            else (np.arange(witness_count, dtype=np.int64), witness_count))
+        firsts, by_code = _kept_witnesses(
+            codes, bound, pending, frontier, effective_limit, max_witnesses,
+            group_witnesses, builder)
     else:
-        outputs = []
+        firsts, by_code = [], {}
 
-    # -- witness grouping, mirroring the recursion's terminal block ----------
+    # -- output tuples of the kept keys, from their first live witness -------
+    outputs = list(zip(*(
+        evaluator.relation_of(binding).column_data(column).values_at(
+            frontier[binding][firsts])
+        for binding, column in projection))) if projection and firsts else \
+        [()] * len(firsts)
+    # -- lineages: reuse a key whose slots did not change --------------------
     order_keys: list = []
     witness_slots: dict = {}
+    witness_counts: dict = {}
     row_values: dict = {}
-    witnesses_seen = 0
-    for position in range(witness_count):
-        if witnesses_seen >= max_witnesses:
-            break
-        output = outputs[position]
-        full = effective_limit is not None and len(order_keys) >= effective_limit
-        if group_witnesses:
-            key = output
-            if full and key not in witness_slots:
-                # Past LIMIT a new key only counts towards the cap.
-                if cap_binds and builder.settle(
-                        pending, frontier, position) is not _DEAD:
-                    witnesses_seen += 1
-                continue
-        elif full:
-            break
-        residuals = builder.settle(pending, frontier, position)
-        if residuals is _DEAD:
-            continue
-        witnesses_seen += 1
-        if not group_witnesses:
-            key = len(order_keys)
-        if key not in witness_slots:
-            order_keys.append(key)
-            witness_slots[key] = []
-            row_values[key] = output
-        witness_slots[key].append(residuals)
-
-    # -- lineages: reuse a key whose slots did not change --------------------
     witness_formulae: dict = {}
     reused: dict = {}
-    for key in order_keys:
-        slots = witness_slots[key] = tuple(witness_slots[key])
+    for index, (output, slots) in enumerate(zip(outputs, by_code.values())):
+        key = output if group_witnesses else index
+        order_keys.append(key)
+        row_values[key] = output
+        witness_counts[key] = len(slots)
+        slots = witness_slots[key] = tuple(slots)
         previous = known.get(key) if known else None
         if previous is not None and len(previous[0]) == len(slots) and all(
-                old is new for old, new in zip(previous[0], slots)):
+                map(operator.is_, previous[0], slots)):
             reused[key] = previous[1:]
-            continue
-        # Exactly ``conjunction(residuals)``, with the empty case interned.
-        witness_formulae[key] = [
-            _TRUE if not residuals else residuals[0] if len(residuals) == 1
-            else And(residuals) for residuals in slots]
+        else:
+            # Exactly ``conjunction(residuals)``, the empty case interned.
+            witness_formulae[key] = [
+                _TRUE if not residuals else residuals[0]
+                if len(residuals) == 1 else And(residuals)
+                for residuals in slots]
 
-    candidates = _build_candidates(
-        order_keys, witness_formulae,
-        {key: len(slots) for key, slots in witness_slots.items()},
-        row_values, columns, database, reused)
+    candidates = _build_candidates(order_keys, witness_formulae,
+                                   witness_counts, row_values, columns,
+                                   database, reused)
     lineages = {
         key: (witness_slots[key], candidate.lineage.formula,
               candidate.lineage.relevant_variables, candidate.lineage.digest)

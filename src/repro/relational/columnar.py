@@ -67,6 +67,11 @@ class BaseColumnData:
             return np.empty(0, dtype=object)
         return dictionary[self.codes]
 
+    def values_at(self, rows: np.ndarray) -> list:
+        """The values of the rows at ``rows``, as a list."""
+        values = self.values
+        return [values[code] for code in self.codes[rows].tolist()]
+
 
 @dataclass
 class NumericColumnData:
@@ -85,6 +90,14 @@ class NumericColumnData:
         for position in np.flatnonzero(self.null_codes >= 0):
             objects[position] = self.nulls[self.null_codes[position]]
         return objects
+
+    def values_at(self, rows: np.ndarray) -> list:
+        """The values of the rows at ``rows``, as a list (Python floats
+        and ``NumNull`` marks)."""
+        nulls = self.nulls
+        return [nulls[code] if code >= 0 else value
+                for code, value in zip(self.null_codes[rows].tolist(),
+                                       self.values[rows].tolist())]
 
     @property
     def null_mask(self) -> np.ndarray:

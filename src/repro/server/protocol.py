@@ -22,7 +22,7 @@ must agree on:
   byte runs either side of its snapshot ``dimension``
   (:class:`EncodedAnswers`); every line that carries it splices those
   runs around the dimension its response pinned;
-* **coalescing keys** -- :func:`request_key` is the digest under which the
+* **coalescing keys** -- :func:`request_key` is the tuple under which the
   server single-flights concurrent identical requests;
 * **trace context** -- query and mutation messages may carry an optional
   top-level ``traceparent`` field (:data:`TRACEPARENT_KEY`, W3C
@@ -60,7 +60,6 @@ Error taxonomy (the ``code`` field of ``type: "error"`` messages):
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Sequence
 from typing import Any, Mapping, Optional
@@ -70,7 +69,12 @@ from repro.certainty.result import CertaintyResult
 # field name from the protocol module they already depend on.
 from repro.obs.propagate import TRACEPARENT_KEY as TRACEPARENT_KEY
 from repro.service.answers import AnnotatedAnswer
-from repro.service.service import SERVICE_METHODS, ServiceOptions, normalise_sql
+from repro.service.service import (
+    SERVICE_METHODS,
+    QueryText,
+    ServiceOptions,
+    normalise_sql,
+)
 from repro.relational.values import BaseNull, NumNull
 
 #: Prefixes marked nulls travel under (the CSV layer's convention).
@@ -159,7 +163,8 @@ def parse_query_request(message: Mapping,
     Returns ``(sql, options)`` where ``options`` has every key of
     ``defaults`` filled in -- resolution happens *before* coalescing, so a
     request that spells out the default epsilon and one that omits it share
-    a single-flight key.
+    a single-flight key -- and ``sql`` is a :class:`QueryText`, normalised
+    here once for the whole request.
     """
     sql = message.get("sql", message.get("query"))
     if not isinstance(sql, str) or not sql.strip():
@@ -178,7 +183,7 @@ def parse_query_request(message: Mapping,
     options.update({key: supplied[key] for key in _OPTION_SCHEMA
                     if key in supplied})
     _validate_options(options)
-    return sql, options
+    return QueryText(sql), options
 
 
 def _validate_options(options: Mapping[str, Any]) -> None:
@@ -213,23 +218,22 @@ def _validate_options(options: Mapping[str, Any]) -> None:
         raise ProtocolError("bad_request", "adaptive must be a boolean")
 
 
-def request_key(sql: str, options: Mapping[str, Any]) -> bytes:
+def request_key(sql: str, options: Mapping[str, Any]) -> tuple:
     """The single-flight coalescing key of one fully-resolved request.
 
-    SHA-256 over the normalised SQL (whitespace collapsed outside string
+    A plain tuple: the normalised SQL (whitespace collapsed outside string
     literals only -- the service's cache-key normalisation, so literal
-    contents can never make two different queries coalesce) and the
-    sorted, resolved options.  Computed synchronously in the event loop --
+    contents can never make two different queries coalesce), then each
+    resolved option in :data:`_OPTION_SCHEMA` order with its type, since
+    ``1`` and ``1.0`` (or ``True``) are equal in Python but different
+    requests on the wire.  Computed synchronously in the event loop --
     before parsing or planning -- so a burst of identical requests
     coalesces before any of them costs anything.  Structural sharing
     *across* different query texts happens one layer down, where the
     service single-flights estimates on the canonical lineage digest.
     """
-    payload = json.dumps(
-        {"sql": normalise_sql(sql),
-         "options": {key: options.get(key) for key in _OPTION_SCHEMA}},
-        sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).digest()
+    return (normalise_sql(sql),) + tuple(
+        (type(value), value) for value in map(options.get, _OPTION_SCHEMA))
 
 
 # -- values and answers ------------------------------------------------------
@@ -318,13 +322,19 @@ def decode_certainty(payload: Mapping) -> CertaintyResult:
 
 
 def encode_answer(answer: AnnotatedAnswer) -> dict:
+    return _answer_payload(answer, answer.certainty, answer.lineage_digest)
+
+
+def _answer_payload(row, certainty: CertaintyResult,
+                    digest: Optional[bytes]) -> dict:
+    """An answer's wire object: ``row``'s values, columns and witnesses
+    (an answer's or a candidate's), with ``certainty`` and ``digest``."""
     return {
-        "values": [encode_value(value) for value in answer.values],
-        "columns": list(answer.columns),
-        "witnesses": answer.witnesses,
-        "certainty": encode_certainty(answer.certainty),
-        "lineage": (answer.lineage_digest.hex()
-                    if answer.lineage_digest is not None else None),
+        "values": [encode_value(value) for value in row.values],
+        "columns": list(row.columns),
+        "witnesses": row.witnesses,
+        "certainty": encode_certainty(certainty),
+        "lineage": digest.hex() if digest is not None else None,
     }
 
 
@@ -340,15 +350,16 @@ def decode_answer(payload: Mapping) -> AnnotatedAnswer:
 
 
 class EncodedAnswers(Sequence):
-    """A result event's ``answers``: the served answers with their wire
-    encoding, which :func:`dump_line` splices into the line.
+    """A result event's ``answers``: a response's served answers with
+    their wire encoding, which :func:`dump_line` splices into the line.
 
-    ``pairs[i]`` is the JSON of ``answers[i]`` either side of its
+    ``pairs[i]`` is the JSON of answer ``i`` either side of its
     certainty's ``dimension`` value; the line joins each pair around the
-    dimension the answer carries, which is the response's pinned
-    snapshot.  Reading the sequence materialises the answer dicts
-    (:func:`encode_answer`) for in-process readers; the wire reads only
-    the pairs.
+    memo's dimension, the response's pinned snapshot.  Reading the
+    sequence materialises the answer dicts (:func:`encode_answer`'s) from
+    the memo's candidates and slots, for in-process readers; the wire
+    reads only the pairs, so a served line never builds an answer.  The
+    memo itself is not held: it holds this instance.
 
     One instance is shared by every event served from one answer memo --
     coalesced followers and later warm requests alike -- so it must be
@@ -356,19 +367,25 @@ class EncodedAnswers(Sequence):
     written and would not follow a mutation.
     """
 
-    __slots__ = ("answers", "pairs", "wire")
+    __slots__ = ("candidates", "slots", "dimension", "pairs", "wire")
 
-    def __init__(self, answers, pairs) -> None:
-        self.answers = answers
+    def __init__(self, memo, pairs) -> None:
+        self.candidates = memo.candidates
+        self.slots = memo.slots
+        self.dimension = memo.dimension
         self.pairs = pairs
         #: UTF-8 JSON of the list, filled by the first :func:`dump_line`.
         self.wire: Optional[bytes] = None
 
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.pairs)
 
     def __getitem__(self, index: int) -> dict:
-        return encode_answer(self.answers[index])
+        slot = self.slots[index]
+        payload = _answer_payload(self.candidates[index], slot.result,
+                                  slot.digest)
+        payload["certainty"]["dimension"] = self.dimension
+        return payload
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EncodedAnswers):
@@ -376,29 +393,22 @@ class EncodedAnswers(Sequence):
         return isinstance(other, list) and list(self) == other
 
     def splice(self) -> bytes:
-        """The list's JSON: each pair joined around its answer's dimension."""
-        dimensions: dict[int, bytes] = {}
-        parts = []
-        for answer, (head, tail) in zip(self.answers, self.pairs):
-            dimension = answer.certainty.dimension
-            text = dimensions.get(dimension)
-            if text is None:
-                text = dimensions[dimension] = \
-                    _encode_json(dimension).encode("utf-8")
-            parts.append(head + text + tail)
-        return b"[" + b",".join(parts) + b"]"
+        """The list's JSON: each pair joined around the memo's dimension."""
+        dimension = _encode_json(self.dimension).encode("utf-8")
+        return b"[" + b",".join(head + dimension + tail
+                                for head, tail in self.pairs) + b"]"
 
 
-def _answer_runs(answer: AnnotatedAnswer) -> tuple[bytes, bytes]:
-    """:func:`encode_answer`'s JSON either side of its certainty's
-    dimension value.
+def _answer_runs(candidate, slot) -> tuple[bytes, bytes]:
+    """:func:`encode_answer`'s JSON of ``candidate`` annotated from its
+    answer ``slot``, either side of its certainty's dimension value.
 
     The first ``,"dimension":`` is the certainty's key: every string
     before it is JSON-escaped, so none holds a bare quote, and the
     integer value after it ends at the next key.
     """
-    head, _, tail = _encode_json(encode_answer(answer)).partition(
-        ',"dimension":')
+    head, _, tail = _encode_json(_answer_payload(
+        candidate, slot.result, slot.digest)).partition(',"dimension":')
     return ((head + ',"dimension":').encode("utf-8"),
             tail[tail.index(',"relevant_dimension":'):].encode("utf-8"))
 
@@ -481,19 +491,21 @@ def result_event(request_id: Any, response) -> dict:
     }
 
 
-def _encoded_answers(response) -> EncodedAnswers:
-    """The encoded answers of ``response``: cached on its answer memo,
-    with each answer's runs cached on its memo slot."""
-    answers = response.answers
-    memo = response.memo
-    if memo is None or memo.answers is not answers:
-        # No memo, or a response rebuilt around other answers.
-        return EncodedAnswers(answers, list(map(_answer_runs, answers)))
+def _encoded_answers(response) -> EncodedAnswers | list:
+    """The encoded answers of ``response``, from its served memo's
+    candidates and slots: cached on the memo, with each answer's runs
+    cached on its slot, when the response reuses the memo; else encoded
+    afresh.  A response built around answers of its own encodes them."""
+    if response.given_answers is not None:
+        return [encode_answer(answer) for answer in response.given_answers]
+    memo = response.served
+    if response.memo is None:
+        return EncodedAnswers(memo, list(map(_answer_runs, memo.candidates,
+                                             memo.slots)))
     if memo.encoded is None:
         slots = memo.slots
-        for slot, answer in zip(slots, answers):
+        for candidate, slot in zip(memo.candidates, slots):
             if slot.encoded is None:
-                slot.encoded = _answer_runs(answer)
-        memo.encoded = EncodedAnswers(answers,
-                                      [slot.encoded for slot in slots])
+                slot.encoded = _answer_runs(candidate, slot)
+        memo.encoded = EncodedAnswers(memo, [slot.encoded for slot in slots])
     return memo.encoded

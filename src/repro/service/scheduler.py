@@ -19,7 +19,7 @@ candidates, so repeated requests for one plan never re-canonicalise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.service.canonical import CanonicalLineage, canonicalise_lineage
 
@@ -43,15 +43,20 @@ class TaskGroup:
         return len(self.members)
 
 
-def build_schedule(candidates: Sequence["CandidateAnswer"]) -> list[TaskGroup]:
+def build_schedule(candidates: Sequence["CandidateAnswer"],
+                   canonicals: Optional[Sequence[CanonicalLineage]] = None
+                   ) -> list[TaskGroup]:
     """Group candidates by canonical-lineage digest, in first-member order.
 
     A lineage that carries its digest is grouped on it without being
-    serialised again (:func:`canonicalise_lineage`)."""
+    serialised again (:func:`canonicalise_lineage`).  ``canonicals``, when
+    given, is each candidate's canonical lineage, already derived."""
+    if canonicals is None:
+        canonicals = [canonicalise_lineage(candidate.lineage)
+                      for candidate in candidates]
     order: list[CanonicalLineage] = []
     members_by_digest: dict[bytes, list[int]] = {}
-    for index, candidate in enumerate(candidates):
-        canonical = canonicalise_lineage(candidate.lineage)
+    for index, canonical in enumerate(canonicals):
         bucket = members_by_digest.get(canonical.digest)
         if bucket is None:
             members_by_digest[canonical.digest] = [index]

@@ -58,6 +58,7 @@ from repro.service.answers import AnnotatedAnswer
 from repro.service.executor import default_jobs, process_map
 from repro.obs.recorder import NULL_RECORDER
 from repro.obs.trace import NULL_TRACE, Trace
+from repro.service.canonical import canonicalise_lineage
 from repro.service.rng import SeedLike, root_sequence, spawn_stream
 from repro.service.scheduler import TaskGroup, build_schedule
 
@@ -113,7 +114,8 @@ class AnswerSlot:
     """One answer of a query, kept across the serves that return it.
 
     ``result`` is its group's certainty result as the certainty cache
-    handed it back, before any dimension re-stamp.  ``encoded`` is a slot
+    handed it back, before any dimension re-stamp, and ``digest`` the
+    canonical lineage digest it was decided under.  ``encoded`` is a slot
     for the wire layer: the answer's encoding minus its snapshot
     dimension, stored by the first response that carries the slot and
     reused by every later one, across re-plans and dimension changes
@@ -121,56 +123,93 @@ class AnswerSlot:
     only ever written with equal values, and nothing else is mutated.
     """
 
-    __slots__ = ("result", "encoded")
+    __slots__ = ("result", "digest", "encoded")
 
-    def __init__(self, result: CertaintyResult) -> None:
+    def __init__(self, result: CertaintyResult, digest: bytes) -> None:
         self.result = result
+        self.digest = digest
         self.encoded = None
 
 
 class AnswerMemo:
-    """The answers one query last served, at one snapshot dimension.
+    """The answers one query serves over one plan entry, at one snapshot
+    dimension.
 
     ``results`` are the groups' results as the certainty cache handed
-    them back and ``answers`` the candidates annotated with them,
-    re-stamped with ``dimension``; ``slots[i]`` keeps ``answers[i]``
+    them back; ``slots[i]`` holds candidate ``i``'s result and keeps it
     across serves, and ``index`` finds a slot by :func:`_answer_key` for
-    the next serve.  ``encoded`` is a slot for the wire layer: the first
-    response reusing this memo stores its encoded answers here, and later
-    ones reuse them.  Everything in a memo is shared across requests and
-    threads, so nothing in it may be mutated.
+    the next serve.  :attr:`answers` -- the candidates annotated with
+    their results re-stamped with ``dimension`` -- are built on first
+    read: the wire layer encodes from the slots and never reads them.
+    ``encoded`` is a slot for the wire layer: the first response reusing
+    this memo stores its encoded answers here, and later ones reuse them.
+    Everything in a memo is shared across requests and threads, so
+    nothing in it may be mutated; racing first reads of :attr:`answers`
+    build equal tuples.
     """
 
-    __slots__ = ("candidates", "results", "dimension", "answers", "slots",
-                 "index", "encoded")
+    __slots__ = ("entry", "results", "dimension", "slots", "index",
+                 "encoded", "_answers")
 
-    def __init__(self, candidates: tuple, results: tuple[CertaintyResult, ...],
-                 dimension: int, answers: tuple[AnnotatedAnswer, ...],
+    def __init__(self, entry: "_PlanEntry",
+                 results: tuple[CertaintyResult, ...], dimension: int,
                  slots: tuple[AnswerSlot, ...], index: dict) -> None:
-        self.candidates = candidates
+        self.entry = entry
         self.results = results
         self.dimension = dimension
-        self.answers = answers
         self.slots = slots
         self.index = index
         self.encoded = None
+        self._answers: Optional[tuple[AnnotatedAnswer, ...]] = None
+
+    @property
+    def candidates(self) -> tuple:
+        return self.entry.candidates
+
+    @property
+    def answers(self) -> tuple[AnnotatedAnswer, ...]:
+        answers = self._answers
+        if answers is None:
+            answers = self._answers = _build_answers(
+                self.entry.candidates, self.slots, self.dimension)
+        return answers
 
 
-@dataclass(frozen=True)
+class _ServedAnswers:
+    """:attr:`ServiceResponse.answers`: the answers a response was built
+    with, or else those of its served memo, built on first read -- so a
+    response the wire layer only encodes never builds them."""
+
+    def __get__(self, response, owner=None):
+        if response is None:
+            return None  # the field's default: no answers of its own
+        given = response.given_answers
+        return response.served.answers if given is None else given
+
+    def __set__(self, response, answers) -> None:
+        response.__dict__["given_answers"] = answers
+
+
+@dataclass(frozen=True, kw_only=True)
 class ServiceResponse:
     """Annotated answers plus the request's amortisation accounting."""
 
-    answers: tuple[AnnotatedAnswer, ...]
+    #: The annotated answers (see :class:`_ServedAnswers`); ``submit``
+    #: gives none and serves its memo's.
+    answers: tuple[AnnotatedAnswer, ...] = _ServedAnswers()
     stats: RequestStats
     #: The request's span tree, populated only when the caller asked for
     #: tracing (``submit(..., trace=True)`` or by passing a ``Trace``).
     trace: Optional[Trace] = None
-    #: The query's answer memo (its ``answers`` is this response's) when
-    #: the response reuses anything of it: the whole memo or some
-    #: answers' slots.  The wire layer caches the encoded answers on it
-    #: and on its slots.  ``None`` when nothing was reused.
+    #: The served memo when the response reuses anything of it: the
+    #: whole memo or some answers' slots.  The wire layer caches the
+    #: encoded answers on it and on its slots, so only answers served
+    #: twice keep their encoding.  ``None`` when nothing was reused.
     memo: Optional[AnswerMemo] = field(default=None, compare=False,
                                        repr=False)
+    #: The answer memo the response serves: its answers and their slots.
+    served: Optional[AnswerMemo] = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass(frozen=True)
@@ -268,8 +307,11 @@ def normalise_sql(sql: str) -> str:
     and must never share a parse-cache entry or a coalescing flight, while
     the same query reformatted across lines must.  Chunks are rejoined
     around the verbatim literals with a NUL separator so a key is
-    unambiguous; it is a key, not re-parseable SQL.
+    unambiguous; it is a key, not re-parseable SQL.  A :class:`QueryText`
+    hands back the key it was built with.
     """
+    if type(sql) is QueryText:
+        return sql.normalised
     parts: list[str] = []
     last = 0
     for match in _SQL_LITERAL.finditer(sql):
@@ -280,6 +322,22 @@ def normalise_sql(sql: str) -> str:
     if len(parts) == 1:
         return parts[0]
     return "\x00".join(parts)
+
+
+class QueryText(str):
+    """SQL text that carries its :func:`normalise_sql` key, computed once.
+
+    The network front door wraps each query's text in one, keys the
+    request's flight on it and hands it on: the service's warm check and
+    ``submit`` read the key back instead of normalising the text again.
+    """
+
+    normalised: str
+
+    def __new__(cls, sql: str) -> "QueryText":
+        text = super().__new__(cls, sql)
+        text.normalised = normalise_sql(sql)
+        return text
 
 
 class NotCached(LookupError):
@@ -329,11 +387,15 @@ class _PlanEntry:
     ``provenance[i]`` names the marked nulls the lineages of
     ``schedule[i]``'s members mention: the rows whose deletion could, as a
     matter of provenance policy, affect that group's certainty entry.
+    ``derived`` maps each digest-carrying lineage's ``(digest,
+    relevant_variables)`` to its canonical lineage and null names, for
+    the next plan of the same query to reuse.
     """
 
     candidates: tuple
     schedule: tuple[TaskGroup, ...]
     provenance: tuple[frozenset[str], ...]
+    derived: dict = field(default_factory=dict)
 
 
 class WarmRequest(NamedTuple):
@@ -366,22 +428,22 @@ def _patch_dimension(result: CertaintyResult,
     return CertaintyResult.from_fields(dict(vars(result), dimension=dimension))
 
 
-def _build_answers(candidates: tuple, schedule: tuple[TaskGroup, ...],
-                   results: tuple[CertaintyResult, ...], dimension: int
-                   ) -> tuple[AnnotatedAnswer, ...]:
-    """Each candidate annotated with its group's result re-stamped with
+def _build_answers(candidates: tuple, slots: tuple[AnswerSlot, ...],
+                   dimension: int) -> tuple[AnnotatedAnswer, ...]:
+    """Each candidate annotated with its slot's result re-stamped with
     ``dimension``, in candidate order."""
-    by_candidate: dict[int, tuple[CertaintyResult, bytes]] = {}
-    for group, result in zip(schedule, results):
-        stamped = (_patch_dimension(result, dimension), group.canonical.digest)
-        for member in group.members:
-            by_candidate[member] = stamped
-    return tuple(
-        AnnotatedAnswer(values=candidate.values, columns=candidate.columns,
-                        certainty=by_candidate[index][0],
-                        witnesses=candidate.witnesses,
-                        lineage_digest=by_candidate[index][1])
-        for index, candidate in enumerate(candidates))
+    stamped: dict[int, CertaintyResult] = {}
+    answers = []
+    for candidate, slot in zip(candidates, slots):
+        certainty = stamped.get(id(slot.result))
+        if certainty is None:
+            certainty = stamped[id(slot.result)] = _patch_dimension(
+                slot.result, dimension)
+        answers.append(AnnotatedAnswer(
+            values=candidate.values, columns=candidate.columns,
+            certainty=certainty, witnesses=candidate.witnesses,
+            lineage_digest=slot.digest))
+    return tuple(answers)
 
 
 def _typed(value) -> tuple:
@@ -399,28 +461,30 @@ def _answer_key(candidate, digest: bytes) -> tuple:
     return (tuple(map(_typed, candidate.values)), candidate.witnesses, digest)
 
 
-def _next_memo(previous: Optional[AnswerMemo], candidates: tuple,
-               schedule: tuple[TaskGroup, ...],
+def _next_memo(previous: Optional[AnswerMemo], entry: _PlanEntry,
                results: tuple[CertaintyResult, ...], dimension: int
                ) -> tuple[AnswerMemo, int]:
-    """The memo serving ``results`` over ``candidates`` at ``dimension``,
-    and how many of its answers keep a slot of ``previous``.
+    """The memo serving ``results`` over ``entry`` at ``dimension``, and
+    how many of its answers keep a slot of ``previous``.
 
     Estimates are content-addressed, so while the plan and every group's
-    result are the objects ``previous`` was built from at the same
-    dimension, so are the answers, and ``previous`` serves again.
-    Otherwise each answer keeps the slot of the previous answer with its
-    key and the same result, and the rest get new ones.
+    result are the objects ``previous`` was built from, so are the slots:
+    ``previous`` serves again, or at another dimension a memo sharing its
+    slots does.  Otherwise each answer keeps the slot of the previous
+    answer with its key and the same result, and the rest get new ones.
     """
-    if (previous is not None and previous.candidates is candidates
-            and previous.dimension == dimension
+    if (previous is not None and previous.entry is entry
             and all(map(operator.is_, results, previous.results))):
+        if previous.dimension != dimension:
+            previous = AnswerMemo(entry, results, dimension, previous.slots,
+                                  previous.index)
         return previous, len(previous.slots)
     known = previous.index if previous is not None else {}
+    candidates = entry.candidates
     slots: list = [None] * len(candidates)
     index: dict[tuple, AnswerSlot] = {}
     reused = 0
-    for group, result in zip(schedule, results):
+    for group, result in zip(entry.schedule, results):
         digest = group.canonical.digest
         for member in group.members:
             key = _answer_key(candidates[member], digest)
@@ -428,11 +492,9 @@ def _next_memo(previous: Optional[AnswerMemo], candidates: tuple,
             if slot is not None and slot.result is result:
                 reused += 1
             else:
-                slot = AnswerSlot(result)
+                slot = AnswerSlot(result, digest)
             slots[member] = index[key] = slot
-    return AnswerMemo(candidates, results, dimension,
-                      _build_answers(candidates, schedule, results, dimension),
-                      tuple(slots), index), reused
+    return AnswerMemo(entry, results, dimension, tuple(slots), index), reused
 
 
 def _result_keys(schedule: Sequence[TaskGroup], epsilon: float, delta: float,
@@ -442,17 +504,40 @@ def _result_keys(schedule: Sequence[TaskGroup], epsilon: float, delta: float,
              seed_token) for group in schedule]
 
 
-def _plan_entry(candidates: Sequence) -> _PlanEntry:
+def _plan_entry(candidates: Sequence,
+                known: Optional[dict] = None) -> _PlanEntry:
     """The plan entry of ``candidates``: the one caller of
-    :func:`build_schedule`, for cached and uncached plans alike."""
+    :func:`build_schedule`, for cached and uncached plans alike.
+
+    A lineage's canonical form and null names are pure functions of its
+    ``(digest, relevant_variables)``; ``known`` is an earlier entry's
+    :attr:`_PlanEntry.derived`, and a lineage found there is not derived
+    again -- after a write, most of a re-plan's lineages are the ones
+    the frontier cache carried over.
+    """
     candidates = tuple(candidates)
-    schedule = tuple(build_schedule(candidates))
+    derived: dict = {}
+    canonicals = []
+    names = []
+    for candidate in candidates:
+        lineage = candidate.lineage
+        key = (lineage.digest, lineage.relevant_variables)
+        pair = known.get(key) if known else None
+        if pair is None:
+            by_variable = lineage.null_by_variable
+            pair = (canonicalise_lineage(lineage),
+                    frozenset(by_variable[variable].name
+                              for variable in lineage.relevant_variables))
+        if lineage.digest is not None:
+            derived[key] = pair
+        canonicals.append(pair[0])
+        names.append(pair[1])
+    schedule = tuple(build_schedule(candidates, canonicals))
     provenance = tuple(
-        frozenset(candidates[member].lineage.null_by_variable[variable].name
-                  for member in group.members
-                  for variable in candidates[member].lineage.relevant_variables)
+        names[group.members[0]] if group.size == 1
+        else frozenset().union(*(names[member] for member in group.members))
         for group in schedule)
-    return _PlanEntry(candidates, schedule, provenance)
+    return _PlanEntry(candidates, schedule, provenance, derived)
 
 
 class AnnotationService:
@@ -710,31 +795,22 @@ class AnnotationService:
         from_cache = sum(1 for _, cached in outcomes if cached)
         with tr.span("serialize") as serialize_span:
             # The results are the objects the certainty cache holds; the
-            # answers re-stamp them with this request's dimension.  Only a
-            # memo the response reuses something of rides on it, so only
-            # answers served twice keep their encoding.
+            # answers, built when first read, re-stamp them with this
+            # request's dimension.
             results = tuple(result for result, _ in outcomes)
-            if memo_key is None:
-                answers = _build_answers(candidates, schedule, results,
-                                         dimension)
-                memo, reused = None, 0
-            else:
-                previous = self._answer_memos.peek(memo_key)
-                memo, reused = _next_memo(previous, candidates, schedule,
-                                          results, dimension)
-                if memo is not previous:
-                    self._answer_memos.put(memo_key, memo)
-                answers = memo.answers
-                if not reused:
-                    memo = None
-            serialize_span.set("answers", len(answers))
+            previous = (self._answer_memos.peek(memo_key)
+                        if memo_key is not None else None)
+            memo, reused = _next_memo(previous, entry, results, dimension)
+            if memo_key is not None and memo is not previous:
+                self._answer_memos.put(memo_key, memo)
+            serialize_span.set("answers", len(candidates))
             serialize_span.set("answers_reused", reused)
 
         computed = len(schedule) - from_cache
         batched = len(candidates) - len(schedule)
         with self._counters_lock:
             self._requests += 1
-            self._answers_served += len(answers)
+            self._answers_served += len(candidates)
             self._estimates_computed += computed
             self._estimates_reused += from_cache
             self._tuples_batched += batched
@@ -752,8 +828,9 @@ class AnnotationService:
             self._recorder.observe_request(
                 sql_text, stats.elapsed_seconds, trace=tr,
                 candidates=len(candidates), groups=len(schedule))
-        return ServiceResponse(answers=answers, stats=stats,
-                               trace=tr if return_trace else None, memo=memo)
+        return ServiceResponse(stats=stats,
+                               trace=tr if return_trace else None,
+                               memo=memo if reused else None, served=memo)
 
     def is_warm(self, query: str, *, epsilon: Optional[float] = None,
                 delta: Optional[float] = None, method: Optional[str] = None,
@@ -1015,7 +1092,12 @@ class AnnotationService:
                 for name in ("frontier", "residuals", "lineages"):
                     if name in frontier_stats:
                         span.set(name, frontier_stats[name])
-            return _plan_entry(planned)
+            # The query's memo holds the plan it last served (a plan key
+            # is the memo key plus table versions).
+            previous = (self._answer_memos.peek(plan_key[:3])
+                        if plan_key is not None else None)
+            return _plan_entry(planned, previous.entry.derived
+                               if previous is not None else None)
 
         if plan_key is None:
             return enumerate_()

@@ -21,7 +21,10 @@ demanding bit-identical candidates, witness order, lineage formulas,
 canonical lineage digests (recomputed, and equal to the digest each
 lineage carries) -- and, on sampled low-dimensional lineages,
 bit-identical certainty estimates, which follow from equal digests
-because the Monte-Carlo streams are keyed on them.
+because the Monte-Carlo streams are keyed on them.  Random queries draw
+a ``LIMIT`` (in the SQL text or as the ``limit`` argument) and a binding
+``max_witnesses``; targeted scripts push a kept key out, let the next one
+in, and kill a key's first witness.
 
 Statements that fail (validation, conflict) must fail identically on
 every chain and leave every snapshot untouched.
@@ -53,7 +56,7 @@ from repro.engine.vectorized import FRONTIER_PATHS, FrontierCache
 from repro.relational.database import Database
 from repro.relational.mutation import MutationError, MutationValidationError
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.values import is_numeric_constant
+from repro.relational.values import NumNull, is_numeric_constant
 from repro.service.canonical import canonicalise
 
 #: Default number of random (schema, data, script, query) cases; the
@@ -113,9 +116,10 @@ def _random_case(rng: np.random.Generator):
                if a.is_numeric]
     operator = str(rng.choice(("<", "<=", ">", ">=")))
     bound = f"{float(rng.uniform(-3.0, 5.0)):.3f}"
-    queries.append((f"SELECT * FROM {table} "
-                    f"WHERE {table}.{rng.choice(numeric)} {operator} {bound}",
-                    bool(rng.random() < 0.7)))
+    queries.append(_truncated(rng, (
+        f"SELECT * FROM {table} "
+        f"WHERE {table}.{rng.choice(numeric)} {operator} {bound}",
+        bool(rng.random() < 0.7))))
     if table_count > 1:
         # And a join, so delta-join telescoping faces every script.
         left, right = "T0", f"T{int(rng.integers(1, table_count))}"
@@ -129,8 +133,22 @@ def _random_case(rng: np.random.Generator):
             sql += (f" AND A.{rng.choice(left_numeric)} "
                     f"{rng.choice(('<', '>'))} "
                     f"{float(rng.uniform(-2.0, 4.0)):.3f}")
-        queries.append((sql, bool(rng.random() < 0.7)))
+        queries.append(_truncated(rng, (sql, bool(rng.random() < 0.7))))
     return schema, specs, pool, queries
+
+
+def _truncated(rng: np.random.Generator, query: tuple) -> tuple:
+    """``(sql, grouped)`` with a drawn ``LIMIT`` -- in the SQL text or as
+    the ``limit`` argument -- and witness cap: ``(sql, grouped, limit,
+    max_witnesses)``.  Small caps bind on these small tables."""
+    sql, grouped = query
+    limit = None
+    if rng.random() < 0.5:
+        limit = int(rng.integers(0, 5))
+        if rng.random() < 0.5:
+            sql, limit = f"{sql} LIMIT {limit}", None
+    cap = int(rng.integers(1, 12)) if rng.random() < 0.3 else 4000
+    return sql, grouped, limit, cap
 
 
 #: Conditions the SELECT engine rejects once a row reaches them.
@@ -181,6 +199,41 @@ def _assert_equal(context: str, reference, candidate) -> None:
             _digest(context, actual.lineage), context
 
 
+def _compare(context: str, select, rows_chain: Database,
+             columnar_chain: Database, frontier_cache: FrontierCache,
+             **options) -> tuple[list, list, str]:
+    """One query at one version on all three chains, checked equal;
+    returns the reference and columnar candidates and the columnar
+    frontier path."""
+    reference = enumerate_candidates(
+        select, _rebuild_from_scratch(rows_chain, "rows"), **options)
+    incremental_rows = enumerate_candidates(select, rows_chain, **options)
+    sink: dict = {}
+    incremental_columnar = enumerate_candidates(
+        select, columnar_chain, frontier_stats=sink,
+        frontier_cache=frontier_cache, **options)
+    # Every columnar enumeration goes through the cache and names the
+    # frontier path it took.
+    assert sink["frontier"] in FRONTIER_PATHS, context
+    _assert_equal(context, reference, incremental_rows)
+    _assert_equal(context, reference, incremental_columnar)
+    return reference, incremental_columnar, sink["frontier"]
+
+
+def _commit(statement: str, rows_chain: Database, columnar_chain: Database,
+            frontier_cache: FrontierCache) -> tuple[Database, Database]:
+    """Apply one statement to both chains, advancing the frontier cache
+    past it as the service does."""
+    rows_chain, _, rows_outcome = execute_mutation(
+        parse_statement(statement), rows_chain)
+    parent = columnar_chain
+    columnar_chain, deltas, columnar_outcome = execute_mutation(
+        parse_statement(statement), parent)
+    frontier_cache.advance(parent, columnar_chain, deltas)
+    assert rows_outcome == columnar_outcome, statement
+    return rows_chain, columnar_chain
+
+
 def _digest(context: str, lineage) -> bytes:
     """The lineage's canonical digest, recomputed from its formula; the
     digest the lineage carries (reused across commits on the columnar
@@ -206,36 +259,23 @@ class TestMutationDifferential:
             frontier_cache = FrontierCache()
             script = random_mutation_script(
                 rng, schema, pool, statements=int(rng.integers(2, 6)))
-            selects = [(parse_sql(sql), sql, grouped)
-                       for sql, grouped in queries]
+            selects = [(parse_sql(sql), sql, grouped, limit, cap)
+                       for sql, grouped, limit, cap in queries]
 
             for step in range(len(script) + 1):
-                for select, sql, grouped in selects:
-                    context = f"case {case_index} step {step}: {sql!r}"
-                    reference = enumerate_candidates(
-                        select, _rebuild_from_scratch(rows_chain, "rows"),
-                        group_witnesses=grouped, max_witnesses=4000)
-                    incremental_rows = enumerate_candidates(
-                        select, rows_chain, group_witnesses=grouped,
-                        max_witnesses=4000)
-                    sink: dict = {}
-                    incremental_columnar = enumerate_candidates(
-                        select, columnar_chain, group_witnesses=grouped,
-                        max_witnesses=4000, frontier_stats=sink,
-                        frontier_cache=frontier_cache)
-                    # Every columnar enumeration goes through the cache
-                    # and names the frontier path it took.
-                    path = sink["frontier"]
-                    assert path in FRONTIER_PATHS, context
+                for select, sql, grouped, limit, cap in selects:
+                    context = (f"case {case_index} step {step}: {sql!r} "
+                               f"limit={limit} cap={cap}")
+                    reference, columnar, path = _compare(
+                        context, select, rows_chain, columnar_chain,
+                        frontier_cache, group_witnesses=grouped,
+                        limit=limit, max_witnesses=cap)
                     frontier_paths[path] = frontier_paths.get(path, 0) + 1
-                    _assert_equal(context, reference, incremental_rows)
-                    _assert_equal(context, reference, incremental_columnar)
 
                     # Bit-identical certainties follow from equal digests
                     # (the Monte-Carlo stream is keyed on them); spot-check
                     # on low-dimensional lineages to keep the harness fast.
-                    for expected, actual in zip(reference,
-                                                incremental_columnar):
+                    for expected, actual in zip(reference, columnar):
                         if annotated >= 2 * (case_index + 1):
                             break
                         if len(expected.lineage.relevant_variables) > 3:
@@ -337,6 +377,63 @@ class TestMutationDifferential:
                 assert outcome.deleted == len(removed), context
                 matched += bool(removed)
         assert matched > 0 and raised > 0
+
+    def test_limit_and_cap_across_targeted_writes(self):
+        """Writes that move the ``LIMIT`` boundary, replayed on all three
+        chains under every LIMIT, cap and grouping.
+
+        Witnesses run in ``A`` row order, so ``B`` rows joining ``A``'s
+        first row come first whatever their own position: the INSERT of
+        ``z`` pushes the second kept key ``q`` out, ``d``'s first witness
+        divides a null by zero (its residual folds false) while its second
+        is live, and the DELETE of ``p`` lets the next key in.  Kept keys
+        have witnesses past the LIMIT boundary and past a binding cap."""
+        schema = DatabaseSchema.of(
+            RelationSchema.of("A", key="base", x="num"),
+            RelationSchema.of("B", key="base", tag="base", y="num", w="num"))
+        content = {
+            "A": [("k1", 5.0), ("k2", 5.0)],
+            "B": [("k1", "p", 1.0, 1.0), ("k2", "q", NumNull("n0"), 1.0),
+                  ("k2", "r", 2.0, 1.0), ("k2", "z", 4.0, 1.0),
+                  ("k2", "p", 3.0, 1.0)],
+        }
+        script = ["INSERT INTO B VALUES ('k1', 'z', NULL, 1.0)",
+                  "INSERT INTO B VALUES ('k1', 'd', NULL, 0.0), "
+                  "('k2', 'd', NULL, 1.0)",
+                  "DELETE FROM B WHERE tag = 'p'",
+                  "DELETE FROM B WHERE tag = 'z'"]
+        select = parse_sql("SELECT B.tag FROM A, B WHERE A.key = B.key "
+                           "AND B.y / B.w < A.x")
+        rows_chain = Database.from_dict(schema, content, backend="rows")
+        columnar_chain = rows_chain.with_backend("columnar")
+        frontier_cache = FrontierCache()
+        kept: list = []  # the LIMIT 2 keys, per version
+        paths = set()
+        for step in range(len(script) + 1):
+            for grouped in (True, False):
+                for limit in (None, 1, 2, 3):
+                    for cap in (2, 3, 4000):
+                        context = (f"step {step} grouped={grouped} "
+                                   f"limit={limit} cap={cap}")
+                        reference, _, path = _compare(
+                            context, select, rows_chain, columnar_chain,
+                            frontier_cache, group_witnesses=grouped,
+                            limit=limit, max_witnesses=cap)
+                        paths.add(path)
+                        if grouped and limit == 2 and cap == 4000:
+                            kept.append([answer.values[0]
+                                         for answer in reference])
+                        if grouped and limit is None and cap == 4000 \
+                                and step == 2:
+                            # Only ``d``'s live witness counts.
+                            assert {answer.values[0]: answer.witnesses
+                                    for answer in reference}["d"] == 1
+            if step < len(script):
+                rows_chain, columnar_chain = _commit(
+                    script[step], rows_chain, columnar_chain, frontier_cache)
+        assert kept == [["p", "q"], ["p", "z"], ["p", "z"], ["z", "q"],
+                        ["q", "r"]]
+        assert {"appended", "advanced"} <= paths
 
     def test_case_count_meets_floor(self):
         """Default and nightly runs cover the 200-case acceptance floor."""

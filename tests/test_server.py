@@ -895,11 +895,11 @@ class TestWarmReadsOnTheLoop:
         app = ServerApp(service)
         held = threading.Event()
         release = threading.Event()
-        build = service_module._build_answers
+        build = service_module._next_memo
 
         def hold(*args, **kwargs):
-            # The leader's caches are filled by now; only its answers are
-            # still being built.
+            # The leader's caches are filled by now; only its answer memo
+            # is still being built.
             held.set()
             assert release.wait(10), "the test never released the leader"
             return build(*args, **kwargs)
@@ -907,7 +907,7 @@ class TestWarmReadsOnTheLoop:
         async def scenario():
             await _collect(app, {"sql": SQL})
             service._plan_cache.clear()  # the next SQL re-plans and builds
-            monkeypatch.setattr(service_module, "_build_answers", hold)
+            monkeypatch.setattr(service_module, "_next_memo", hold)
             leader = asyncio.ensure_future(_collect(app, {"sql": SQL}))
             while not held.is_set():
                 await asyncio.sleep(0.005)

@@ -47,6 +47,7 @@ from repro.server.protocol import (
     result_event,
 )
 from repro.service import AnnotationService, ServiceOptions
+from repro.service.answers import AnnotatedAnswer
 from repro.service.service import _answer_key
 
 
@@ -546,3 +547,56 @@ class TestAnswerSlots:
         finally:
             sys.setswitchinterval(interval)
         assert failures == []
+
+
+class TestServedReplansBuildNoAnswers:
+    """On the benchmark's write instance, a re-plan served through the
+    server is encoded from answer slots: no ``AnnotatedAnswer`` is built,
+    one lineage is rebuilt and 24 of 25 answers keep their slot."""
+
+    WRITES = ("INSERT INTO Orders VALUES ('wm1x0', 'p0', NULL, 5.0)",
+              "DELETE FROM Orders WHERE id = 'wm1x0'")
+    REPLANNED = (EXPERIMENT_QUERIES["never_knowingly_undersold"],
+                 EXPERIMENT_QUERIES["unfair_discount"])
+
+    def test_insert_and_delete_replans(self, monkeypatch):
+        database = generate_sales_database(
+            ExperimentScale(500, 500, 25, null_rate=0.08), rng=0)
+        app = ServerApp(AnnotationService(database.with_backend("columnar"),
+                                          ServiceOptions(seed=0, epsilon=0.2)))
+        built = []
+        init = AnnotatedAnswer.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            init(self, *args, **kwargs)
+
+        async def cycle(counts: list) -> None:
+            for write in self.WRITES:
+                assert (await app.mutate({"sql": write}))["type"] == "mutation"
+                for sql in EXPERIMENT_QUERIES.values():
+                    [event] = await _collect(app, {"sql": sql})
+                    assert event["type"] == "result"
+                    assert load_line(dump_line(event))["answers"]
+                    if sql in self.REPLANNED:
+                        spans = {span["name"]: span["attributes"] for span
+                                 in app.trace_payload(event["trace_id"])["spans"]}
+                        counts.append((spans["enumerate"]["lineages"],
+                                       spans["serialize"]["answers_reused"]))
+
+        async def scenario() -> list:
+            for sql in EXPERIMENT_QUERIES.values():
+                await _collect(app, {"sql": sql})
+            # The first commit admits the frontiers; the next cycle reuses.
+            await cycle([])
+            monkeypatch.setattr(AnnotatedAnswer, "__init__", counted)
+            counts: list = []
+            await cycle(counts)
+            return counts
+
+        try:
+            counts = asyncio.run(scenario())
+        finally:
+            app.close()
+        assert built == []
+        assert counts == [(1, 24)] * 4

@@ -31,7 +31,7 @@ from repro.relational.database import Database
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.service import AnnotationService, RequestStats, ServiceResponse
 from repro.service.answers import AnnotatedAnswer
-from repro.service.service import AnswerMemo, AnswerSlot
+from repro.service.service import AnswerMemo, AnswerSlot, _PlanEntry
 from repro.relational.values import BaseNull, NumNull
 
 DEFAULTS = {"epsilon": 0.05, "delta": 0.05, "method": "afpras",
@@ -275,16 +275,18 @@ def _awkward_answer(index: int) -> AnnotatedAnswer:
 
 
 def _served(answers) -> ServiceResponse:
-    """A response served from an answer memo, as ``submit`` returns it."""
+    """A response reusing an answer memo, as ``submit`` returns it; the
+    answers stand in for the plan's candidates."""
     answers = tuple(answers)
     results = tuple(answer.certainty for answer in answers)
-    memo = AnswerMemo(answers, results, 3, answers,
-                      tuple(map(AnswerSlot, results)), {})
+    memo = AnswerMemo(_PlanEntry(answers, (), ()), results, 3,
+                      tuple(AnswerSlot(answer.certainty, answer.lineage_digest)
+                            for answer in answers), {})
     stats = RequestStats(candidates=len(answers), groups=len(answers),
                          groups_from_cache=0, groups_computed=len(answers),
                          tuples_batched=0, elapsed_seconds=1.0000000000000002e-05,
                          seed_entropy=0)
-    return ServiceResponse(answers=answers, stats=stats, memo=memo)
+    return ServiceResponse(stats=stats, memo=memo, served=memo)
 
 
 class TestSplicedResultLines:
